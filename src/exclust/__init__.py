@@ -22,7 +22,7 @@ from .asymptotics import (
     sliding_process_cov,
     theta_asymp_var,
 )
-from .blocks import count_exceedances, disjoint_maxima, ranks, sliding_maxima
+from .blocks import ranks, sliding_maxima
 from .competitors import CompetitorSpec, cpp_invert, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import (
     BivariatePmfFamily,
@@ -64,11 +64,9 @@ __all__ = [
     "QuadratureSpec",
     "SummaryTable",
     "UnsupportedModelError",
-    "count_exceedances",
     "cpp2_pmf",
     "cpp_invert",
     "cpp_pmf",
-    "disjoint_maxima",
     "disjoint_process_var",
     "ferro_pi",
     "gamma",

@@ -28,11 +28,6 @@ def check_block_size(n, b):
     return b
 
 
-def check_window(n, start, b):
-    if start < 0 or start + b > n:
-        raise ValueError(f"window [{start}, {start + b}) out of bounds for n={n}")
-
-
 class FitMixin:
     """Minimal scikit-learn style parameter handling for estimator classes.
 

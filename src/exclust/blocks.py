@@ -1,4 +1,4 @@
-"""Block maxima, rank transforms and exceedance counting.
+"""Sliding block maxima and rank transforms.
 
 These are the shared primitives behind every estimator in the package: a
 series is cut into disjoint or sliding blocks, block maxima act as random
@@ -6,48 +6,24 @@ thresholds, and cluster sizes are read off as counts of strict exceedances
 within other blocks.
 """
 
-from collections import deque
-
 import numpy as np
 from scipy.stats import rankdata
 
-from .base import as_sample, check_block_size, check_window
+from .base import as_sample, check_block_size
 
-__all__ = ["disjoint_maxima", "sliding_maxima", "ranks", "count_exceedances"]
-
-
-def disjoint_maxima(x, b):
-    """Maxima of the ``floor(n/b)`` successive disjoint blocks of length ``b``.
-
-    Observations in the trailing remainder block are discarded.
-    """
-    x = as_sample(x)
-    b = check_block_size(x.size, b)
-    k = x.size // b
-    return x[: k * b].reshape(k, b).max(axis=1)
+__all__ = ["sliding_maxima", "ranks"]
 
 
 def sliding_maxima(x, b):
     """Maxima of all ``n - b + 1`` sliding windows of length ``b``.
 
-    Runs in O(n) with a monotone double-ended queue holding indices of
-    candidate maxima in decreasing value order; the result is exactly the
-    per-window maximum (comparisons only, no arithmetic on the values).
+    A reduction over a strided window view: O(n*b) comparisons and no copy
+    of the windows; the result is exactly the per-window maximum
+    (comparisons only, no arithmetic on the values).
     """
     x = as_sample(x)
     b = check_block_size(x.size, b)
-    n = x.size
-    out = np.empty(n - b + 1)
-    dq = deque()
-    for s in range(n):
-        while dq and x[dq[-1]] <= x[s]:
-            dq.pop()
-        dq.append(s)
-        if dq[0] <= s - b:
-            dq.popleft()
-        if s >= b - 1:
-            out[s - b + 1] = x[dq[0]]
-    return out
+    return np.lib.stride_tricks.sliding_window_view(x, b).max(axis=1)
 
 
 def ranks(x):
@@ -58,9 +34,3 @@ def ranks(x):
     x = as_sample(x)
     return rankdata(x, method="max") / x.size
 
-
-def count_exceedances(x, window_start, b, threshold):
-    """Number of entries in ``x[window_start : window_start+b]`` strictly above ``threshold``."""
-    x = as_sample(x)
-    check_window(x.size, window_start, b)
-    return int(np.count_nonzero(x[window_start : window_start + b] > threshold))

@@ -23,6 +23,7 @@ __all__ = [
     "robert_pi",
     "cpp_invert",
     "split_clusters",
+    "check_block_rule",
 ]
 
 _KINDS = ("hsing", "ferro", "robert")
@@ -52,6 +53,30 @@ class CompetitorSpec:
             raise ValueError(f"grid must be >= 2, got {self.robert_grid}")
 
 
+def check_block_rule(estimator, n, b):
+    """Raise ValueError, naming the estimator and b, unless ``estimator``
+    (an experiment estimator name) can run with block size b on n points.
+
+    ferro needs 4 <= 3*floor(n/b) <= n exceedances; hsing needs b >= 4 so
+    its threshold rank is defined; every other estimator needs
+    2 <= b <= n/2 (:func:`check_block_size`).
+    """
+    b = int(b)
+    if estimator == "ferro":
+        num = 3 * (n // b) if b >= 1 else 0
+        if not 4 <= num <= n:
+            raise ValueError(
+                f"ferro with b={b}: needs 4 <= 3*floor(n/b) <= n = {n}, got {num}"
+            )
+        return b
+    if estimator == "hsing" and b < 4:
+        raise ValueError(f"hsing with b={b}: needs b >= 4 so the threshold rank is defined")
+    try:
+        return check_block_size(n, b)
+    except ValueError as err:
+        raise ValueError(f"{estimator} with b={b}: {err}") from None
+
+
 def _sizes_to_pi(sizes, n_clusters, m_max, method, b):
     values = np.zeros(m_max)
     for m in range(1, m_max + 1):
@@ -69,9 +94,7 @@ def hsing_pi(x, b, m_max=5):
     """
     x = as_sample(x)
     n = x.size
-    if b < 4:
-        raise ValueError(f"b must be >= 4 so the threshold rank is defined, got {b}")
-    check_block_size(n, b)
+    b = check_block_rule("hsing", n, b)
     s = 2 * (b - 3)
     v = np.sort(x, kind="stable")[n - n // s - 1]
     k = n // b
@@ -107,11 +130,7 @@ def ferro_pi(x, b, m_max=5):
     """
     x = as_sample(x)
     n = x.size
-    num = 3 * (n // b)
-    if num < 4:
-        raise ValueError(f"needs 3*floor(n/b) >= 4 exceedances, got {num}")
-    if num > n:
-        raise ValueError(f"3*floor(n/b) = {num} exceeds the sample length {n}")
+    num = 3 * (n // check_block_rule("ferro", n, b))
     pos = np.sort(np.argsort(-x, kind="stable")[:num])
     T = np.diff(pos).astype(float)
     if np.all(T == 1):
@@ -173,8 +192,7 @@ def robert_pi(x, spec):
         raise ValueError(f"spec.kind must be 'robert', got {spec.kind!r}")
     x = as_sample(x)
     n = x.size
-    b = spec.b
-    check_block_size(n, b)
+    b = check_block_rule("robert", n, spec.b)
     k = n // b
     blocks = x[: k * b].reshape(k, b)
     desc = np.sort(x, kind="stable")[::-1]

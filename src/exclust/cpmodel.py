@@ -41,7 +41,6 @@ __all__ = [
     "iid_model",
     "max_ar_family",
     "geometric_pi",
-    "theta_partial",
 ]
 
 # pbar(0) = int exp(-theta*tau) theta exp(-theta*tau) dtau = 1/2 for every model
@@ -328,15 +327,3 @@ def geometric_pi(alpha, m_max=SUPPORT_CAP):
     w = np.zeros(m_max + 1)
     w[1:] = (1.0 - alpha) * alpha ** (m[1:] - 1.0)
     return Pmf(w, trunc_mass=alpha**m_max)
-
-
-def theta_partial(pi, m):
-    """Partial-sum approximation theta(m) = 1 / sum_{j<=m} j*pi(j)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    top = min(m, pi.support_max)
-    j = np.arange(1, top + 1)
-    denom = float(np.sum(j * pi.weights[1 : top + 1]))
-    if denom <= 0.0:
-        raise ValueError(f"partial mean cluster size is not positive: {denom}")
-    return 1.0 / denom

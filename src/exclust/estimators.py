@@ -11,9 +11,15 @@ overlap.  The recursion
 then turns either estimate into an estimate of pi, and the extremal index is
 estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
-The sliding mode runs through a threshold sweep in O(n*b + n*log n) instead
-of the naive O(n^2 * b) pair enumeration; both are exposed and agree exactly
-(all pair statistics are integer counts, divided once at the end).
+Both modes share one exact integer kernel.  A block's exceedance count,
+capped at c = m_max + 1, is at least c exactly when its c-th largest entry
+exceeds the threshold.  So each block is reduced to its top m_max + 1 order
+statistics, the counts over all blocks come from one sorted column per
+order statistic, and the near blocks left out of the pairs are compared
+directly and subtracted.  At fixed b, memory grows linearly in n and time
+about like n*log(n): 8-14x per 10x of n at b = 20, n from 2e3 to 2e5.  The
+naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
+pair statistics are integer counts, divided once at the end.
 """
 
 from dataclasses import dataclass
@@ -22,14 +28,14 @@ from typing import Optional
 import numpy as np
 
 from .base import FitMixin, as_sample, check_block_size
-from .blocks import ranks, sliding_maxima
+from .blocks import ranks, sliding_maxima  # noqa: F401  (sliding_maxima is re-exported)
 from .errors import DegenerateEstimateError
 
 __all__ = [
     "PbarEstimate",
     "PiEstimate",
     "pbar_hat",
-    "sliding_pair_sweep",
+    "sliding_pair_counts",
     "sliding_pair_naive",
     "pi_from_pbar",
     "theta_hat",
@@ -38,6 +44,7 @@ __all__ = [
 
 _MODES = ("disjoint", "sliding")
 _SCALES = ("z", "y")
+_CHUNK = 4096  # blocks reduced to their top order statistics per step
 
 
 @dataclass(frozen=True)
@@ -102,27 +109,62 @@ def _y_thresholds(block_cdf_maxima):
     return 1.0 + np.log(block_cdf_maxima)
 
 
-def _flat_ranges(lo, hi):
-    """Concatenate the integer ranges [lo[i], hi[i]] (inclusive)."""
-    lens = hi - lo + 1
-    total = int(lens.sum())
-    shifts = np.repeat(np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    return np.repeat(lo, lens) + np.arange(total) - shifts
+def _block_tops(blocks, cap):
+    """The ``cap`` largest entries of each row of ``blocks``, descending.
+
+    Rows shorter than ``cap`` are padded with -inf, which exceeds no
+    threshold.  Rows are processed ``_CHUNK`` at a time, so a strided view
+    of sliding windows is never copied whole.
+    """
+    k, b = blocks.shape
+    tops = np.full((k, cap), -np.inf)
+    width = min(b, cap)
+    for lo in range(0, k, _CHUNK):
+        neg = -blocks[lo : lo + _CHUNK]
+        if b > cap:
+            neg = np.partition(neg, cap - 1, axis=1)[:, :cap]
+        tops[lo : lo + _CHUNK, :width] = -np.sort(neg, axis=1)
+    return tops
 
 
-def sliding_pair_sweep(x, b, thresholds, m_max, scale="z"):
+def _far_pair_counts(tops, thresholds, radius):
+    """Per-row histogram of capped exceedance counts over far blocks.
+
+    ``tops`` holds the cap largest entries of every block (see
+    :func:`_block_tops`).  Row q of the result counts the blocks i' with
+    |q - i'| >= radius whose number of entries strictly above
+    ``thresholds[q]``, capped at cap, equals c, for c = 0..cap.
+
+    A block's capped count is >= c exactly when its c-th largest entry
+    exceeds the threshold, so the count over all blocks is one
+    ``searchsorted`` per order-statistic column; the 2*radius - 1 near
+    blocks are then compared directly and subtracted, one offset at a time.
+    """
+    k, cap = tops.shape
+    q = np.arange(k)
+    # at_least[q, c] = #far blocks whose capped count is >= c, c = 0..cap+1
+    at_least = np.zeros((k, cap + 2), dtype=np.int64)
+    at_least[:, 0] = k - (np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0))
+    for j in range(cap):
+        col = np.sort(tops[:, j])
+        at_least[:, j + 1] = k - np.searchsorted(col, thresholds, side="right")
+
+    pad = np.full((radius - 1, cap), -np.inf)
+    padded = np.concatenate((pad, tops, pad))
+    near = np.zeros((k, cap), dtype=np.int64)
+    for d in range(2 * radius - 1):  # near block q - radius + 1 + d
+        near += padded[d : d + k] > thresholds[:, None]
+    at_least[:, 1:-1] -= near
+    return at_least[:, :-1] - at_least[:, 1:]
+
+
+def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
     """Histogram of per-window exceedance counts over all non-overlapping windows.
 
     For every sliding-window start i, row i counts the windows i' with
     |i - i'| >= b whose number of entries strictly above ``thresholds[i]``
     equals c, for c = 0..m_max plus an overflow bucket (last column).
-
-    Descending threshold sweep: window exceedance counters and their global
-    histogram are updated as the level drops past each data value (each value
-    touches at most b windows, O(1) histogram work per touch); a query then
-    reads the histogram and subtracts the at most 2b-1 near windows by direct
-    counter lookup.  Total cost O(n*b + n*log n), and the output equals
-    :func:`sliding_pair_naive` exactly.
+    The output equals :func:`sliding_pair_naive` exactly.
     """
     x = as_sample(x)
     n = x.size
@@ -132,39 +174,12 @@ def sliding_pair_sweep(x, b, thresholds, m_max, scale="z"):
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.shape != (P,):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    cap = m_max + 1
-
-    pos_desc = np.argsort(-series, kind="stable")
-    vals_desc = series[pos_desc]
-    neg_vals = -vals_desc  # ascending, for searchsorted
-
-    cnt = np.zeros(P, dtype=np.int64)
-    hist = np.zeros(cap + 1, dtype=np.int64)
-    hist[0] = P
-    out = np.zeros((P, cap + 1), dtype=np.int64)
-
-    applied = 0
-    for q in np.argsort(-thresholds, kind="stable"):
-        t = thresholds[q]
-        new_applied = int(np.searchsorted(neg_vals, -t, side="left"))  # #values > t
-        if new_applied > applied:
-            pos = pos_desc[applied:new_applied]
-            lo = np.maximum(pos - b + 1, 0)
-            hi = np.minimum(pos, P - 1)
-            delta = np.bincount(_flat_ranges(lo, hi), minlength=P)
-            aff = np.nonzero(delta)[0]
-            old = np.minimum(cnt[aff], cap)
-            cnt[aff] += delta[aff]
-            new = np.minimum(cnt[aff], cap)
-            hist += np.bincount(new, minlength=cap + 1) - np.bincount(old, minlength=cap + 1)
-            applied = new_applied
-        near = np.minimum(cnt[max(0, q - b + 1) : min(P - 1, q + b - 1) + 1], cap)
-        out[q] = hist - np.bincount(near, minlength=cap + 1)
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(series, b)
+    return _far_pair_counts(_block_tops(windows, m_max + 1), thresholds, b)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
-    """Reference O(n^2 * b) enumeration of the same histogram as the sweep."""
+    """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`."""
     x = as_sample(x)
     n = x.size
     b = check_block_size(n, b)
@@ -193,21 +208,13 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
 
     if mode == "disjoint":
         k = n // b
-        blocks = series[: k * b].reshape(k, b)
-        maxima = blocks.max(axis=1)
-        thr = maxima if scale == "z" else _y_thresholds(maxima)
-        # counts[i, i'] = exceedances of threshold i inside block i'
-        counts = (blocks[None, :, :] > thr[:, None, None]).sum(axis=2)
-        off = ~np.eye(k, dtype=bool)
-        capped = np.minimum(counts[off], m_max + 1)
-        hist = np.bincount(capped, minlength=m_max + 2)
-        pair_count = k * (k - 1)
+        blocks, radius = series[: k * b].reshape(k, b), 1
     else:
-        maxima = sliding_maxima(series, b)
-        thr = maxima if scale == "z" else _y_thresholds(maxima)
-        table = sliding_pair_sweep(x, b, thr, m_max, scale=scale)
-        hist = table.sum(axis=0)
-        pair_count = int(hist.sum())  # = |D_n|, windows at distance >= b
+        blocks, radius = np.lib.stride_tricks.sliding_window_view(series, b), b
+    tops = _block_tops(blocks, m_max + 1)
+    thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
+    hist = _far_pair_counts(tops, thr, radius).sum(axis=0)
+    pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 
     counts = hist[1 : m_max + 1].astype(np.int64)
     values = counts / pair_count
@@ -244,12 +251,17 @@ def theta_hat(pi, m=None):
         m = values.size
     if not 1 <= m <= values.size:
         raise ValueError(f"m must lie in 1..{values.size}, got {m}")
-    denom = float(np.sum(np.arange(1, m + 1) * values[:m]))
+    return 1.0 / _mean_cluster_size(values[:m])
+
+
+def _mean_cluster_size(pi):
+    """sum_j j*pi(j) over the given pi(1..m); must be positive."""
+    denom = float(np.sum(np.arange(1, pi.size + 1) * pi))
     if denom <= 0.0:
         raise DegenerateEstimateError(
-            f"partial mean cluster size through m={m} is not positive", value=denom
+            f"partial mean cluster size through m={pi.size} is not positive", value=denom
         )
-    return 1.0 / denom
+    return denom
 
 
 class ClusterSizeEstimator(FitMixin):
@@ -271,9 +283,13 @@ class ClusterSizeEstimator(FitMixin):
     def fit(self, x):
         self.pbar_ = pbar_hat(x, self.b, mode=self.mode, scale=self.scale, m_max=self.m_max)
         self.pi_ = pi_from_pbar(self.pbar_, clip=self.clip)
-        denom = float(np.sum(np.arange(1, self.m_max + 1) * self.pi_.values))
-        self.theta_denominator_ = denom
-        self.theta_ = 1.0 / denom if denom > 0.0 else float("nan")
+        try:
+            self.theta_denominator_ = _mean_cluster_size(self.pi_.values)
+        except DegenerateEstimateError as err:
+            self.theta_denominator_ = err.value
+            self.theta_ = float("nan")
+        else:
+            self.theta_ = 1.0 / self.theta_denominator_
         return self
 
     def theta(self, m=None):

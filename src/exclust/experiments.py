@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
+from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError
 from .estimators import pbar_hat, pi_from_pbar
@@ -67,13 +67,16 @@ class ExperimentConfig:
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         for b in self.block_grid:
-            if b % 2 != 0 or b > self.n // 2:
+            if b < 2 or b % 2 != 0 or b > self.n // 2:
                 raise ValueError(
-                    f"block sizes must be even and at most n/2 = {self.n // 2}, got {b}"
+                    f"block sizes must be even and in 2..n/2 = {self.n // 2}, got {b}"
                 )
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        for est in self.estimators:
+            for b in self.block_grid:
+                check_block_rule(est, self.n, b)
         # the model spec is validated eagerly so bad params fail here
         ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, 0)
 

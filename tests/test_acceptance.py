@@ -28,7 +28,7 @@ from exclust.cpmodel import (
     pbar_integral_oracle,
     pbar_theory,
 )
-from exclust.estimators import PbarEstimate, pi_from_pbar, sliding_pair_naive, sliding_pair_sweep
+from exclust.estimators import PbarEstimate, pi_from_pbar, sliding_pair_naive, sliding_pair_counts
 from exclust.experiments import ExperimentConfig, run, write_csv
 from exclust.simulate import ModelSpec, gen
 
@@ -85,7 +85,7 @@ def test_criterion_3_sweep_matches_naive_enumeration():
             scale, thr = "z", sliding_maxima(x, b)
         else:
             scale, thr = "y", 1.0 + np.log(sliding_maxima(ranks(x), b))
-        fast = sliding_pair_sweep(x, b, thr, m_max, scale=scale)
+        fast = sliding_pair_counts(x, b, thr, m_max, scale=scale)
         slow = sliding_pair_naive(x, b, thr, m_max, scale=scale)
         assert np.array_equal(fast, slow)
 

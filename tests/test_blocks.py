@@ -1,4 +1,4 @@
-"""Block maxima, ranks and exceedance counting."""
+"""Sliding block maxima, ranks and input validation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,22 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exclust.base import as_sample, check_block_size
-from exclust.blocks import count_exceedances, disjoint_maxima, ranks, sliding_maxima
+from exclust.blocks import ranks, sliding_maxima
 
 
 def naive_sliding_maxima(x, b):
     return np.array([np.max(x[s : s + b]) for s in range(len(x) - b + 1)])
-
-
-def test_disjoint_maxima_hand():
-    x = [3.0, 1.0, 2.0, 5.0, 4.0, 0.0]
-    np.testing.assert_array_equal(disjoint_maxima(x, 2), [3.0, 5.0, 4.0])
-    np.testing.assert_array_equal(disjoint_maxima(x, 3), [3.0, 5.0])
-
-
-def test_disjoint_maxima_drops_remainder():
-    x = [1.0, 2.0, 3.0, 4.0, 9.0]
-    np.testing.assert_array_equal(disjoint_maxima(x, 2), [2.0, 4.0])
 
 
 def test_sliding_maxima_hand():
@@ -57,15 +46,6 @@ def test_sliding_maxima_matches_naive(case):
     np.testing.assert_array_equal(sliding_maxima(x, b), naive_sliding_maxima(x, b))
 
 
-@given(series_and_block())
-@settings(max_examples=30, deadline=None)
-def test_disjoint_maxima_matches_naive(case):
-    x, b = case
-    k = len(x) // b
-    naive = [np.max(x[i * b : (i + 1) * b]) for i in range(k)]
-    np.testing.assert_array_equal(disjoint_maxima(x, b), naive)
-
-
 def test_ranks_ties_use_max_rank():
     np.testing.assert_allclose(ranks([1.0, 2.0, 2.0, 3.0]), [0.25, 0.75, 0.75, 1.0])
 
@@ -76,14 +56,6 @@ def test_ranks_maximum_maps_to_one():
     r = ranks(x)
     assert r[np.argmax(x)] == 1.0
     assert np.all((r > 0) & (r <= 1))
-
-
-def test_count_exceedances_is_strict():
-    x = [1.0, 2.0, 3.0, 2.0]
-    assert count_exceedances(x, 0, 4, 2.0) == 1
-    assert count_exceedances(x, 0, 2, 0.5) == 2
-    with pytest.raises(ValueError):
-        count_exceedances(x, 2, 3, 0.0)
 
 
 def test_as_sample_validation():

@@ -17,9 +17,9 @@ from exclust.cpmodel import (
     pbar_integral_oracle,
     pbar_theory,
     self_convolve,
-    theta_partial,
 )
 from exclust.errors import UnsupportedModelError
+from exclust.estimators import theta_hat
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 
@@ -293,14 +293,14 @@ def test_geometric_pi_rejects_bad_alpha():
 
 
 def test_theta_partial():
-    assert theta_partial(geometric_pi(0.0), 3) == 1.0
+    assert theta_hat(geometric_pi(0.0).weights[1:], 3) == 1.0
     np.testing.assert_allclose(
-        theta_partial(geometric_pi(0.5, m_max=5), 5), 1 / 1.78125, rtol=1e-14
+        theta_hat(geometric_pi(0.5, m_max=5).weights[1:], 5), 1 / 1.78125, rtol=1e-14
     )
     # full geometric mean cluster size is 1/(1-alpha) = 2
-    np.testing.assert_allclose(theta_partial(geometric_pi(0.5), 40), 0.5, atol=1e-9)
+    np.testing.assert_allclose(theta_hat(geometric_pi(0.5).weights[1:], 40), 0.5, atol=1e-9)
     with pytest.raises(ValueError):
-        theta_partial(geometric_pi(0.5), 0)
+        theta_hat(geometric_pi(0.5).weights[1:], 0)
 
 
 def test_gauss_legendre_01():

@@ -1,5 +1,6 @@
 """The pair-averaged pbar estimators, the pi recursion and theta."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exclust.blocks import ranks, sliding_maxima
+from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
     Pmf,
@@ -22,7 +24,7 @@ from exclust.estimators import (
     pbar_hat,
     pi_from_pbar,
     sliding_pair_naive,
-    sliding_pair_sweep,
+    sliding_pair_counts,
     theta_hat,
 )
 from exclust.simulate import ModelSpec, gen, substream_seed
@@ -152,12 +154,33 @@ def test_y_thresholds_never_above_z_thresholds_on_cdf_scale():
 
 
 def test_y_scale_invariant_under_monotone_transform():
-    # ranks see only the ordering, so the Y estimator ignores monotone maps
+    # every estimator here sees only the ordering of the data (the Y scale
+    # through ranks, the Z scale and the competitors through comparisons
+    # with order statistics), so a strictly increasing map changes nothing
     x = np.random.default_rng(7).normal(size=300)
+    y = np.exp(x)
     for mode in ("disjoint", "sliding"):
-        a = pbar_hat(x, 15, mode=mode, scale="y")
-        b = pbar_hat(np.exp(x), 15, mode=mode, scale="y")
-        np.testing.assert_array_equal(a.values, b.values)
+        for scale in ("z", "y"):
+            a = pbar_hat(x, 15, mode=mode, scale=scale)
+            b = pbar_hat(y, 15, mode=mode, scale=scale)
+            np.testing.assert_array_equal(a.counts, b.counts)
+            np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(hsing_pi(x, 15).values, hsing_pi(y, 15).values)
+    np.testing.assert_array_equal(ferro_pi(x, 15).values, ferro_pi(y, 15).values)
+    spec = CompetitorSpec("robert", 15)
+    np.testing.assert_array_equal(robert_pi(x, spec).values, robert_pi(y, spec).values)
+
+
+def test_disjoint_pbar_memory_stays_small():
+    # the pair counts need O(n) memory, not a k*k*b comparison tensor
+    x = gen(ModelSpec("armax", 20_000, 0.5, seed=4))
+    tracemalloc.start()
+    try:
+        pbar_hat(x, 20, mode="disjoint")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_sliding_mean_approaches_theory():
@@ -198,7 +221,7 @@ def test_sweep_equals_naive(case):
     else:
         maxima = sliding_maxima(series, b)
         thr = maxima if scale == "z" else 1.0 + np.log(maxima)
-    fast = sliding_pair_sweep(x, b, thr, 3, scale=scale)
+    fast = sliding_pair_counts(x, b, thr, 3, scale=scale)
     slow = sliding_pair_naive(x, b, thr, 3, scale=scale)
     np.testing.assert_array_equal(fast, slow)
 
@@ -206,7 +229,7 @@ def test_sweep_equals_naive(case):
 def test_sweep_all_above_max():
     x = np.arange(12.0)
     thr = np.full(12 - 3 + 1, 100.0)
-    out = sliding_pair_sweep(x, 3, thr, 4)
+    out = sliding_pair_counts(x, 3, thr, 4)
     # every far window sits in the zero-exceedances bucket
     assert np.all(out[:, 1:] == 0)
     np.testing.assert_array_equal(out.sum(axis=1), out[:, 0])
@@ -215,13 +238,13 @@ def test_sweep_all_above_max():
 def test_sweep_single_distinct_value():
     x = np.full(15, 2.0)
     thr = np.full(15 - 4 + 1, 2.0)
-    out = sliding_pair_sweep(x, 4, thr, 3)
+    out = sliding_pair_counts(x, 4, thr, 3)
     assert np.all(out[:, 1:] == 0)
 
 
 def test_sweep_checks_threshold_length():
     with pytest.raises(ValueError):
-        sliding_pair_sweep(np.arange(10.0), 2, np.zeros(3), 2)
+        sliding_pair_counts(np.arange(10.0), 2, np.zeros(3), 2)
 
 
 def _pbar_estimate(values):

@@ -42,6 +42,15 @@ def test_config_validation():
         ExperimentConfig("armax", 1.5)
 
 
+def test_config_rejects_block_sizes_a_competitor_cannot_use():
+    # both used to pass the config and abort run() halfway
+    with pytest.raises(ValueError, match=r"hsing with b=2"):
+        ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(2, 6))
+    with pytest.raises(ValueError, match=r"ferro with b=2"):
+        ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(2, 6), estimators=("ferro",))
+    ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(2, 6), estimators=("sb-z", "db-y"))
+
+
 def test_truth_armax_is_geometric():
     theta, pi = ExperimentConfig("armax", 0.5).truth()
     assert theta == 0.5
