@@ -9,8 +9,9 @@ where K_j couples an exceedance-count indicator with its smoothed
 counterpart through the block's own threshold.  For disjoint blocks the
 threshold integrals reduce to one-dimensional quadratures after scaling
 one threshold by the other; for sliding blocks the window overlap adds an
-outer integral over the overlap fraction xi, evaluated here on a tensor
-grid (overlap fraction) x (window ratio) x (threshold).
+outer integral over the overlap fraction xi.  Its product rule (overlap)
+x (window ratio) x (threshold) sums the threshold axis by matrix products
+per xi and contracts the xi-free law of the windows' shared piece once.
 
 All integrals over (0, infinity) are mapped to (0, 1) through the
 substitution u = H(tau), and every sum over cluster counts is finite and
@@ -23,7 +24,6 @@ from math import factorial
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import convolve2d
 from scipy.special import gammaincc
 
 from .cpmodel import (
@@ -126,45 +126,46 @@ def _conv_power_matrix(pi, m):
     """M[k, v] = k-fold convolution of pi at v, for k, v in 0..m."""
     M = np.zeros((m + 1, m + 1))
     M[0, 0] = 1.0
-    base = np.zeros(m + 1)
     w = pi.weights[: m + 1]
-    base[: w.size] = w
-    cur = base.copy()
-    for k in range(1, m + 1):
-        M[k] = cur
-        cur = np.convolve(cur, base)[: m + 1]
+    M[1, : w.size] = w
+    for k in range(2, m + 1):
+        M[k] = np.convolve(M[k - 1], M[1])[: m + 1]
     return M
 
 
-def _bivar_power_stack(family, sigma, m):
-    """B[k, r, x] = k-fold convolution of pi2_sigma at (r, x), k in 0..m."""
-    B = np.zeros((m + 1, m + 1, m + 1))
-    B[0, 0, 0] = 1.0
-    base = family.table(sigma, m)
-    cur = base
+def _bivar_power_stack(family, s, m):
+    """B[i, k, r, x] = k-fold convolution of pi2_{s[i]} at (r, x), k in 0..m;
+    each power is (m+1)^2 shifted multiply-adds over all nodes at once."""
+    base = np.stack([family.table(si, m) for si in s])
+    B = np.zeros((base.shape[0], m + 1, m + 1, m + 1))
+    B[:, 0, 0, 0] = 1.0
     for k in range(1, m + 1):
-        B[k] = cur
-        cur = convolve2d(cur, base)[: m + 1, : m + 1]
+        for a, c in np.ndindex(m + 1, m + 1):
+            B[:, k, a:, c:] += base[:, a, c, None, None] * B[:, k - 1, : m + 1 - a, : m + 1 - c]
     return B
 
 
 def _poisson_matrix(lam, kmax):
-    """out[..., k] = exp(-lam) lam^k / k! for k in 0..kmax."""
+    """out[k, ...] = exp(-lam) lam^k / k! for k in 0..kmax."""
     lam = np.asarray(lam, dtype=float)
-    out = np.zeros(lam.shape + (kmax + 1,))
-    out[..., 0] = np.exp(-lam)
+    out = np.empty((kmax + 1,) + lam.shape)
+    out[0] = np.exp(-lam)
     for k in range(1, kmax + 1):
-        out[..., k] = out[..., k - 1] * lam / k
+        out[k] = out[k - 1] * lam / k
     return out
 
 
-def _shift_gather(pm, m):
-    """out[..., a, r] = pm[..., a - r] for a >= r, else 0."""
-    a = np.arange(m + 1)[:, None]
-    r = np.arange(m + 1)[None, :]
-    idx = a - r
-    mask = idx >= 0
-    return pm[..., np.where(mask, idx, 0)] * mask
+def _shift_add(Q, BT, m):
+    """out[e + x, d + r] = sum over s, k of Q[e, s, d, k] BT[s, k, r, x], for
+    index sums <= m: one GEMM over (s, k), then (e, d) shifted adds."""
+    E, S, D, K = Q.shape
+    R, X = BT.shape[2:]
+    T = Q.transpose(0, 2, 1, 3).reshape(E * D, S * K) @ BT.reshape(S * K, R * X)
+    T = T.reshape(E, D, R, X)
+    out = np.zeros((m + 1, m + 1))
+    for e, d in np.ndindex(min(E, m + 1), min(D, m + 1)):
+        out[e : e + X, d : d + R] += T[e, d, : m + 1 - d, : m + 1 - e].T
+    return out
 
 
 def cpp_pmf_dtau(model, tau, m_max):
@@ -197,7 +198,7 @@ def _sigma_db_entries(model, m, nodes):
     s, w = gauss_legendre_panels(nodes, model.pi2.breakpoints)
     M = _conv_power_matrix(model.pi, m)
     pbar = pbar_theory(model, m).weights[1:]
-    BT = np.stack([_bivar_power_stack(model.pi2, si, m) for si in s])
+    BT = _bivar_power_stack(model.pi2, s, m)
 
     # indicator-indicator: counts of one block at two threshold levels
     k = np.arange(m + 1)
@@ -251,6 +252,12 @@ def _sigma_sb_entries(model, m, nodes):
     two indicator-smooth, smooth-smooth) are assembled from count pmfs of
     the pieces on a (window ratio s) x (threshold u) grid and integrated
     against dH via u = H(tau).
+
+    The indicator moments sum over s, u, the shared piece's cluster count k
+    and two count shifts.  With S ratio and U threshold nodes, each xi costs
+    S*U*(m+1) Poisson terms and two GEMMs X[(e, s), u] @ Y[(d, k), u].T
+    that sum u out of the private pieces' count pmfs; `_shift_add`
+    contracts their xi-sums Q with the bivariate powers BT once at the end.
     """
     th = model.theta
     s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
@@ -261,14 +268,14 @@ def _sigma_sb_entries(model, m, nodes):
     M = _conv_power_matrix(model.pi, m)
     pbar = pbar_theory(model, m).weights[1:]
     pp = np.outer(pbar, pbar)
-    BT = np.stack([_bivar_power_stack(model.pi2, si, m) for si in s])
+    BT = _bivar_power_stack(model.pi2, s, m)
 
     lam_st = th * np.outer(s, tau)  # theta * s * tau(u), reused on every axis
     pois_st = _poisson_matrix(lam_st, m)
-    # derivative of the count pmf at window length s*tau resp. tau
-    gd = th * np.einsum("sul,lv->suv", pois_st[..., :-1] - pois_st[..., 1:], M[1:, 1:])
+    # derivative of the count pmf at window length s*tau resp. tau, count first
+    gd = th * np.einsum("lsu,lv->vsu", pois_st[:-1] - pois_st[1:], M[1:, 1:])
     pois_t = _poisson_matrix(th * tau, m)
-    gd1 = th * np.einsum("ul,lv->uv", pois_t[..., :-1] - pois_t[..., 1:], M[1:, 1:])
+    gd1 = th * np.einsum("lu,lv->vu", pois_t[:-1] - pois_t[1:], M[1:, 1:])
 
     # closed-form tail of the indicator-smooth mu-integral beyond mu = tau
     tail = np.zeros((nodes, m))
@@ -277,38 +284,32 @@ def _sigma_sb_entries(model, m, nodes):
         coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
         tail += np.outer(coef, M[ll, 1 : m + 1])
 
+    # xi-free weights: indicator-indicator, and indicator-smooth below mu = tau
+    wA = (sw[:, None] * uw * th * tau * np.exp(-lam_st)).ravel()
+    wB = sw[:, None] * uw * tau * gd
+    Qa = np.zeros(((m + 1) * s.size, (m + 1) ** 2))
+    Qb = np.zeros((m * s.size, (m + 1) ** 2))
     acc = np.zeros((m, m))
     for xv, xw in zip(xi, xiw):
-        pois_x = _poisson_matrix(xv * lam_st, m)      # private piece, len xi*s*tau
-        pois_y = _poisson_matrix(xv * th * tau, m)    # private piece, len xi*tau
-        pois_s = _poisson_matrix((1 - xv) * th * tau, m)  # shared piece rate
-
-        # indicator-indicator: both windows at their own thresholds
-        p_x = np.einsum("suk,kl->sul", pois_x, M)
-        p_y = np.einsum("uk,kv->uv", pois_y, M)
-        p2 = np.einsum("uk,skrx->surx", pois_s, BT)
-        py_sh = _shift_gather(p_y, m)
-        R = np.einsum("surx,upr->suxp", p2, py_sh)
-        px_sh = _shift_gather(p_x, m)
-        J = np.einsum("sujx,suxp->sujp", px_sh, R)
-        wA = th * tau * np.exp(-lam_st)
-        JJ = J + J.transpose(0, 1, 3, 2)
-        a_term = np.einsum("s,u,su,sujp->jp", sw, uw, wA, JJ)[1:, 1:] - pp
-
-        # indicator-smooth: level-mu coupling below tau plus closed-form tail
-        p20 = np.einsum("uk,sky->suy", pois_s, BT[:, :, :, 0])
-        p20_sh = _shift_gather(p20, m)
-        ux = np.exp(-xv * lam_st)[..., None] * np.einsum("ul,sujl->suj", p_y, p20_sh)
-        inner1 = np.einsum("s,u,u,suv,suj->jv", sw, uw, tau, gd, ux)[1:, :]
-        inner2 = np.einsum("u,uj,uv->jv", uw, p_y, tail)[1:, :]
-        b_term = inner1 + inner2 - pp
+        pois_x = _poisson_matrix(xv * lam_st, m)           # private piece, len xi*s*tau
+        p_y = M.T @ _poisson_matrix(xv * th * tau, m)      # private piece, len xi*tau
+        pois_s = _poisson_matrix((1 - xv) * th * tau, m)   # shared piece rate
+        # Y[(d, k), u]: count d on the xi*tau piece, k clusters in the shared piece
+        Y = (p_y[:, None] * pois_s).reshape(-1, u.size)
+        X = (M.T @ pois_x.reshape(m + 1, -1)) * wA
+        Qa += xw * (X.reshape(-1, u.size) @ Y.T)
+        Qb += xw * ((pois_x[0] * wB).reshape(-1, u.size) @ Y.T)
+        inner2 = np.einsum("u,ju,uv->jv", uw, p_y, tail)[1:, :]  # beyond mu = tau
 
         # smooth-smooth: bivariate exponential survival of the two thresholds
-        innerC = np.einsum("s,sua,su->ua", sw, gd, np.exp(-xv * lam_st))
-        ecc = np.einsum("u,ub,u,ua->ab", uw, gd1, tau / th, innerC)
-        c_term = ecc + ecc.T - pp
+        innerC = np.einsum("s,asu,su->ua", sw, gd, pois_x[0])
+        ecc = np.einsum("u,bu,u,ua->ab", uw, gd1, tau / th, innerC)
+        acc += xw * (inner2 + inner2.T + ecc + ecc.T - 4.0 * pp)
 
-        acc += xw * (a_term + b_term + b_term.T + c_term)
+    # the shared piece's bivariate law does not depend on xi: contract once
+    Ja = _shift_add(Qa.reshape(m + 1, s.size, m + 1, m + 1), BT, m)
+    Jb = _shift_add(Qb.reshape(m, s.size, m + 1, m + 1), BT[..., :1], m)[:m, 1:]
+    acc += (Ja + Ja.T)[1:, 1:] + Jb + Jb.T
     return 2.0 * acc
 
 
@@ -425,16 +426,16 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
     th = model.theta
     m = max(j, j_prime, 1)
     M = _conv_power_matrix(model.pi, m)
-    BT = _bivar_power_stack(model.pi2, tau / tau_prime, m)
+    BT = _bivar_power_stack(model.pi2, [tau / tau_prime], m)
 
     def evaluate(nodes):
         xi, xiw = gauss_legendre_01(nodes)
-        p_x = np.einsum("ek,kl->el", _poisson_matrix(th * xi * tau, m), M)
-        p_y = np.einsum("ek,kv->ev", _poisson_matrix(th * xi * tau_prime, m), M)
-        p2 = np.einsum("ek,krx->erx", _poisson_matrix(th * (1 - xi) * tau_prime, m), BT)
-        R = np.einsum("erx,epr->exp", p2, _shift_gather(p_y, m))
-        J = np.einsum("ejx,exp->ejp", _shift_gather(p_x, m), R)
-        return np.einsum("e,ejp->jp", xiw, J)[j, j_prime]
+        p_x = M.T @ _poisson_matrix(th * xi * tau, m)
+        p_y = M.T @ _poisson_matrix(th * xi * tau_prime, m)
+        pois_s = _poisson_matrix(th * (1 - xi) * tau_prime, m)
+        Y = (p_y[:, None] * pois_s).reshape(-1, xi.size)
+        Q = (p_x * xiw) @ Y.T
+        return _shift_add(Q.reshape(m + 1, 1, m + 1, m + 1), BT, m)[j, j_prime]
 
     overlap = _refined(quad, evaluate)
     pj = float(cpp_pmf(model, tau, j)[j]) if tau > 0 else float(j == 0)

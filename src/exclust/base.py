@@ -21,7 +21,9 @@ def as_sample(x):
 
 
 def check_block_size(n, b):
-    """Require 2 <= b <= n/2 so at least two disjoint blocks exist."""
+    """Return b as an int; b must be integral with 2 <= b <= n/2 (two blocks)."""
+    if b != int(b):
+        raise ValueError(f"block size b={b} is not an integer")
     b = int(b)
     if not 2 <= b <= n // 2:
         raise ValueError(f"block size b={b} out of range for n={n}: need 2 <= b <= n/2")

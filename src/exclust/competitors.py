@@ -57,24 +57,20 @@ def check_block_rule(estimator, n, b):
     """Raise ValueError, naming the estimator and b, unless ``estimator``
     (an experiment estimator name) can run with block size b on n points.
 
-    ferro needs 4 <= 3*floor(n/b) <= n exceedances; hsing needs b >= 4 so
-    its threshold rank is defined; every other estimator needs
-    2 <= b <= n/2 (:func:`check_block_size`).
+    Every estimator needs an integral 2 <= b <= n/2
+    (:func:`check_block_size`); ferro also needs 4 <= 3*floor(n/b) <= n
+    exceedances, and hsing needs b >= 4 so its threshold rank is defined.
     """
-    b = int(b)
-    if estimator == "ferro":
-        num = 3 * (n // b) if b >= 1 else 0
-        if not 4 <= num <= n:
-            raise ValueError(
-                f"ferro with b={b}: needs 4 <= 3*floor(n/b) <= n = {n}, got {num}"
-            )
-        return b
-    if estimator == "hsing" and b < 4:
-        raise ValueError(f"hsing with b={b}: needs b >= 4 so the threshold rank is defined")
     try:
-        return check_block_size(n, b)
+        b = check_block_size(n, b)
     except ValueError as err:
         raise ValueError(f"{estimator} with b={b}: {err}") from None
+    num = 3 * (n // b)
+    if estimator == "ferro" and not 4 <= num <= n:
+        raise ValueError(f"ferro with b={b}: needs 4 <= 3*floor(n/b) <= n = {n}, got {num}")
+    if estimator == "hsing" and b < 4:
+        raise ValueError(f"hsing with b={b}: needs b >= 4 so the threshold rank is defined")
+    return b
 
 
 def _sizes_to_pi(sizes, n_clusters, m_max, method, b):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import check_block_size
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError
@@ -58,7 +59,8 @@ class ExperimentConfig:
     truth_pi: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "block_grid", tuple(int(b) for b in self.block_grid))
+        grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
+        object.__setattr__(self, "block_grid", grid)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.truth_pi is not None:
             object.__setattr__(self, "truth_pi", tuple(float(v) for v in self.truth_pi))
@@ -66,11 +68,9 @@ class ExperimentConfig:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
-        for b in self.block_grid:
-            if b < 2 or b % 2 != 0 or b > self.n // 2:
-                raise ValueError(
-                    f"block sizes must be even and in 2..n/2 = {self.n // 2}, got {b}"
-                )
+        odd = [b for b in self.block_grid if b % 2]
+        if odd:
+            raise ValueError(f"block sizes must be even, got {odd}")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")

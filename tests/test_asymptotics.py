@@ -1,13 +1,19 @@
 """Limit covariance matrices, the recursion propagation and comparators.
 
-Two independent oracles guard the covariance integrals: a literal 2-d
+Independent oracles guard the covariance integrals: a literal 2-d
 quadrature built only on the bivariate count pmfs (slow route, no shared
-code with the production evaluator beyond cpmodel), and closed-form
-integrands derived by hand for the iid model at m=1.
+code with the production evaluator beyond cpmodel), the sliding-blocks
+rule summed term by term with one (s, u, count, count) table per overlap
+node, and closed-form integrands derived by hand for the iid model at m=1.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.signal import convolve2d
+from scipy.special import gammaincc
+from scipy.stats import poisson
 
 from exclust.asymptotics import (
     CovMatrix,
@@ -78,6 +84,94 @@ def literal_sigma_db(model, m, nodes=48):
             t_mix += wi * wsi * t * np.outer(tab[1:, 0], dp)
 
     return t_ind + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
+
+
+def _conv_powers(w, m):
+    """P[k] = k-fold convolution of w on 0..m, for k in 0..m."""
+    P = np.zeros((m + 1, m + 1))
+    P[0, 0] = 1.0
+    for kk in range(1, m + 1):
+        P[kk] = np.convolve(P[kk - 1], w[: m + 1])[: m + 1]
+    return P
+
+
+def _bivar_powers(table, m):
+    """P[k] = k-fold 2-d convolution of table on 0..m x 0..m, for k in 0..m."""
+    P = np.zeros((m + 1, m + 1, m + 1))
+    P[0, 0, 0] = 1.0
+    for kk in range(1, m + 1):
+        P[kk] = convolve2d(P[kk - 1], table)[: m + 1, : m + 1]
+    return P
+
+
+def _shift_gather(pm, m):
+    """out[..., a, r] = pm[..., a - r] for a >= r, else 0."""
+    idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
+    return pm[..., np.maximum(idx, 0)] * (idx >= 0)
+
+
+def literal_sigma_sb(model, m, nodes=32):
+    """The sliding-blocks rule of sigma_sb, summed term by term.
+
+    Same nodes and weights as the production evaluator, but every moment is
+    formed per overlap node xi from full (s, u, count, count) tables of the
+    pieces' joint count pmfs, with scipy's Poisson pmf and 2-d convolution.
+    """
+    th = model.theta
+    s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
+    u, uw = gauss_legendre_01(nodes)
+    xi, xiw = gauss_legendre_01(nodes)
+    tau = -np.log1p(-u) / th
+    k = np.arange(m + 1)
+
+    M = _conv_powers(model.pi.weights, m)
+    pbar = pbar_theory(model, m).weights[1:]
+    pp = np.outer(pbar, pbar)
+    BT = np.stack([_bivar_powers(model.pi2.table(si, m), m) for si in s])
+
+    lam_st = th * np.outer(s, tau)
+    pois_st = poisson.pmf(k, lam_st[..., None])
+    gd = th * np.einsum("sul,lv->suv", pois_st[..., :-1] - pois_st[..., 1:], M[1:, 1:])
+    pois_t = poisson.pmf(k, th * tau[:, None])
+    gd1 = th * np.einsum("ul,lv->uv", pois_t[..., :-1] - pois_t[..., 1:], M[1:, 1:])
+    tail = np.zeros((nodes, m))
+    z = 2.0 * th * tau
+    for ll in range(1, m + 1):
+        coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
+        tail += np.outer(coef, M[ll, 1 : m + 1])
+
+    acc = np.zeros((m, m))
+    for xv, xw in zip(xi, xiw):
+        pois_x = poisson.pmf(k, xv * lam_st[..., None])
+        pois_y = poisson.pmf(k, xv * th * tau[:, None])
+        pois_s = poisson.pmf(k, (1 - xv) * th * tau[:, None])
+
+        # indicator-indicator
+        p_x = np.einsum("suk,kl->sul", pois_x, M)
+        p_y = np.einsum("uk,kv->uv", pois_y, M)
+        p2 = np.einsum("uk,skrx->surx", pois_s, BT)
+        R = np.einsum("surx,upr->suxp", p2, _shift_gather(p_y, m))
+        J = np.einsum("sujx,suxp->sujp", _shift_gather(p_x, m), R)
+        wA = th * tau * np.exp(-lam_st)
+        JJ = J + J.transpose(0, 1, 3, 2)
+        a_term = np.einsum("s,u,su,sujp->jp", sw, uw, wA, JJ)[1:, 1:] - pp
+
+        # indicator-smooth
+        p20 = np.einsum("uk,sky->suy", pois_s, BT[:, :, :, 0])
+        ux = np.exp(-xv * lam_st)[..., None] * np.einsum(
+            "ul,sujl->suj", p_y, _shift_gather(p20, m)
+        )
+        inner1 = np.einsum("s,u,u,suv,suj->jv", sw, uw, tau, gd, ux)[1:, :]
+        inner2 = np.einsum("u,uj,uv->jv", uw, p_y, tail)[1:, :]
+        b_term = inner1 + inner2 - pp
+
+        # smooth-smooth
+        innerC = np.einsum("s,sua,su->ua", sw, gd, np.exp(-xv * lam_st))
+        ecc = np.einsum("u,ub,u,ua->ab", uw, gd1, tau / th, innerC)
+        c_term = ecc + ecc.T - pp
+
+        acc += xw * (a_term + b_term + b_term.T + c_term)
+    return 2.0 * acc
 
 
 def hand_sliding_integrand_iid(xv):
@@ -206,6 +300,24 @@ def test_sigma_sb_matches_hand_integrand(iid_covs):
     assert err < 1e-10
     np.testing.assert_allclose(hand, 0.023678801836469643, atol=1e-12)
     np.testing.assert_allclose(sb1.entries[0, 0], hand, atol=1e-7)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("model", [iid_model(), GEOM], ids=["iid", "geometric"])
+def test_sigma_sb_matches_literal_rule(model, m):
+    got = sigma_sb(model, m, FAST).entries
+    np.testing.assert_allclose(got, literal_sigma_sb(model, m), rtol=0, atol=1e-12)
+
+
+def test_sigma_sb_memory_stays_small():
+    # no (s, u, count, count) table per overlap node: 97 MB before, ~20 MB now
+    tracemalloc.start()
+    try:
+        sigma_sb(GEOM, 3, QuadratureSpec(nodes_1d=24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_sigma_sb_symmetry(iid_covs):

@@ -136,6 +136,18 @@ def test_pbar_hat_rejects_bad_arguments():
         pbar_hat(x, 5, m_max=0)
 
 
+def test_pbar_hat_rejects_non_integral_block_size():
+    # b=2.7 used to run silently as b=2
+    x = gen(ModelSpec("armax", 200, 0.5, seed=3))
+    with pytest.raises(ValueError, match=r"b=2\.7"):
+        pbar_hat(x, 2.7)
+    ref = pbar_hat(x, 4)
+    for b in (np.int64(4), 4.0):
+        got = pbar_hat(x, b)
+        assert got.b == 4 and type(got.b) is int
+        np.testing.assert_array_equal(got.counts, ref.counts)
+
+
 def test_divisor_variant_bound():
     # including the m=0-only diagonal pairs changes each value by < 1/(k-1)
     x = np.random.default_rng(11).pareto(2.0, size=300)

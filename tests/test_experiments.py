@@ -51,6 +51,15 @@ def test_config_rejects_block_sizes_a_competitor_cannot_use():
     ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(2, 6), estimators=("sb-z", "db-y"))
 
 
+def test_config_rejects_non_integral_block_sizes():
+    # block_grid=(6.9,) used to be stored as (6,)
+    with pytest.raises(ValueError, match=r"b=6\.9"):
+        ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6.9,))
+    cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(np.int64(6), 8.0))
+    assert cfg.block_grid == (6, 8)
+    assert all(type(b) is int for b in cfg.block_grid)
+
+
 def test_truth_armax_is_geometric():
     theta, pi = ExperimentConfig("armax", 0.5).truth()
     assert theta == 0.5
