@@ -23,16 +23,16 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 from .cpmodel import (
-    CppModel,
-    Pmf,
+    bivar_powers,
+    conv_powers,
     cpp_pmf,
     gauss_legendre_01,
     gauss_legendre_panels,
     pbar_theory,
+    poisson_table,
 )
 from .errors import NumericFailureError, UnsupportedModelError
 
@@ -122,39 +122,6 @@ def _refined(quad, evaluate):
     return fine
 
 
-def _conv_power_matrix(pi, m):
-    """M[k, v] = k-fold convolution of pi at v, for k, v in 0..m."""
-    M = np.zeros((m + 1, m + 1))
-    M[0, 0] = 1.0
-    w = pi.weights[: m + 1]
-    M[1, : w.size] = w
-    for k in range(2, m + 1):
-        M[k] = np.convolve(M[k - 1], M[1])[: m + 1]
-    return M
-
-
-def _bivar_power_stack(family, s, m):
-    """B[i, k, r, x] = k-fold convolution of pi2_{s[i]} at (r, x), k in 0..m;
-    each power is (m+1)^2 shifted multiply-adds over all nodes at once."""
-    base = np.stack([family.table(si, m) for si in s])
-    B = np.zeros((base.shape[0], m + 1, m + 1, m + 1))
-    B[:, 0, 0, 0] = 1.0
-    for k in range(1, m + 1):
-        for a, c in np.ndindex(m + 1, m + 1):
-            B[:, k, a:, c:] += base[:, a, c, None, None] * B[:, k - 1, : m + 1 - a, : m + 1 - c]
-    return B
-
-
-def _poisson_matrix(lam, kmax):
-    """out[k, ...] = exp(-lam) lam^k / k! for k in 0..kmax."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty((kmax + 1,) + lam.shape)
-    out[0] = np.exp(-lam)
-    for k in range(1, kmax + 1):
-        out[k] = out[k - 1] * lam / k
-    return out
-
-
 def _shift_add(Q, BT, m):
     """out[e + x, d + r] = sum over s, k of Q[e, s, d, k] BT[s, k, r, x], for
     index sums <= m: one GEMM over (s, k), then (e, d) shifted adds."""
@@ -172,12 +139,13 @@ def cpp_pmf_dtau(model, tau, m_max):
     """Derivative in tau of the window-length-tau count pmf, for 0..m_max.
 
     d/dtau p^(tau)(j) = sum_{l>=1} theta [Pois_{l-1} - Pois_l](theta tau)
-    pi^{*l}(j) - theta Pois_0(theta tau) 1(j = 0).
+    pi^{*l}(j) - theta Pois_0(theta tau) 1(j = 0).  ``tau`` may be an array;
+    the count axis comes first, out[j, ...].
     """
     th = model.theta
-    M = _conv_power_matrix(model.pi, m_max)
-    pois = _poisson_matrix(np.asarray(th * tau), m_max)
-    out = th * np.einsum("l,lv->v", pois[:-1] - pois[1:], M[1:])
+    pois = poisson_table(th * np.asarray(tau, dtype=float), m_max)
+    M = conv_powers(model.pi, m_max)
+    out = th * np.einsum("l...,lv->v...", pois[:-1] - pois[1:], M[1:])
     out[0] -= th * pois[0]
     return out
 
@@ -196,9 +164,9 @@ def _sigma_db_entries(model, m, nodes):
     integrated numerically, panel-wise between the family's breakpoints.
     """
     s, w = gauss_legendre_panels(nodes, model.pi2.breakpoints)
-    M = _conv_power_matrix(model.pi, m)
+    M = conv_powers(model.pi, m)
     pbar = pbar_theory(model, m).weights[1:]
-    BT = _bivar_power_stack(model.pi2, s, m)
+    BT = bivar_powers(model.pi2, s, m)
 
     # indicator-indicator: counts of one block at two threshold levels
     k = np.arange(m + 1)
@@ -265,17 +233,15 @@ def _sigma_sb_entries(model, m, nodes):
     xi, xiw = gauss_legendre_01(nodes)
     tau = -np.log1p(-u) / th
 
-    M = _conv_power_matrix(model.pi, m)
+    M = conv_powers(model.pi, m)
     pbar = pbar_theory(model, m).weights[1:]
     pp = np.outer(pbar, pbar)
-    BT = _bivar_power_stack(model.pi2, s, m)
+    BT = bivar_powers(model.pi2, s, m)
 
     lam_st = th * np.outer(s, tau)  # theta * s * tau(u), reused on every axis
-    pois_st = _poisson_matrix(lam_st, m)
     # derivative of the count pmf at window length s*tau resp. tau, count first
-    gd = th * np.einsum("lsu,lv->vsu", pois_st[:-1] - pois_st[1:], M[1:, 1:])
-    pois_t = _poisson_matrix(th * tau, m)
-    gd1 = th * np.einsum("lu,lv->vu", pois_t[:-1] - pois_t[1:], M[1:, 1:])
+    gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
+    gd1 = cpp_pmf_dtau(model, tau, m)[1:]
 
     # closed-form tail of the indicator-smooth mu-integral beyond mu = tau
     tail = np.zeros((nodes, m))
@@ -291,9 +257,9 @@ def _sigma_sb_entries(model, m, nodes):
     Qb = np.zeros((m * s.size, (m + 1) ** 2))
     acc = np.zeros((m, m))
     for xv, xw in zip(xi, xiw):
-        pois_x = _poisson_matrix(xv * lam_st, m)           # private piece, len xi*s*tau
-        p_y = M.T @ _poisson_matrix(xv * th * tau, m)      # private piece, len xi*tau
-        pois_s = _poisson_matrix((1 - xv) * th * tau, m)   # shared piece rate
+        pois_x = poisson_table(xv * lam_st, m)           # private piece, len xi*s*tau
+        p_y = M.T @ poisson_table(xv * th * tau, m)      # private piece, len xi*tau
+        pois_s = poisson_table((1 - xv) * th * tau, m)   # shared piece rate
         # Y[(d, k), u]: count d on the xi*tau piece, k clusters in the shared piece
         Y = (p_y[:, None] * pois_s).reshape(-1, u.size)
         X = (M.T @ pois_x.reshape(m + 1, -1)) * wA
@@ -391,6 +357,8 @@ def robert_crossover(variance, bracket=(1e-8, 50.0)):
 
     mu2_robert is strictly increasing, so the crossing is unique.
     """
+    from scipy.optimize import brentq  # the only optimizer call; load it on demand
+
     lo, hi = bracket
     if not mu2_robert(lo) < variance < mu2_robert(hi):
         raise ValueError(f"variance {variance:g} is not bracketed by {bracket}")
@@ -403,7 +371,7 @@ def disjoint_process_var(model, tau, j):
         raise ValueError(f"tau must be >= 0, got {tau}")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    p = float(cpp_pmf(model, tau, j)[j]) if tau > 0 else float(j == 0)
+    p = cpp_pmf(model, tau, j)[j]
     return p * (1.0 - p)
 
 
@@ -425,19 +393,19 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
 
     th = model.theta
     m = max(j, j_prime, 1)
-    M = _conv_power_matrix(model.pi, m)
-    BT = _bivar_power_stack(model.pi2, [tau / tau_prime], m)
+    M = conv_powers(model.pi, m)
+    BT = bivar_powers(model.pi2, [tau / tau_prime], m)
 
     def evaluate(nodes):
         xi, xiw = gauss_legendre_01(nodes)
-        p_x = M.T @ _poisson_matrix(th * xi * tau, m)
-        p_y = M.T @ _poisson_matrix(th * xi * tau_prime, m)
-        pois_s = _poisson_matrix(th * (1 - xi) * tau_prime, m)
+        p_x = M.T @ poisson_table(th * xi * tau, m)
+        p_y = M.T @ poisson_table(th * xi * tau_prime, m)
+        pois_s = poisson_table(th * (1 - xi) * tau_prime, m)
         Y = (p_y[:, None] * pois_s).reshape(-1, xi.size)
         Q = (p_x * xiw) @ Y.T
         return _shift_add(Q.reshape(m + 1, 1, m + 1, m + 1), BT, m)[j, j_prime]
 
     overlap = _refined(quad, evaluate)
-    pj = float(cpp_pmf(model, tau, j)[j]) if tau > 0 else float(j == 0)
-    pjp = float(cpp_pmf(model, tau_prime, j_prime)[j_prime])
+    pj = cpp_pmf(model, tau, j)[j]
+    pjp = cpp_pmf(model, tau_prime, j_prime)[j_prime]
     return float(2.0 * overlap - 2.0 * pj * pjp)

@@ -7,7 +7,6 @@ within other blocks.
 """
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .base import as_sample, check_block_size
 
@@ -32,5 +31,5 @@ def ranks(x):
     Ties share the same value; the largest observation always maps to 1.
     """
     x = as_sample(x)
-    return rankdata(x, method="max") / x.size
+    return np.searchsorted(np.sort(x), x, side="right") / x.size
 

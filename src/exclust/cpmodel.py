@@ -14,14 +14,19 @@ their bivariate extension p2 for two nested time windows, and the mixture
 that the block estimators target.  Everything is exact finite arithmetic on
 truncated supports; truncation mass is tracked so downstream quadrature can
 assert it is negligible.
+
+Three primitives carry the algebra: the power table pi^{*k}(v), its
+bivariate counterpart for pi2, and the Poisson table.  The count laws, pbar
+and the covariance integrands in ``asymptotics`` each contract a row of
+weights over k (Poisson, or 2^{-(k+1)} for pbar) with a power table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import convolve2d
 from scipy.special import roots_legendre
 
 from .errors import UnsupportedModelError
@@ -31,7 +36,9 @@ __all__ = [
     "BivariatePmfFamily",
     "CppModel",
     "PBAR_AT_ZERO",
-    "self_convolve",
+    "conv_powers",
+    "bivar_powers",
+    "poisson_table",
     "cpp_pmf",
     "gauss_legendre_01",
     "gauss_legendre_panels",
@@ -48,9 +55,6 @@ PBAR_AT_ZERO = 0.5
 
 # default support cap for constructed cluster size distributions
 SUPPORT_CAP = 40
-
-# relative cutoff for Poisson weight series
-_POISSON_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -120,52 +124,73 @@ class CppModel:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        # the power tables stop at k <= m, which needs clusters of size >= 1
+        if self.pi[0] != 0.0:
+            raise ValueError(f"cluster sizes start at 1, but pi(0) = {self.pi[0]}")
 
 
-def self_convolve(pi, j):
-    """j-th convolution power pi^{*j}; the support starts at j."""
-    if j < 1:
-        raise ValueError(f"convolution power must be >= 1, got {j}")
-    w = pi.weights
-    out = w.copy()
-    for _ in range(j - 1):
-        out = np.convolve(out, w)
-    return Pmf(out, trunc_mass=max(0.0, 1.0 - out.sum()))
+def conv_powers(pi, m):
+    """P[k, v] = pi^{*k}(v) for k, v in 0..m.
 
-
-def _poisson_weights(lam, j_max):
-    """exp(-lam) lam^j / j! for j = 0..j_max with the relative series cutoff.
-
-    The loop stops past the Poisson mode once terms drop below _POISSON_RTOL
-    of the largest one; trailing entries stay zero.
+    Mass only moves upward (pi(0) = 0), so truncating every power at m
+    stays exact.
     """
-    w = np.zeros(j_max + 1)
-    term = np.exp(-lam)
-    w[0] = term
-    peak = term
-    for j in range(1, j_max + 1):
-        term *= lam / j
-        if j > lam and term < _POISSON_RTOL * peak:
-            break
-        w[j] = term
-        peak = max(peak, term)
-    return w
+    head = pi.weights[: m + 1]
+    w = np.zeros(m + 1)
+    w[: head.size] = head
+    P = np.zeros((m + 1, m + 1))
+    P[0, 0] = 1.0
+    for k in range(1, m + 1):
+        P[k] = np.convolve(P[k - 1], w)[: m + 1]
+    return P
+
+
+@lru_cache(maxsize=None)
+def _shift_index(m):
+    """idx[(r, x), (r', x')] = flat index of (r - r', x - x') in an
+    (m+1) x (m+1) table, or (m+1)^2 (a zero column) for negative shifts."""
+    r, x = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    dr, dx = np.subtract.outer(r, r), np.subtract.outer(x, x)
+    idx = np.where((dr >= 0) & (dx >= 0), dr * (m + 1) + dx, (m + 1) ** 2)
+    idx.flags.writeable = False  # shared by every caller through the cache
+    return idx
+
+
+def bivar_powers(family, sigma, m):
+    """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x) for k, r, x in 0..m.
+
+    Each power is one batched matrix product with the block-Toeplitz
+    operator K[(r, x), (r', x')] = pi2(r - r', x - x'), zero for negative
+    shifts.
+    """
+    F = (m + 1) ** 2
+    flat = np.zeros((len(sigma), F + 1))  # the last column stays zero
+    for i, si in enumerate(sigma):
+        flat[i, :F] = family.table(si, m).ravel()
+    K = flat[:, _shift_index(m)]
+    B = np.zeros((len(sigma), m + 1, F, 1))
+    B[:, 0, 0] = 1.0
+    B[:, 1:2, :, 0] = flat[:, None, :F]  # K @ B[:, 0] would copy it bit for bit
+    for k in range(2, m + 1):
+        B[:, k] = K @ B[:, k - 1]
+    return B.reshape(len(sigma), m + 1, m + 1, m + 1)
+
+
+def poisson_table(lam, k_max):
+    """out[k, ...] = exp(-lam) lam^k / k! for k in 0..k_max, broadcast over lam."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty((k_max + 1,) + lam.shape)
+    out[0] = np.exp(-lam)
+    for k in range(1, k_max + 1):
+        out[k] = out[k - 1] * lam / k
+    return out
 
 
 def cpp_pmf(model, tau, m_max):
     """Law of the exceedance count N_tau ~ CPP(theta*tau, pi) on 0..m_max."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    lam = model.theta * tau
-    pois = _poisson_weights(lam, m_max)
-    w = np.zeros(m_max + 1)
-    w[0] = pois[0]
-    conv = model.pi.weights[: m_max + 1]
-    for j in range(1, m_max + 1):
-        if pois[j] != 0.0:
-            w[: conv.size] += pois[j] * conv
-        # mass only moves upward, so truncating at m_max stays exact
-        conv = np.convolve(conv, model.pi.weights)[: m_max + 1]
+    w = poisson_table(model.theta * tau, m_max) @ conv_powers(model.pi, m_max)
     return Pmf(w, trunc_mass=max(0.0, 1.0 - w.sum()))
 
 
@@ -175,11 +200,7 @@ def pbar_theory(model, m_max):
     The returned weights are indexed by m with index 0 unused (pbar(0) = 1/2
     is the module constant PBAR_AT_ZERO).
     """
-    w = np.zeros(m_max + 1)
-    conv = model.pi.weights[: m_max + 1]
-    for j in range(1, m_max + 1):
-        w[: conv.size] += 2.0 ** -(j + 1) * conv
-        conv = np.convolve(conv, model.pi.weights)[: m_max + 1]
+    w = 0.5 ** np.arange(1, m_max + 2) @ conv_powers(model.pi, m_max)
     w[0] = 0.0
     return Pmf(w, trunc_mass=max(0.0, 0.5 - w.sum()))
 
@@ -241,18 +262,9 @@ def cpp2_pmf(model, tau1, tau2, i_max):
         )
     if not (tau1 >= tau2 >= 0.0) or tau1 <= 0.0:
         raise ValueError(f"need tau1 >= tau2 >= 0 and tau1 > 0, got ({tau1}, {tau2})")
-    sigma = tau2 / tau1
-    lam = model.theta * tau1
-    pois = _poisson_weights(lam, i_max)
-    base = model.pi2.table(sigma, i_max)
-    out = np.zeros((i_max + 1, i_max + 1))
-    out[0, 0] = pois[0]
-    conv = base
-    for k in range(1, i_max + 1):
-        if pois[k] != 0.0:
-            out += pois[k] * conv
-        conv = convolve2d(conv, base)[: i_max + 1, : i_max + 1]
-    return out
+    pois = poisson_table(model.theta * tau1, i_max)
+    B = bivar_powers(model.pi2, [tau2 / tau1], i_max)[0]
+    return (pois @ B.reshape(i_max + 1, -1)).reshape(i_max + 1, i_max + 1)
 
 
 def iid_model():

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["ModelSpec", "gen", "substream_seed"]
 
@@ -90,8 +89,15 @@ def _gen_sqarch(rng, lam, total):
 def _gen_ar(rng, r, total):
     r = int(r)
     z = rng.integers(0, r, size=total) / r
-    x0 = rng.random()
-    return lfilter([1.0], [1.0, -1.0 / r], z, zi=np.array([x0 / r]))[0]
+    out = np.empty(total)
+    x = rng.random() / r
+    for s in range(total):
+        x = z[s] + x
+        out[s] = x
+        # multiply by the rounded 1/r rather than divide by r: this is the
+        # recursion scipy.signal.lfilter runs, so the output matches it bit for bit
+        x *= 1.0 / r
+    return out
 
 
 def gen(spec):

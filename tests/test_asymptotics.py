@@ -1,10 +1,17 @@
 """Limit covariance matrices, the recursion propagation and comparators.
 
 Independent oracles guard the covariance integrals: a literal 2-d
-quadrature built only on the bivariate count pmfs (slow route, no shared
-code with the production evaluator beyond cpmodel), the sliding-blocks
-rule summed term by term with one (s, u, count, count) table per overlap
-node, and closed-form integrands derived by hand for the iid model at m=1.
+quadrature built only on the count pmfs, the sliding-blocks rule summed
+term by term with one (s, u, count, count) table per overlap node, and
+closed-form integrands derived by hand for the iid model at m=1.
+
+The literal quadrature calls cpp_pmf, cpp2_pmf and cpp_pmf_dtau, which rest
+on the same cpmodel primitives (power tables, Poisson table) as sigma_db,
+so it checks the integration, not those primitives.  The primitives get
+their own oracles here: the term-by-term sliding rule builds its powers
+with np.convolve and scipy's convolve2d and its Poisson terms with scipy's
+pmf, and test_bivar_powers_match_convolve2d compares the bivariate power
+stack with the same convolve2d loop.
 """
 import tracemalloc
 
@@ -31,6 +38,7 @@ from exclust.asymptotics import (
 )
 from exclust.cpmodel import (
     CppModel,
+    bivar_powers,
     cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
@@ -102,6 +110,16 @@ def _bivar_powers(table, m):
     for kk in range(1, m + 1):
         P[kk] = convolve2d(P[kk - 1], table)[: m + 1, : m + 1]
     return P
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("model", [iid_model(), GEOM], ids=["iid", "geometric"])
+def test_bivar_powers_match_convolve2d(model, m):
+    sigma = [0.0, 0.1, 0.3, 0.5, 0.77, 1.0]
+    got = bivar_powers(model.pi2, sigma, m)
+    for si, B in zip(sigma, got):
+        ref = _bivar_powers(model.pi2.table(si, m), m)
+        np.testing.assert_allclose(B, ref, rtol=0, atol=1e-15)
 
 
 def _shift_gather(pm, m):
@@ -248,6 +266,15 @@ def test_cpp_pmf_dtau_matches_finite_differences(model, mu):
     dn = cpp_pmf(model, mu - h, 5).weights
     np.testing.assert_allclose(cpp_pmf_dtau(model, mu, 5), (up - dn) / (2 * h),
                                atol=1e-6)
+
+
+def test_cpp_pmf_dtau_takes_an_array_of_tau():
+    tau = np.array([[0.2, 1.0], [3.0, 0.0]])
+    got = cpp_pmf_dtau(GEOM, tau, 4)
+    assert got.shape == (5, 2, 2)
+    for idx in np.ndindex(tau.shape):
+        np.testing.assert_allclose(got[(slice(None),) + idx],
+                                   cpp_pmf_dtau(GEOM, tau[idx], 4), rtol=1e-14)
 
 
 def test_sigma_db_iid_constant(iid_covs):
@@ -504,6 +531,17 @@ def test_disjoint_process_var_closed_forms():
     np.testing.assert_allclose(
         disjoint_process_var(model, 1.0, 2), p2 * (1 - p2), rtol=1e-13
     )
+
+
+def test_process_variances_at_count_zero():
+    model = iid_model()
+    p0 = np.exp(-1.0)
+    np.testing.assert_allclose(disjoint_process_var(model, 1.0, 0), p0 * (1 - p0), rtol=1e-14)
+    np.testing.assert_allclose(disjoint_process_var(model, 1.0, 0), 0.2325, atol=1e-4)
+    # at tau = 0 the count is 0 almost surely
+    assert disjoint_process_var(GEOM, 0.0, 0) == 0.0
+    assert disjoint_process_var(GEOM, 0.0, 2) == 0.0
+    assert abs(sliding_process_cov(model, 0.0, 1.0, 0, 1, FAST)) < 1e-15
 
 
 def test_sliding_process_cov_iid_constants():

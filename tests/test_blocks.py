@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from exclust.base import as_sample, check_block_size
 from exclust.blocks import ranks, sliding_maxima
@@ -48,6 +49,16 @@ def test_sliding_maxima_matches_naive(case):
 
 def test_ranks_ties_use_max_rank():
     np.testing.assert_allclose(ranks([1.0, 2.0, 2.0, 3.0]), [0.25, 0.75, 0.75, 1.0])
+
+
+@given(series_and_block())
+@settings(max_examples=100, deadline=None)
+def test_ranks_match_scipy_rankdata(case):
+    x, _ = case
+    got = ranks(x)
+    ref = rankdata(x, method="max") / x.size
+    assert got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_ranks_maximum_maps_to_one():

@@ -1,4 +1,6 @@
-"""Compound-Poisson limit machinery: convolutions, cluster laws, pbar."""
+"""Compound-Poisson limit machinery: power tables, cluster laws, pbar."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from exclust.cpmodel import (
     BivariatePmfFamily,
     CppModel,
     Pmf,
+    conv_powers,
     cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
@@ -16,7 +19,7 @@ from exclust.cpmodel import (
     max_ar_family,
     pbar_integral_oracle,
     pbar_theory,
-    self_convolve,
+    poisson_table,
 )
 from exclust.errors import UnsupportedModelError
 from exclust.estimators import theta_hat
@@ -41,37 +44,46 @@ def test_pmf_indexing():
     assert p[-1] == 0.0
 
 
-def test_self_convolve_point_mass():
-    delta1 = geometric_pi(0.0)
-    assert self_convolve(delta1, 3)[3] == 1.0
-    assert self_convolve(delta1, 3)[2] == 0.0
+def test_conv_powers_point_mass_is_identity():
+    # pi = delta_1 makes pi^{*k} = delta_k
+    np.testing.assert_array_equal(conv_powers(geometric_pi(0.0), 4), np.eye(5))
 
 
-def test_self_convolve_identity():
+def test_conv_powers_first_row_is_pi():
     pi = geometric_pi(0.5)
-    np.testing.assert_array_equal(self_convolve(pi, 1).weights, pi.weights)
+    P = conv_powers(pi, 6)
+    np.testing.assert_array_equal(P[0], np.eye(7)[0])
+    np.testing.assert_array_equal(P[1], pi.weights[:7])
+    # a support shorter than the table is padded with zeros
+    np.testing.assert_array_equal(conv_powers(Pmf(np.array([0.0, 1.0])), 3)[1], [0, 1, 0, 0])
 
 
-def test_self_convolve_geometric_hand():
+def test_conv_powers_geometric_hand():
     # pi(m) = 2^-m: pi*2(2) = 1/4, pi*2(3) = 2 * (1/2)(1/4) = 1/4
-    conv = self_convolve(geometric_pi(0.5, m_max=10), 2)
-    assert conv[1] == 0.0
-    np.testing.assert_allclose(conv[2], 0.25, rtol=1e-14)
-    np.testing.assert_allclose(conv[3], 0.25, rtol=1e-14)
+    P = conv_powers(geometric_pi(0.5, m_max=10), 3)
+    assert P[2, 1] == 0.0
+    np.testing.assert_allclose(P[2, 2], 0.25, rtol=1e-14)
+    np.testing.assert_allclose(P[2, 3], 0.25, rtol=1e-14)
 
 
-def test_self_convolve_matches_numpy():
+def test_conv_powers_match_repeated_numpy_convolution():
     pi = geometric_pi(0.3, m_max=12)
-    ref = pi.weights.copy()
-    for j in range(2, 5):
+    P = conv_powers(pi, 8)
+    ref = np.eye(9)[0]
+    for k in range(9):
+        np.testing.assert_allclose(P[k], ref[:9], rtol=1e-13)
         ref = np.convolve(ref, pi.weights)
-        got = self_convolve(pi, j)
-        np.testing.assert_allclose(got.weights, ref[: got.weights.size], rtol=1e-13)
 
 
-def test_self_convolve_rejects_bad_order():
-    with pytest.raises(ValueError):
-        self_convolve(geometric_pi(0.5), 0)
+def test_poisson_table_broadcasts_over_rates():
+    lam = np.array([[0.0, 0.5], [1.0, 3.0]])
+    tab = poisson_table(lam, 4)
+    assert tab.shape == (5, 2, 2)
+    for k in range(5):
+        np.testing.assert_allclose(
+            tab[k], np.exp(-lam) * lam**k / math.factorial(k), rtol=1e-14
+        )
+    np.testing.assert_array_equal(tab[:, 0, 0], np.eye(5)[0])
 
 
 def test_cpp_pmf_iid_closed_forms():
@@ -87,6 +99,14 @@ def test_cpp_pmf_at_zero_is_point_mass():
     p = cpp_pmf(GEOM, 0.0, 5)
     assert p[0] == 1.0
     assert np.all(p.weights[1:] == 0.0)
+
+
+def test_count_cap_zero():
+    # m = 0 keeps only the empty-window class
+    p = cpp_pmf(GEOM, 1.5, 0)
+    np.testing.assert_allclose(p.weights, [np.exp(-0.75)], rtol=1e-15)
+    assert pbar_theory(GEOM, 0).weights.tolist() == [0.0]
+    assert conv_powers(GEOM.pi, 0).tolist() == [[1.0]]
 
 
 def test_cpp_pmf_rejects_negative_tau():
@@ -331,3 +351,10 @@ def test_cpp_model_validates_theta():
         CppModel(0.0, geometric_pi(0.5))
     with pytest.raises(ValueError):
         CppModel(1.2, geometric_pi(0.5))
+
+
+def test_cpp_model_rejects_mass_at_size_zero():
+    # the power tables and the pbar series stop at m, which needs pi(0) = 0;
+    # pbar_theory of this model would be wrong without an error
+    with pytest.raises(ValueError, match=r"pi\(0\) = 0.5"):
+        pbar_theory(CppModel(0.5, Pmf(np.array([0.5, 0.5]))), 3)
