@@ -30,6 +30,12 @@ def check_block_size(n, b):
     return b
 
 
+def check_m_max(m_max):
+    """Reject a count cap m_max below 1."""
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+
+
 class FitMixin:
     """Minimal scikit-learn style parameter handling for estimator classes.
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_sample, check_block_size
+from .base import as_sample, check_block_size, check_m_max
+from .blocks import block_tops, disjoint_blocks, exceedance_histogram
 from .errors import DegenerateEstimateError
 from .estimators import PiEstimate
 
@@ -43,8 +44,7 @@ class CompetitorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        check_m_max(self.m_max)
         if not 0 < self.robert_sigma < self.robert_phi:
             raise ValueError(
                 f"need 0 < sigma < phi, got ({self.robert_sigma}, {self.robert_phi})"
@@ -73,13 +73,6 @@ def check_block_rule(estimator, n, b):
     return b
 
 
-def _sizes_to_pi(sizes, n_clusters, m_max, method, b):
-    values = np.zeros(m_max)
-    for m in range(1, m_max + 1):
-        values[m - 1] = np.count_nonzero(sizes == m) / n_clusters
-    return PiEstimate(values=values, method=method, b=b)
-
-
 def hsing_pi(x, b, m_max=5):
     """Blocks estimator: cluster sizes read off disjoint blocks above an
     order-statistic threshold.
@@ -91,14 +84,14 @@ def hsing_pi(x, b, m_max=5):
     x = as_sample(x)
     n = x.size
     b = check_block_rule("hsing", n, b)
+    check_m_max(m_max)
     s = 2 * (b - 3)
     v = np.sort(x, kind="stable")[n - n // s - 1]
-    k = n // b
-    counts = (x[: k * b].reshape(k, b) > v).sum(axis=1)
-    occupied = int(np.count_nonzero(counts >= 1))
+    hist = exceedance_histogram(block_tops(disjoint_blocks(x, b), m_max + 1), [v])[0]
+    occupied = n // b - hist[0]
     if occupied == 0:
         raise DegenerateEstimateError("no block contains an exceedance")
-    return _sizes_to_pi(counts, occupied, m_max, "hsing", b)
+    return PiEstimate(values=hist[1 : m_max + 1] / occupied, method="hsing", b=b)
 
 
 def split_clusters(positions, n_clusters):
@@ -127,6 +120,7 @@ def ferro_pi(x, b, m_max=5):
     x = as_sample(x)
     n = x.size
     num = 3 * (n // check_block_rule("ferro", n, b))
+    check_m_max(m_max)
     pos = np.sort(np.argsort(-x, kind="stable")[:num])
     T = np.diff(pos).astype(float)
     if np.all(T == 1):
@@ -140,8 +134,8 @@ def ferro_pi(x, b, m_max=5):
     n_clusters = int(theta * num)
     if n_clusters < 1:
         raise DegenerateEstimateError("cluster count fell below one", value=theta)
-    sizes = split_clusters(pos, n_clusters)
-    return _sizes_to_pi(sizes, n_clusters, m_max, "ferro", b)
+    hist = np.bincount(split_clusters(pos, n_clusters), minlength=m_max + 1)
+    return PiEstimate(values=hist[1 : m_max + 1] / n_clusters, method="ferro", b=b)
 
 
 def cpp_invert(p_values, tau):
@@ -190,18 +184,15 @@ def robert_pi(x, spec):
     n = x.size
     b = check_block_rule("robert", n, spec.b)
     k = n // b
-    blocks = x[: k * b].reshape(k, b)
-    desc = np.sort(x, kind="stable")[::-1]
+    taus = np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid)
+    rank = np.ceil(k * taus).astype(np.int64)
+    taus, rank = taus[rank <= n], rank[rank <= n]
+    thresholds = np.sort(x, kind="stable")[n - rank]  # the rank-th largest values
+    tops = block_tops(disjoint_blocks(x, b), spec.m_max + 1)
+    phats = exceedance_histogram(tops, thresholds)[:, : spec.m_max + 1] / k
     acc = np.zeros(spec.m_max)
     used = 0
-    for tau in np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid):
-        rank = math.ceil(k * tau)
-        if rank > n:
-            continue
-        counts = (blocks > desc[rank - 1]).sum(axis=1)
-        phat = np.array(
-            [np.count_nonzero(counts == m) / k for m in range(spec.m_max + 1)]
-        )
+    for tau, phat in zip(taus, phats):
         if phat[0] == 0.0 or phat[0] == 1.0:
             continue
         acc += cpp_invert(phat, tau)[1]

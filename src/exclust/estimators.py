@@ -11,15 +11,12 @@ overlap.  The recursion
 then turns either estimate into an estimate of pi, and the extremal index is
 estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
-Both modes share one exact integer kernel.  A block's exceedance count,
-capped at c = m_max + 1, is at least c exactly when its c-th largest entry
-exceeds the threshold.  So each block is reduced to its top m_max + 1 order
-statistics, the counts over all blocks come from one sorted column per
-order statistic, and the near blocks left out of the pairs are compared
-directly and subtracted.  At fixed b, memory grows linearly in n and time
-about like n*log(n): 8-14x per 10x of n at b = 20, n from 2e3 to 2e5.  The
-naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
-pair statistics are integer counts, divided once at the end.
+Both modes count with the exact integer kernel of :mod:`exclust.blocks`;
+this module subtracts the near blocks left out of the pairs, compared
+directly.  At fixed b, memory grows linearly in n and time about like
+n*log(n): 8-14x per 10x of n at b = 20, n from 2e3 to 2e5.  The naive
+O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all pair
+statistics are integer counts, divided once at the end.
 """
 
 from dataclasses import dataclass
@@ -27,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .base import FitMixin, as_sample, check_block_size
-from .blocks import ranks, sliding_maxima  # noqa: F401  (sliding_maxima is re-exported)
+from .base import FitMixin, as_sample, check_block_size, check_m_max
+from .blocks import block_tops, disjoint_blocks, exceedance_histogram, ranks
+from .blocks import sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
 
 _MODES = ("disjoint", "sliding")
 _SCALES = ("z", "y")
-_CHUNK = 4096  # blocks reduced to their top order statistics per step
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ def _check_spec(mode, scale, m_max):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if scale not in _SCALES:
         raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    check_m_max(m_max)
 
 
 def _comparison_series(x, scale):
@@ -109,53 +105,35 @@ def _y_thresholds(block_cdf_maxima):
     return 1.0 + np.log(block_cdf_maxima)
 
 
-def _block_tops(blocks, cap):
-    """The ``cap`` largest entries of each row of ``blocks``, descending.
-
-    Rows shorter than ``cap`` are padded with -inf, which exceeds no
-    threshold.  Rows are processed ``_CHUNK`` at a time, so a strided view
-    of sliding windows is never copied whole.
-    """
-    k, b = blocks.shape
-    tops = np.full((k, cap), -np.inf)
-    width = min(b, cap)
-    for lo in range(0, k, _CHUNK):
-        neg = -blocks[lo : lo + _CHUNK]
-        if b > cap:
-            neg = np.partition(neg, cap - 1, axis=1)[:, :cap]
-        tops[lo : lo + _CHUNK, :width] = -np.sort(neg, axis=1)
-    return tops
-
-
 def _far_pair_counts(tops, thresholds, radius):
-    """Per-row histogram of capped exceedance counts over far blocks.
-
-    ``tops`` holds the cap largest entries of every block (see
-    :func:`_block_tops`).  Row q of the result counts the blocks i' with
-    |q - i'| >= radius whose number of entries strictly above
-    ``thresholds[q]``, capped at cap, equals c, for c = 0..cap.
-
-    A block's capped count is >= c exactly when its c-th largest entry
-    exceeds the threshold, so the count over all blocks is one
-    ``searchsorted`` per order-statistic column; the 2*radius - 1 near
-    blocks are then compared directly and subtracted, one offset at a time.
+    """Row q counts the blocks i' with |q - i'| >= radius whose capped count
+    above ``thresholds[q]`` equals c, c = 0..cap: the histogram over all
+    blocks minus that of the 2*radius - 1 near blocks, compared directly.
     """
     k, cap = tops.shape
     q = np.arange(k)
-    # at_least[q, c] = #far blocks whose capped count is >= c, c = 0..cap+1
-    at_least = np.zeros((k, cap + 2), dtype=np.int64)
-    at_least[:, 0] = k - (np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0))
-    for j in range(cap):
-        col = np.sort(tops[:, j])
-        at_least[:, j + 1] = k - np.searchsorted(col, thresholds, side="right")
-
-    pad = np.full((radius - 1, cap), -np.inf)
-    padded = np.concatenate((pad, tops, pad))
+    padded = np.pad(tops, ((radius - 1, radius - 1), (0, 0)), constant_values=-np.inf)
+    # near[q, c] = #near blocks whose capped count is >= c + 1 (one contiguous counter)
     near = np.zeros((k, cap), dtype=np.int64)
     for d in range(2 * radius - 1):  # near block q - radius + 1 + d
         near += padded[d : d + k] > thresholds[:, None]
-    at_least[:, 1:-1] -= near
-    return at_least[:, :-1] - at_least[:, 1:]
+    far = exceedance_histogram(tops, thresholds)
+    far[:, 0] -= np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0)
+    far[:, :-1] += near
+    far[:, 1:] -= near
+    return far
+
+
+def _windows_and_thresholds(x, b, thresholds, scale):
+    """Sliding windows of the compared series, b, and one checked threshold per window."""
+    x = as_sample(x)
+    b = check_block_size(x.size, b)
+    windows = np.lib.stride_tricks.sliding_window_view(_comparison_series(x, scale), b)
+    thresholds = np.asarray(thresholds, dtype=float)
+    P = len(windows)
+    if thresholds.shape != (P,):
+        raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
+    return windows, b, thresholds
 
 
 def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
@@ -166,30 +144,14 @@ def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
     equals c, for c = 0..m_max plus an overflow bucket (last column).
     The output equals :func:`sliding_pair_naive` exactly.
     """
-    x = as_sample(x)
-    n = x.size
-    b = check_block_size(n, b)
-    series = _comparison_series(x, scale)
-    P = n - b + 1
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.shape != (P,):
-        raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    windows = np.lib.stride_tricks.sliding_window_view(series, b)
-    return _far_pair_counts(_block_tops(windows, m_max + 1), thresholds, b)
+    windows, b, thresholds = _windows_and_thresholds(x, b, thresholds, scale)
+    return _far_pair_counts(block_tops(windows, m_max + 1), thresholds, b)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
     """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`."""
-    x = as_sample(x)
-    n = x.size
-    b = check_block_size(n, b)
-    series = _comparison_series(x, scale)
-    P = n - b + 1
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.shape != (P,):
-        raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    cap = m_max + 1
-    windows = np.lib.stride_tricks.sliding_window_view(series, b)
+    windows, b, thresholds = _windows_and_thresholds(x, b, thresholds, scale)
+    P, cap = len(windows), m_max + 1
     out = np.zeros((P, cap + 1), dtype=np.int64)
     for i in range(P):
         c = np.minimum(np.count_nonzero(windows > thresholds[i], axis=1), cap)
@@ -201,17 +163,15 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
 def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     """Pair-averaged estimate of pbar(1..m_max) from one sample."""
     x = as_sample(x)
-    n = x.size
-    b = check_block_size(n, b)
+    b = check_block_size(x.size, b)
     _check_spec(mode, scale, m_max)
     series = _comparison_series(x, scale)
 
     if mode == "disjoint":
-        k = n // b
-        blocks, radius = series[: k * b].reshape(k, b), 1
+        blocks, radius = disjoint_blocks(series, b), 1
     else:
         blocks, radius = np.lib.stride_tricks.sliding_window_view(series, b), b
-    tops = _block_tops(blocks, m_max + 1)
+    tops = block_tops(blocks, m_max + 1)
     thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
     hist = _far_pair_counts(tops, thr, radius).sum(axis=0)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_block_size
+from .base import check_block_size, check_m_max
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError
@@ -66,8 +66,7 @@ class ExperimentConfig:
             object.__setattr__(self, "truth_pi", tuple(float(v) for v in self.truth_pi))
         if self.reps < 2:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        check_m_max(self.m_max)
         odd = [b for b in self.block_grid if b % 2]
         if odd:
             raise ValueError(f"block sizes must be even, got {odd}")
@@ -324,7 +323,6 @@ def render_svg(table, metric, destination):
 # config files
 # ---------------------------------------------------------------------------
 
-_LIST_FIELDS = {"block_grid", "estimators", "truth_pi"}
 _INT_FIELDS = {"n", "reps", "m_max", "master_seed", "burnin"}
 _FLOAT_FIELDS = {"model_param", "truth_theta"}
 

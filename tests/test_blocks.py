@@ -1,4 +1,4 @@
-"""Sliding block maxima, ranks and input validation."""
+"""Block layouts, the exceedance-count kernel, ranks and input validation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
+from exclust import blocks
 from exclust.base import as_sample, check_block_size
-from exclust.blocks import ranks, sliding_maxima
+from exclust.blocks import block_tops, disjoint_blocks, exceedance_histogram, ranks, sliding_maxima
+from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
+from exclust.estimators import pbar_hat
 
 
 def naive_sliding_maxima(x, b):
@@ -45,6 +48,45 @@ def series_and_block(draw, max_n=120):
 def test_sliding_maxima_matches_naive(case):
     x, b = case
     np.testing.assert_array_equal(sliding_maxima(x, b), naive_sliding_maxima(x, b))
+
+
+@given(series_and_block(), st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exceedance_histogram_matches_literal_counts(case, cap, data):
+    x, b = case
+    if data.draw(st.booleans()):
+        rows = disjoint_blocks(x, b)
+    else:
+        rows = np.lib.stride_tricks.sliding_window_view(x, b)
+    picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), max_size=6))
+    thresholds = np.array(picks, dtype=float)
+    got = exceedance_histogram(block_tops(rows, cap), thresholds)
+    assert got.shape == (thresholds.size, cap + 1)
+    for t, row in zip(thresholds, got):
+        capped = np.minimum((rows > t).sum(axis=1), cap)
+        np.testing.assert_array_equal(row, np.bincount(capped, minlength=cap + 1))
+
+
+def test_disjoint_blocks_drop_the_remainder():
+    np.testing.assert_array_equal(disjoint_blocks(np.arange(7.0), 3), [[0, 1, 2], [3, 4, 5]])
+
+
+def test_chunked_block_tops_change_no_estimate(monkeypatch):
+    x = np.round(np.random.default_rng(53).pareto(1.5, 400), 1)
+    spec = CompetitorSpec("robert", 6, m_max=4)
+
+    def estimates():
+        out = []
+        for mode in ("disjoint", "sliding"):
+            for scale in ("z", "y"):
+                est = pbar_hat(x, 6, mode=mode, scale=scale, m_max=4)
+                out += [est.values, est.counts, est.pair_count]
+        return out + [hsing_pi(x, 6, m_max=4).values, robert_pi(x, spec).values]
+
+    whole = estimates()
+    monkeypatch.setattr(blocks, "_CHUNK", 7)  # 66 disjoint blocks, 395 windows
+    for got, want in zip(estimates(), whole, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_ranks_ties_use_max_rank():

@@ -1,7 +1,10 @@
 """Reference estimators from the benchmark study."""
+import math
+
 import numpy as np
 import pytest
 
+from exclust import competitors
 from exclust.competitors import (
     CompetitorSpec,
     cpp_invert,
@@ -13,6 +16,102 @@ from exclust.competitors import (
 from exclust.cpmodel import CppModel, cpp_pmf, geometric_pi
 from exclust.errors import DegenerateEstimateError
 from exclust.simulate import ModelSpec, gen, substream_seed
+
+
+def literal_pi(sizes, n_clusters, m_max):
+    """Fraction of clusters of each size m = 1..m_max, one count_nonzero per m."""
+    return np.array([np.count_nonzero(sizes == m) / n_clusters for m in range(1, m_max + 1)])
+
+
+def literal_hsing(x, b, m_max):
+    """hsing_pi by literal comparison of every disjoint block with the threshold."""
+    n = x.size
+    s = 2 * (b - 3)
+    v = np.sort(x)[n - n // s - 1]
+    k = n // b
+    counts = (x[: k * b].reshape(k, b) > v).sum(axis=1)
+    occupied = np.count_nonzero(counts >= 1)
+    if occupied == 0:
+        return None
+    return literal_pi(counts, occupied, m_max)
+
+
+def literal_robert(x, spec):
+    """robert_pi with one literal block comparison per grid threshold."""
+    n = x.size
+    k = n // spec.b
+    blocks = x[: k * spec.b].reshape(k, spec.b)
+    desc = np.sort(x)[::-1]
+    acc = np.zeros(spec.m_max)
+    used = 0
+    for tau in np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid):
+        rank = math.ceil(k * tau)
+        if rank > n:
+            continue
+        counts = (blocks > desc[rank - 1]).sum(axis=1)
+        phat = np.array([np.count_nonzero(counts == m) / k for m in range(spec.m_max + 1)])
+        if phat[0] == 0.0 or phat[0] == 1.0:
+            continue
+        acc += cpp_invert(phat, tau)[1]
+        used += 1
+    return acc / used if used else None
+
+
+def _values_or_none(estimate, *args):
+    try:
+        return estimate(*args).values
+    except DegenerateEstimateError:
+        return None
+
+
+def _tied_sample(rng):
+    n = int(rng.integers(40, 400))
+    if rng.random() < 0.5:
+        return rng.integers(0, 6, n).astype(float)
+    return np.round(rng.pareto(1.5, n), 1)
+
+
+def test_hsing_and_robert_match_literal_block_counts():
+    rng = np.random.default_rng(41)
+    for case in range(150):
+        x = _tied_sample(rng)
+        m_max = int(rng.integers(1, 8))
+        # b below, at and above m_max + 1, the number of order statistics kept per block
+        b = int(rng.integers(4, 12) if case % 2 else rng.integers(4, x.size // 2 + 1))
+        got, want = _values_or_none(hsing_pi, x, b, m_max), literal_hsing(x, b, m_max)
+        assert (got is None and want is None) or np.array_equal(got, want)
+        spec = CompetitorSpec("robert", b, m_max=m_max, robert_phi=float(rng.uniform(0.8, 4.0)))
+        got, want = _values_or_none(robert_pi, x, spec), literal_robert(x, spec)
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_ferro_matches_literal_size_counts(monkeypatch):
+    clusterings = []
+
+    def recording_split(positions, n_clusters):
+        sizes = split_clusters(positions, n_clusters)
+        clusterings.append((sizes, n_clusters))
+        return sizes
+
+    monkeypatch.setattr(competitors, "split_clusters", recording_split)
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        x = _tied_sample(rng)
+        m_max = int(rng.integers(1, 8))
+        b = int(rng.integers(4, x.size // 4 + 1))
+        got = _values_or_none(ferro_pi, x, b, m_max)
+        if got is not None:
+            assert np.array_equal(got, literal_pi(*clusterings[-1], m_max))
+    assert len(clusterings) > 30
+
+
+def test_hsing_and_ferro_reject_m_max_below_one():
+    x = np.random.default_rng(47).pareto(1.5, 200)
+    for m_max in (0, -2):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            hsing_pi(x, 10, m_max=m_max)
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            ferro_pi(x, 10, m_max=m_max)
 
 
 def test_competitor_spec_validation():
