@@ -1,23 +1,6 @@
-"""Estimator base class and input validation helpers."""
+"""Estimator base class and the checks of block size and count cap."""
 
 import inspect
-
-import numpy as np
-
-
-def as_sample(x):
-    """Validate and return a time series as a 1-d float array.
-
-    Requires length >= 2 and all entries finite.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"sample must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ValueError(f"sample must contain at least 2 observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values (NaN or inf)")
-    return arr
 
 
 def check_block_size(n, b):
@@ -31,9 +14,12 @@ def check_block_size(n, b):
 
 
 def check_m_max(m_max):
-    """Reject a count cap m_max below 1."""
+    """Return the count cap m_max as an int; m_max must be integral and >= 1."""
+    if m_max != int(m_max):
+        raise ValueError(f"m_max={m_max} is not an integer")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    return int(m_max)
 
 
 class FitMixin:

@@ -1,17 +1,60 @@
-"""Shared primitives of the blocks estimators: block layouts, ranks, and the
-exact counting kernel.  Cluster sizes are counts of strict exceedances
-within disjoint or sliding blocks; the kernel reduces each block to its top
-order statistics (:func:`block_tops`) and counts, for many thresholds at
-once, the blocks by capped exceedance count (:func:`exceedance_histogram`).
+"""Shared primitives of every estimator.  A :class:`Sample` holds what they
+read from one series: its values, sorted values and ranks, and the top order
+statistics of its disjoint or sliding blocks (:func:`block_tops`) on either
+scale.  Cluster sizes are counts of strict exceedances within blocks;
+:func:`exceedance_histogram` counts, for many thresholds at once, the blocks
+by capped exceedance count.
 """
+
+from functools import cached_property
 
 import numpy as np
 
-from .base import as_sample, check_block_size
+from .base import check_block_size
 
-__all__ = ["sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram"]
+__all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
+
+
+class Sample:
+    """A series validated as a 1-d float array ``x`` of n >= 2 finite values;
+    ``sorted`` and ``ranks`` are computed on first use and kept, tops are not."""
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
+        if x.size < 2:
+            raise ValueError(f"sample must contain at least 2 observations, got {x.size}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("sample contains non-finite values (NaN or inf)")
+        self.x = x
+
+    @cached_property
+    def sorted(self):
+        return np.sort(self.x)
+
+    @cached_property
+    def ranks(self):
+        """Empirical c.d.f. values F_n(X_s) = #{t : X_t <= X_s} / n; ties share
+        a value, so no sort need be stable, and the maximum maps to 1."""
+        counts = np.empty(self.x.size, dtype=np.intp)
+        counts[np.argsort(self.x)] = np.searchsorted(self.sorted, self.sorted, side="right")
+        return counts / self.x.size
+
+    def tops(self, b, mode, scale, cap):
+        """:func:`block_tops` of the disjoint or sliding blocks of length b of
+        the values (``scale="z"``) or of their ranks (``scale="y"``)."""
+        series = self.x if scale == "z" else self.ranks
+        if mode == "disjoint":
+            return block_tops(disjoint_blocks(series, b), cap)
+        return block_tops(np.lib.stride_tricks.sliding_window_view(series, b), cap)
+
+
+def sample(x):
+    """``x`` if it is a :class:`Sample` already, else ``Sample(x)``."""
+    return x if isinstance(x, Sample) else Sample(x)
 
 
 def sliding_maxima(x, b):
@@ -21,23 +64,14 @@ def sliding_maxima(x, b):
     of the windows; the result is exactly the per-window maximum
     (comparisons only, no arithmetic on the values).
     """
-    x = as_sample(x)
+    x = Sample(x).x
     b = check_block_size(x.size, b)
     return np.lib.stride_tricks.sliding_window_view(x, b).max(axis=1)
 
 
 def ranks(x):
-    """Empirical c.d.f. values F_n(X_s) = #{t : X_t <= X_s} / n.
-
-    Ties share the same value, so the sort need not be stable; the largest
-    observation always maps to 1.
-    """
-    x = as_sample(x)
-    order = np.argsort(x)
-    ordered = x[order]
-    counts = np.empty(x.size, dtype=np.intp)
-    counts[order] = np.searchsorted(ordered, ordered, side="right")
-    return counts / x.size
+    """Empirical c.d.f. values of ``x``: :attr:`Sample.ranks`."""
+    return Sample(x).ranks
 
 
 def disjoint_blocks(x, b):

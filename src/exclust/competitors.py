@@ -3,7 +3,8 @@
 Three classical approaches: a blocks estimator with an order-statistic
 threshold, an inter-exceedance-times (intervals) declustering estimator,
 and an integrated multilevel blocks estimator that inverts the
-compound-Poisson count law on a grid of thresholds.
+compound-Poisson count law on a grid of thresholds.  Each takes an array or
+a :class:`~exclust.blocks.Sample`.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_sample, check_block_size, check_m_max
-from .blocks import block_tops, disjoint_blocks, exceedance_histogram
+from .base import check_block_size, check_m_max
+from .blocks import exceedance_histogram, sample
 from .errors import DegenerateEstimateError
 from .estimators import PiEstimate
 
@@ -44,7 +45,7 @@ class CompetitorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        check_m_max(self.m_max)
+        object.__setattr__(self, "m_max", check_m_max(self.m_max))
         if not 0 < self.robert_sigma < self.robert_phi:
             raise ValueError(
                 f"need 0 < sigma < phi, got ({self.robert_sigma}, {self.robert_phi})"
@@ -81,13 +82,13 @@ def hsing_pi(x, b, m_max=5):
     s = 2(b - 3), so about n/s observations exceed it.  The estimate is the
     fraction of occupied blocks containing exactly m exceedances.
     """
-    x = as_sample(x)
-    n = x.size
+    x = sample(x)
+    n = x.x.size
     b = check_block_rule("hsing", n, b)
-    check_m_max(m_max)
+    m_max = check_m_max(m_max)
     s = 2 * (b - 3)
-    v = np.sort(x, kind="stable")[n - n // s - 1]
-    hist = exceedance_histogram(block_tops(disjoint_blocks(x, b), m_max + 1), [v])[0]
+    v = x.sorted[n - n // s - 1]
+    hist = exceedance_histogram(x.tops(b, "disjoint", "z", m_max + 1), [v])[0]
     occupied = n // b - hist[0]
     if occupied == 0:
         raise DegenerateEstimateError("no block contains an exceedance")
@@ -117,10 +118,10 @@ def ferro_pi(x, b, m_max=5):
     times T_i fixes the cluster count C = floor(theta~ * N); the exceedance
     sequence is then cut at its C - 1 largest gaps.
     """
-    x = as_sample(x)
+    x = sample(x).x
     n = x.size
     num = 3 * (n // check_block_rule("ferro", n, b))
-    check_m_max(m_max)
+    m_max = check_m_max(m_max)
     pos = np.sort(np.argsort(-x, kind="stable")[:num])
     T = np.diff(pos).astype(float)
     if np.all(T == 1):
@@ -180,15 +181,15 @@ def robert_pi(x, spec):
     """
     if spec.kind != "robert":
         raise ValueError(f"spec.kind must be 'robert', got {spec.kind!r}")
-    x = as_sample(x)
-    n = x.size
+    x = sample(x)
+    n = x.x.size
     b = check_block_rule("robert", n, spec.b)
     k = n // b
     taus = np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid)
     rank = np.ceil(k * taus).astype(np.int64)
     taus, rank = taus[rank <= n], rank[rank <= n]
-    thresholds = np.sort(x, kind="stable")[n - rank]  # the rank-th largest values
-    tops = block_tops(disjoint_blocks(x, b), spec.m_max + 1)
+    thresholds = x.sorted[n - rank]  # the rank-th largest values
+    tops = x.tops(b, "disjoint", "z", spec.m_max + 1)
     phats = exceedance_histogram(tops, thresholds)[:, : spec.m_max + 1] / k
     acc = np.zeros(spec.m_max)
     used = 0

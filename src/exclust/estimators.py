@@ -11,12 +11,13 @@ overlap.  The recursion
 then turns either estimate into an estimate of pi, and the extremal index is
 estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
-Both modes count with the exact integer kernel of :mod:`exclust.blocks`;
-this module subtracts the near blocks left out of the pairs, compared
-directly.  At fixed b, memory grows linearly in n and time about like
-n*log(n): 8-14x per 10x of n at b = 20, n from 2e3 to 2e5.  The naive
-O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all pair
-statistics are integer counts, divided once at the end.
+Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
+its block tops from the sample.  Both modes count with the exact integer
+kernel of :mod:`exclust.blocks`; this module subtracts the near blocks left
+out of the pairs, compared directly.  At fixed b, memory grows linearly in
+n and time about like n*log(n): 8-14x per 10x of n at b = 20, n from 2e3 to
+2e5.  The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`;
+all pair statistics are integer counts, divided once at the end.
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .base import FitMixin, as_sample, check_block_size, check_m_max
-from .blocks import block_tops, disjoint_blocks, exceedance_histogram, ranks
-from .blocks import sliding_maxima  # noqa: F401  (re-exported)
+from .base import FitMixin, check_block_size, check_m_max
+from .blocks import exceedance_histogram, sample
+from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
 __all__ = [
@@ -90,13 +91,7 @@ def _check_spec(mode, scale, m_max):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if scale not in _SCALES:
         raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    check_m_max(m_max)
-
-
-def _comparison_series(x, scale):
-    """The series actually compared against thresholds: raw values on the
-    Z scale, empirical c.d.f. values on the Y scale."""
-    return x if scale == "z" else ranks(x)
+    return check_m_max(m_max)
 
 
 def _y_thresholds(block_cdf_maxima):
@@ -124,16 +119,15 @@ def _far_pair_counts(tops, thresholds, radius):
     return far
 
 
-def _windows_and_thresholds(x, b, thresholds, scale):
-    """Sliding windows of the compared series, b, and one checked threshold per window."""
-    x = as_sample(x)
-    b = check_block_size(x.size, b)
-    windows = np.lib.stride_tricks.sliding_window_view(_comparison_series(x, scale), b)
+def _sliding_input(x, b, thresholds, m_max):
+    """The sample, b, one checked threshold per window start, and m_max."""
+    x = sample(x)
+    b = check_block_size(x.x.size, b)
     thresholds = np.asarray(thresholds, dtype=float)
-    P = len(windows)
+    P = x.x.size - b + 1
     if thresholds.shape != (P,):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    return windows, b, thresholds
+    return x, b, thresholds, check_m_max(m_max)
 
 
 def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
@@ -144,13 +138,14 @@ def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
     equals c, for c = 0..m_max plus an overflow bucket (last column).
     The output equals :func:`sliding_pair_naive` exactly.
     """
-    windows, b, thresholds = _windows_and_thresholds(x, b, thresholds, scale)
-    return _far_pair_counts(block_tops(windows, m_max + 1), thresholds, b)
+    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
+    return _far_pair_counts(x.tops(b, "sliding", scale, m_max + 1), thresholds, b)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
     """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`."""
-    windows, b, thresholds = _windows_and_thresholds(x, b, thresholds, scale)
+    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
+    windows = x.tops(b, "sliding", scale, b)  # every entry of each window, descending
     P, cap = len(windows), m_max + 1
     out = np.zeros((P, cap + 1), dtype=np.int64)
     for i in range(P):
@@ -162,18 +157,12 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
 
 def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     """Pair-averaged estimate of pbar(1..m_max) from one sample."""
-    x = as_sample(x)
-    b = check_block_size(x.size, b)
-    _check_spec(mode, scale, m_max)
-    series = _comparison_series(x, scale)
-
-    if mode == "disjoint":
-        blocks, radius = disjoint_blocks(series, b), 1
-    else:
-        blocks, radius = np.lib.stride_tricks.sliding_window_view(series, b), b
-    tops = block_tops(blocks, m_max + 1)
+    x = sample(x)
+    b = check_block_size(x.x.size, b)
+    m_max = _check_spec(mode, scale, m_max)
+    tops = x.tops(b, mode, scale, m_max + 1)
     thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
-    hist = _far_pair_counts(tops, thr, radius).sum(axis=0)
+    hist = _far_pair_counts(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 
     counts = hist[1 : m_max + 1].astype(np.int64)

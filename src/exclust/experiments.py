@@ -2,9 +2,11 @@
 
 Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
-pi-hat(m) against the model's known limit values.  Replications are pure
-functions of a mixed per-rep seed and are folded in rep order, so results
-are byte-identical for any worker count.
+pi-hat(m) against the model's known limit values.  A replication validates,
+sorts and ranks its series once, as one :class:`~exclust.blocks.Sample`
+read by every (estimator, b) cell.  Replications are pure functions of a
+mixed per-rep seed and are folded in rep order, so results are
+byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import check_block_size, check_m_max
+from .blocks import Sample
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError
@@ -32,7 +35,23 @@ __all__ = [
     "read_config",
 ]
 
-ESTIMATORS = ("db-z", "db-y", "sb-z", "sb-y", "hsing", "ferro", "robert")
+
+def _blocks_estimator(mode, scale):
+    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max)).values
+
+
+# name: (pi(1..m_max) from a Sample at block size b, plot colour); the
+# estimators are looked up in this module at call time, so patches reach them
+_TABLE = {
+    "db-z": (_blocks_estimator("disjoint", "z"), "#1f77b4"),
+    "db-y": (_blocks_estimator("disjoint", "y"), "#aec7e8"),
+    "sb-z": (_blocks_estimator("sliding", "z"), "#d62728"),
+    "sb-y": (_blocks_estimator("sliding", "y"), "#ff9896"),
+    "hsing": (lambda x, b, m_max: hsing_pi(x, b, m_max).values, "#2ca02c"),
+    "ferro": (lambda x, b, m_max: ferro_pi(x, b, m_max).values, "#9467bd"),
+    "robert": (lambda x, b, m_max: robert_pi(x, CompetitorSpec("robert", b, m_max)).values, "#8c564b"),
+}
+ESTIMATORS = tuple(_TABLE)
 
 DEFAULT_GRID = tuple(range(6, 40, 2))
 
@@ -66,7 +85,7 @@ class ExperimentConfig:
             object.__setattr__(self, "truth_pi", tuple(float(v) for v in self.truth_pi))
         if self.reps < 2:
             raise ValueError(f"reps must be >= 2, got {self.reps}")
-        check_m_max(self.m_max)
+        object.__setattr__(self, "m_max", check_m_max(self.m_max))
         odd = [b for b in self.block_grid if b % 2]
         if odd:
             raise ValueError(f"block sizes must be even, got {odd}")
@@ -78,6 +97,7 @@ class ExperimentConfig:
                 check_block_rule(est, self.n, b)
         # the model spec is validated eagerly so bad params fail here
         ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, 0)
+        self.truth()  # so a model without limit values fails before the first replication
 
     def truth(self):
         """(theta, pi(1..m_max)) the summaries are centered on."""
@@ -138,31 +158,15 @@ class SummaryTable:
         return best
 
 
-def _estimate_values(x, estimator, b, m_max):
-    if estimator in ("db-z", "db-y", "sb-z", "sb-y"):
-        mode = "disjoint" if estimator.startswith("db") else "sliding"
-        pb = pbar_hat(x, b, mode=mode, scale=estimator[-1], m_max=m_max)
-        return pi_from_pbar(pb).values
-    if estimator == "hsing":
-        return hsing_pi(x, b, m_max).values
-    if estimator == "ferro":
-        return ferro_pi(x, b, m_max).values
-    return robert_pi(x, CompetitorSpec("robert", b=b, m_max=m_max)).values
-
-
 def _run_rep(args):
     config, rep = args
     seed = substream_seed(config.master_seed, rep)
-    x = gen(
-        ModelSpec(config.model_kind, config.n, config.model_param, config.burnin, seed)
-    )
-    out = np.full(
-        (len(config.estimators), len(config.block_grid), config.m_max), np.nan
-    )
+    x = Sample(gen(ModelSpec(config.model_kind, config.n, config.model_param, config.burnin, seed)))
+    out = np.full((len(config.estimators), len(config.block_grid), config.m_max), np.nan)
     for ib, b in enumerate(config.block_grid):
         for ie, est in enumerate(config.estimators):
             try:
-                out[ie, ib] = _estimate_values(x, est, b, config.m_max)
+                out[ie, ib] = _TABLE[est][0](x, b, config.m_max)
             except DegenerateEstimateError:
                 pass  # stays NaN; disclosed via n_missing
     return out
@@ -216,16 +220,6 @@ def write_csv(table, destination):
         fh.write("\n".join(lines) + "\n")
 
 
-_PALETTE = {
-    "db-z": "#1f77b4",
-    "db-y": "#aec7e8",
-    "sb-z": "#d62728",
-    "sb-y": "#ff9896",
-    "hsing": "#2ca02c",
-    "ferro": "#9467bd",
-    "robert": "#8c564b",
-}
-
 _SVG_W = 720
 _PANEL_H = 220
 _MARGIN = 50
@@ -256,7 +250,7 @@ def render_svg(table, metric, destination):
         x0 = _MARGIN + 90 * i
         parts.append(
             f'<line x1="{x0}" y1="32" x2="{x0 + 18}" y2="32" '
-            f'stroke="{_PALETTE[est]}" stroke-width="2"/>'
+            f'stroke="{_TABLE[est][1]}" stroke-width="2"/>'
             f'<text x="{x0 + 22}" y="36" font-family="sans-serif" '
             f'font-size="11">{est}</text>'
         )
@@ -312,7 +306,7 @@ def render_svg(table, metric, destination):
             coords = " ".join(f"{_fmt(xpos(b))},{_fmt(ypos(v))}" for b, v in pts)
             parts.append(
                 f'<polyline points="{coords}" fill="none" '
-                f'stroke="{_PALETTE[est]}" stroke-width="1.5"/>'
+                f'stroke="{_TABLE[est][1]}" stroke-width="1.5"/>'
             )
     parts.append("</svg>")
     with open(destination, "w", newline="\n") as fh:

@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 from exclust import blocks
-from exclust.base import as_sample, check_block_size
-from exclust.blocks import block_tops, disjoint_blocks, exceedance_histogram, ranks, sliding_maxima
+from exclust.base import check_block_size
+from exclust.blocks import Sample, block_tops, disjoint_blocks, exceedance_histogram, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
 from exclust.estimators import pbar_hat
 
@@ -113,13 +113,13 @@ def test_ranks_maximum_maps_to_one():
 
 def test_as_sample_validation():
     with pytest.raises(ValueError):
-        as_sample([[1.0, 2.0]])
+        Sample([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        as_sample([1.0])
+        Sample([1.0])
     with pytest.raises(ValueError):
-        as_sample([1.0, np.nan])
+        Sample([1.0, np.nan])
     with pytest.raises(ValueError):
-        as_sample([1.0, np.inf])
+        Sample([1.0, np.inf])
 
 
 def test_check_block_size_bounds():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exclust.blocks import ranks, sliding_maxima
+from exclust.blocks import Sample, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
@@ -136,6 +136,16 @@ def test_pbar_hat_rejects_bad_arguments():
         pbar_hat(x, 5, m_max=0)
 
 
+def test_m_max_must_be_integral():
+    # both used to fail inside numpy with a TypeError
+    x = gen(ModelSpec("armax", 200, 0.5, seed=3))
+    with pytest.raises(ValueError, match=r"m_max=2\.5 is not an integer"):
+        pbar_hat(x, 5, m_max=2.5)
+    got = hsing_pi(x, 5, m_max=np.float64(2.0))
+    assert np.array_equal(got.values, hsing_pi(x, 5, m_max=2).values)
+    assert type(CompetitorSpec("robert", 5, m_max=np.float64(2.0)).m_max) is int
+
+
 def test_pbar_hat_rejects_non_integral_block_size():
     # b=2.7 used to run silently as b=2
     x = gen(ModelSpec("armax", 200, 0.5, seed=3))
@@ -252,6 +262,36 @@ def test_sweep_single_distinct_value():
     thr = np.full(15 - 4 + 1, 2.0)
     out = sliding_pair_counts(x, 4, thr, 3)
     assert np.all(out[:, 1:] == 0)
+
+
+def test_sweep_rejects_m_max_below_one():
+    # m_max=-1 used to return a one-column histogram, m_max=-3 to fail inside numpy
+    x, b = np.arange(12.0), 3
+    thr = sliding_maxima(x, b)
+    for sweep in (sliding_pair_counts, sliding_pair_naive):
+        for m_max in (0, -1, -3):
+            with pytest.raises(ValueError, match="m_max must be >= 1"):
+                sweep(x, b, thr, m_max)
+
+
+def test_a_sample_gives_the_estimates_of_its_array():
+    x = np.round(gen(ModelSpec("armax", 600, 0.5, seed=8)), 1)  # with ties
+    s, b = Sample(x), 10
+    for mode in ("disjoint", "sliding"):
+        for scale in ("z", "y"):
+            want, got = (pbar_hat(v, b, mode=mode, scale=scale, m_max=4) for v in (x, s))
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.counts, want.counts) and got.pair_count == want.pair_count
+    for scale in ("z", "y"):
+        maxima = sliding_maxima(x if scale == "z" else ranks(x), b)
+        thr = maxima if scale == "z" else 1.0 + np.log(maxima)
+        for sweep in (sliding_pair_counts, sliding_pair_naive):
+            assert np.array_equal(sweep(s, b, thr, 4, scale=scale), sweep(x, b, thr, 4, scale=scale))
+    spec = CompetitorSpec("robert", b, m_max=4)
+    assert np.array_equal(hsing_pi(s, b, 4).values, hsing_pi(x, b, 4).values)
+    assert np.array_equal(ferro_pi(s, b, 4).values, ferro_pi(x, b, 4).values)
+    assert np.array_equal(robert_pi(s, spec).values, robert_pi(x, spec).values)
+    assert s.ranks is s.ranks and np.array_equal(s.ranks, ranks(x))
 
 
 def test_sweep_checks_threshold_length():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import exclust.experiments as ex
+from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.errors import DegenerateEstimateError
+from exclust.estimators import pbar_hat, pi_from_pbar
 from exclust.experiments import (
     ExperimentConfig,
     read_config,
@@ -13,6 +15,7 @@ from exclust.experiments import (
     run,
     write_csv,
 )
+from exclust.simulate import ModelSpec, gen, substream_seed
 
 TINY = ExperimentConfig(
     "iid_frechet",
@@ -58,6 +61,20 @@ def test_config_rejects_non_integral_block_sizes():
     cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(np.int64(6), 8.0))
     assert cfg.block_grid == (6, 8)
     assert all(type(b) is int for b in cfg.block_grid)
+
+
+def test_config_stores_m_max_as_an_int():
+    cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6,), m_max=np.float64(3.0))
+    assert type(cfg.m_max) is int and cfg.m_max == 3
+    with pytest.raises(ValueError, match=r"m_max=2\.5 is not an integer"):
+        ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6,), m_max=2.5)
+
+
+def test_config_without_limit_values_fails_before_the_first_replication(monkeypatch):
+    # used to run every replication and raise only when folding the summary
+    monkeypatch.setattr(ex, "_run_rep", lambda task: pytest.fail("a replication ran"))
+    with pytest.raises(ValueError, match="no stored limit values"):
+        run(ExperimentConfig("sqarch", .5, n=200, reps=2, m_max=6, block_grid=(6,)), workers=1)
 
 
 def test_truth_armax_is_geometric():
@@ -143,14 +160,10 @@ def test_schedule_independence(tmp_path):
 
 
 def test_missing_reps_are_disclosed(tiny_table, monkeypatch):
-    real = ex._estimate_values
+    def flaky(x, b, m_max):
+        raise DegenerateEstimateError("forced")
 
-    def flaky(x, estimator, b, m_max):
-        if estimator == "hsing":
-            raise DegenerateEstimateError("forced")
-        return real(x, estimator, b, m_max)
-
-    monkeypatch.setattr(ex, "_estimate_values", flaky)
+    monkeypatch.setattr(ex, "hsing_pi", flaky)
     cfg = ExperimentConfig(
         "iid_frechet", n=100, reps=3, block_grid=(6,),
         estimators=("sb-z", "hsing"), master_seed=5,
@@ -164,6 +177,34 @@ def test_missing_reps_are_disclosed(tiny_table, monkeypatch):
             assert row.n_missing == 0
     with pytest.raises(ValueError):
         table.min_mse("hsing", 1)
+
+
+def _per_call_estimate(x, estimator, b, m_max):
+    """pi(1..m_max) of one experiment estimator from the public functions."""
+    if estimator == "hsing":
+        return hsing_pi(x, b, m_max).values
+    if estimator == "ferro":
+        return ferro_pi(x, b, m_max).values
+    if estimator == "robert":
+        return robert_pi(x, CompetitorSpec("robert", b, m_max=m_max)).values
+    mode = {"db": "disjoint", "sb": "sliding"}[estimator[:2]]
+    return pi_from_pbar(pbar_hat(x, b, mode=mode, scale=estimator[-1], m_max=m_max)).values
+
+
+@pytest.mark.parametrize("kind, param", [("armax", 0.5), ("sqarch", 0.5), ("ar_uniform", 4)])
+def test_run_rep_matches_per_call_estimates(kind, param):
+    cfg = ExperimentConfig(kind, param, n=2000, reps=2, master_seed=21)
+    for rep in range(cfg.reps):
+        spec = ModelSpec(kind, cfg.n, param, cfg.burnin, substream_seed(cfg.master_seed, rep))
+        x = gen(spec)
+        want = np.full((len(cfg.estimators), len(cfg.block_grid), cfg.m_max), np.nan)
+        for ie, est in enumerate(cfg.estimators):
+            for ib, b in enumerate(cfg.block_grid):
+                try:
+                    want[ie, ib] = _per_call_estimate(x, est, b, cfg.m_max)
+                except DegenerateEstimateError:
+                    pass
+        assert np.array_equal(ex._run_rep((cfg, rep)), want, equal_nan=True)
 
 
 def test_min_mse(tiny_table):
