@@ -1,13 +1,20 @@
 """Estimator base class and the checks of block size and count cap."""
 
 import inspect
+import math
+import numbers
+
+
+def _integral(name, value):
+    """Return ``value`` as an int; it must be a finite integral number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name}={value} is not an integer")
+    return int(value)
 
 
 def check_block_size(n, b):
     """Return b as an int; b must be integral with 2 <= b <= n/2 (two blocks)."""
-    if b != int(b):
-        raise ValueError(f"block size b={b} is not an integer")
-    b = int(b)
+    b = _integral("block size b", b)
     if not 2 <= b <= n // 2:
         raise ValueError(f"block size b={b} out of range for n={n}: need 2 <= b <= n/2")
     return b
@@ -15,11 +22,10 @@ def check_block_size(n, b):
 
 def check_m_max(m_max):
     """Return the count cap m_max as an int; m_max must be integral and >= 1."""
-    if m_max != int(m_max):
-        raise ValueError(f"m_max={m_max} is not an integer")
+    m_max = _integral("m_max", m_max)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    return int(m_max)
+    return m_max
 
 
 class FitMixin:

@@ -15,6 +15,8 @@ from .base import check_block_size
 __all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
+_MODES = ("disjoint", "sliding")
+_SCALES = ("z", "y")
 
 
 class Sample:
@@ -46,6 +48,10 @@ class Sample:
     def tops(self, b, mode, scale, cap):
         """:func:`block_tops` of the disjoint or sliding blocks of length b of
         the values (``scale="z"``) or of their ranks (``scale="y"``)."""
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if scale not in _SCALES:
+            raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
         series = self.x if scale == "z" else self.ranks
         if mode == "disjoint":
             return block_tops(disjoint_blocks(series, b), cap)

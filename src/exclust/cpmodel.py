@@ -93,24 +93,29 @@ class Pmf:
 class BivariatePmfFamily:
     """Family sigma -> pi2_sigma of joint laws on J = {(i, j): i >= max(j, 1), j >= 0}.
 
-    ``evaluator(sigma, i, j)`` returns pi2_sigma(i, j); the first coordinate
-    is the cluster contribution to the longer window, the second to the
-    shorter one, with sigma the window-length ratio in [0, 1].  Marginals over
-    j must recover pi.  ``breakpoints`` lists the interior sigma values where
-    the family is not smooth; quadratures over sigma integrate panel-wise
-    between them.
+    ``evaluator(sigma, i, j)`` returns pi2_sigma(i, j) and broadcasts over
+    numpy arrays, so a scalar call gives one cell and :meth:`table` gets every
+    cell of every table from one call.  Its values outside J are ignored:
+    :meth:`table` sets those cells to zero.  The first coordinate is the
+    cluster contribution to the longer window, the second to the shorter
+    one, with sigma the window-length ratio in [0, 1].  Marginals over j must
+    recover pi.  ``breakpoints`` lists the interior sigma values where the
+    family is not smooth; quadratures over sigma integrate panel-wise between
+    them.
     """
 
-    evaluator: Callable[[float, int, int], float]
+    evaluator: Callable
     breakpoints: tuple = ()
 
     def table(self, sigma, i_max):
-        """Dense (i_max+1, i_max+1) array of pi2_sigma(i, j), zero outside J."""
-        t = np.zeros((i_max + 1, i_max + 1))
-        for i in range(1, i_max + 1):
-            for j in range(0, i + 1):
-                t[i, j] = self.evaluator(sigma, i, j)
-        return t
+        """Dense (i_max+1, i_max+1) arrays of pi2_sigma(i, j), zero outside J,
+        with a leading axis for each axis of ``sigma``."""
+        sigma = np.asarray(sigma, dtype=float)[..., None, None]
+        if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
+            raise ValueError("sigma must lie in [0, 1]")
+        j = np.arange(i_max + 1)
+        i = j[:, None]
+        return np.where(i >= np.maximum(j, 1), self.evaluator(sigma, i, j), 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,16 +169,16 @@ def bivar_powers(family, sigma, m):
     shifts.
     """
     F = (m + 1) ** 2
-    flat = np.zeros((len(sigma), F + 1))  # the last column stays zero
-    for i, si in enumerate(sigma):
-        flat[i, :F] = family.table(si, m).ravel()
+    tables = family.table(sigma, m).reshape(-1, F)
+    flat = np.zeros((len(tables), F + 1))  # the last column stays zero
+    flat[:, :F] = tables
     K = flat[:, _shift_index(m)]
-    B = np.zeros((len(sigma), m + 1, F, 1))
+    B = np.zeros((len(flat), m + 1, F, 1))
     B[:, 0, 0] = 1.0
     B[:, 1:2, :, 0] = flat[:, None, :F]  # K @ B[:, 0] would copy it bit for bit
     for k in range(2, m + 1):
         B[:, k] = K @ B[:, k - 1]
-    return B.reshape(len(sigma), m + 1, m + 1, m + 1)
+    return B.reshape(len(flat), m + 1, m + 1, m + 1)
 
 
 def poisson_table(lam, k_max):
@@ -276,11 +281,7 @@ def iid_model():
     """
 
     def evaluator(sigma, i, j):
-        if i == 1 and j == 0:
-            return 1.0 - sigma
-        if i == 1 and j == 1:
-            return sigma
-        return 0.0
+        return np.where(i == 1, np.where(j == 0, 1.0 - sigma, sigma), 0.0)
 
     pi = Pmf(np.array([0.0, 1.0]))
     return CppModel(theta=1.0, pi=pi, pi2=BivariatePmfFamily(evaluator))
@@ -302,23 +303,15 @@ def max_ar_family(alpha):
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if alpha == 0.0:
+        return iid_model().pi2
 
     def evaluator(sigma, i, j):
-        if i < 1 or j > i:
-            return 0.0
-        if alpha == 0.0:
-            if i == 1:
-                return 1.0 - sigma if j == 0 else sigma
-            return 0.0
-        if sigma == 0.0:
-            return alpha ** (i - 1) - alpha**i if j == 0 else 0.0
-        delta = math.log(sigma) / math.log(alpha)
-        if j == 0:
-            hi = min(float(i), delta)
-            return max(0.0, alpha ** (i - 1) - alpha**hi)
-        lo = max(float(i - 1), delta + j - 1)
-        hi = min(float(i), delta + j)
-        return max(0.0, alpha**lo - alpha**hi)
+        with np.errstate(divide="ignore"):
+            delta = np.log(sigma) / math.log(alpha)  # +inf at sigma = 0
+        lo = np.where(j == 0, i - 1, np.maximum(i - 1, delta + j - 1))
+        hi = np.minimum(i, delta + j)
+        return np.maximum(0.0, alpha**lo - alpha**hi)
 
     knots = []
     power = alpha

@@ -41,10 +41,6 @@ __all__ = [
     "ClusterSizeEstimator",
 ]
 
-_MODES = ("disjoint", "sliding")
-_SCALES = ("z", "y")
-
-
 @dataclass(frozen=True)
 class PbarEstimate:
     """Estimated pbar(1..m_max) plus the integer pair statistics behind it.
@@ -84,14 +80,6 @@ class PiEstimate:
     @property
     def m_max(self):
         return self.values.size
-
-
-def _check_spec(mode, scale, m_max):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-    return check_m_max(m_max)
 
 
 def _y_thresholds(block_cdf_maxima):
@@ -159,7 +147,7 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     """Pair-averaged estimate of pbar(1..m_max) from one sample."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
-    m_max = _check_spec(mode, scale, m_max)
+    m_max = check_m_max(m_max)
     tops = x.tops(b, mode, scale, m_max + 1)
     thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
     hist = _far_pair_counts(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)

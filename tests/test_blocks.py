@@ -122,6 +122,15 @@ def test_as_sample_validation():
         Sample([1.0, np.inf])
 
 
+def test_tops_rejects_unknown_mode_or_scale():
+    # an unknown mode used to give the sliding tops, an unknown scale the y tops
+    s = Sample(np.arange(20.0))
+    with pytest.raises(ValueError, match="mode must be one of .* got 'bogus'"):
+        s.tops(5, "bogus", "z", 2)
+    with pytest.raises(ValueError, match="scale must be one of .* got 'w'"):
+        s.tops(5, "sliding", "w", 2)
+
+
 def test_check_block_size_bounds():
     assert check_block_size(10, 5) == 5
     for bad in (1, 6, 0, -2):

@@ -27,6 +27,34 @@ from exclust.estimators import theta_hat
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 
 
+def literal_iid(sigma, i, j):
+    """The iid family, one cell at a time."""
+    if i == 1 and j == 0:
+        return 1.0 - sigma
+    if i == 1 and j == 1:
+        return sigma
+    return 0.0
+
+
+def literal_max_ar(alpha, sigma, i, j):
+    """The max-AR family, one cell at a time, with every special case spelled out."""
+    if i < 1 or j > i:
+        return 0.0
+    if alpha == 0.0:
+        if i == 1:
+            return 1.0 - sigma if j == 0 else sigma
+        return 0.0
+    if sigma == 0.0:
+        return alpha ** (i - 1) - alpha**i if j == 0 else 0.0
+    delta = math.log(sigma) / math.log(alpha)
+    if j == 0:
+        hi = min(float(i), delta)
+        return max(0.0, alpha ** (i - 1) - alpha**hi)
+    lo = max(float(i - 1), delta + j - 1)
+    hi = min(float(i), delta + j)
+    return max(0.0, alpha**lo - alpha**hi)
+
+
 def test_pmf_validation():
     with pytest.raises(ValueError):
         Pmf(np.array([0.0, -0.1, 0.5]))
@@ -277,6 +305,28 @@ def test_max_ar_family_reduces_to_iid_family():
                 np.testing.assert_allclose(
                     fam.evaluator(sigma, i, j), ref.evaluator(sigma, i, j), atol=1e-14
                 )
+    sigma = np.array([0.0, 0.3, 1.0])
+    assert np.array_equal(fam.table(sigma, 4), ref.table(sigma, 4))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_family_tables_match_literal_cells(alpha):
+    sigma = np.array([0.0, 1.0, 0.37] + [alpha**k for k in range(1, 5)])
+    families = [
+        (max_ar_family(alpha), lambda s, i, j: literal_max_ar(alpha, s, i, j)),
+        (iid_model().pi2, literal_iid),
+    ]
+    for fam, literal in families:
+        for i_max in range(9):
+            tab = fam.table(sigma, i_max)
+            assert tab.shape == (sigma.size, i_max + 1, i_max + 1)
+            ref = np.array([[[literal(s, i, j) for j in range(i_max + 1)]
+                             for i in range(i_max + 1)] for s in sigma])
+            np.testing.assert_allclose(tab, ref, rtol=0, atol=1e-15)
+            i, j = np.indices((i_max + 1, i_max + 1))
+            assert np.all(tab[:, i < np.maximum(j, 1)] == 0.0)
+            # one call on the sigma array gives the stack of the scalar-sigma tables
+            assert np.array_equal(tab, np.stack([fam.table(s, i_max) for s in sigma]))
 
 
 def test_max_ar_family_validates_alpha():
@@ -290,6 +340,13 @@ def test_bivariate_table_shape():
     tab = iid_model().pi2.table(0.5, 4)
     assert tab.shape == (5, 5)
     np.testing.assert_allclose(tab.sum(), 1.0, atol=1e-12)
+
+
+def test_bivariate_table_rejects_sigma_outside_unit_interval():
+    for fam in (iid_model().pi2, GEOM.pi2):
+        for sigma in (-0.1, 1.5, np.nan, [0.5, 1.0 + 1e-12]):
+            with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\]"):
+                fam.table(sigma, 3)
 
 
 def test_geometric_pi_values():

@@ -146,6 +146,19 @@ def test_m_max_must_be_integral():
     assert type(CompetitorSpec("robert", 5, m_max=np.float64(2.0)).m_max) is int
 
 
+def test_non_finite_block_size_or_count_cap_is_named():
+    # these used to fail in int() with the interpreter's message, or with OverflowError
+    x = gen(ModelSpec("armax", 200, 0.5, seed=3))
+    with pytest.raises(ValueError, match=r"b=nan is not an integer"):
+        pbar_hat(x, float("nan"))
+    with pytest.raises(ValueError, match=r"m_max=inf is not an integer"):
+        pbar_hat(x, 5, m_max=float("inf"))
+    with pytest.raises(ValueError, match=r"b=inf is not an integer"):
+        hsing_pi(x, float("inf"))
+    with pytest.raises(ValueError, match=r"m_max=-inf is not an integer"):
+        robert_pi(x, CompetitorSpec("robert", 5, m_max=-np.inf))
+
+
 def test_pbar_hat_rejects_non_integral_block_size():
     # b=2.7 used to run silently as b=2
     x = gen(ModelSpec("armax", 200, 0.5, seed=3))
@@ -272,6 +285,9 @@ def test_sweep_rejects_m_max_below_one():
         for m_max in (0, -1, -3):
             with pytest.raises(ValueError, match="m_max must be >= 1"):
                 sweep(x, b, thr, m_max)
+        # any scale but "z" used to be taken as the y scale
+        with pytest.raises(ValueError, match="scale must be one of"):
+            sweep(x, b, thr, 3, scale="w")
 
 
 def test_a_sample_gives_the_estimates_of_its_array():
