@@ -1,9 +1,10 @@
 """Shared primitives of every estimator.  A :class:`Sample` holds what they
 read from one series: its values, sorted values and ranks, and the top order
 statistics of its disjoint or sliding blocks (:func:`block_tops`) on either
-scale.  Cluster sizes are counts of strict exceedances within blocks;
-:func:`exceedance_histogram` counts, for many thresholds at once, the blocks
-by capped exceedance count.
+scale.  It keeps the last sliding table per scale, so a run over a growing
+block-size grid extends one table instead of rebuilding it.  Cluster sizes
+are counts of strict exceedances within blocks; :func:`exceedance_histogram`
+counts, for many thresholds at once, the blocks by capped exceedance count.
 """
 
 from functools import cached_property
@@ -21,7 +22,8 @@ _SCALES = ("z", "y")
 
 class Sample:
     """A series validated as a 1-d float array ``x`` of n >= 2 finite values;
-    ``sorted`` and ``ranks`` are computed on first use and kept, tops are not."""
+    ``sorted`` and ``ranks`` are computed on first use and kept, and so is the
+    last sliding tops table built on each scale."""
 
     def __init__(self, x):
         x = np.asarray(x, dtype=float)
@@ -32,6 +34,7 @@ class Sample:
         if not np.all(np.isfinite(x)):
             raise ValueError("sample contains non-finite values (NaN or inf)")
         self.x = x
+        self._sliding = {}  # scale: (b, cap, tops) of the last sliding table built
 
     @cached_property
     def sorted(self):
@@ -47,15 +50,32 @@ class Sample:
 
     def tops(self, b, mode, scale, cap):
         """:func:`block_tops` of the disjoint or sliding blocks of length b of
-        the values (``scale="z"``) or of their ranks (``scale="y"``)."""
+        the values (``scale="z"``) or of their ranks (``scale="y"``), read-only.
+
+        A sliding table at a larger b and the same cap as the last one on
+        this scale extends it by the entries the windows gained; disjoint
+        tops are every b-th row of the last sliding table when it has this b
+        and cap, and are built directly otherwise.
+        """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if scale not in _SCALES:
             raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
         series = self.x if scale == "z" else self.ranks
+        last_b, last_cap, last = self._sliding.get(scale, (None, None, None))
+        if (last_b, last_cap) == (b, cap):  # the kept table, or every b-th row of it
+            return last if mode == "sliding" else last[: series.size // b * b : b]
         if mode == "disjoint":
-            return block_tops(disjoint_blocks(series, b), cap)
-        return block_tops(np.lib.stride_tricks.sliding_window_view(series, b), cap)
+            tops = block_tops(disjoint_blocks(series, b), cap)
+        else:
+            windows = np.lib.stride_tricks.sliding_window_view(series, b)
+            if last_cap == cap and last_b < b:  # window i gains series[i + last_b : i + b]
+                tops = _joined_tops((last[: len(windows)], windows[:, last_b:]), cap)
+            else:
+                tops = block_tops(windows, cap)
+            self._sliding[scale] = (b, cap, tops)
+        tops.flags.writeable = False
+        return tops
 
 
 def sample(x):
@@ -92,14 +112,21 @@ def block_tops(blocks, cap):
     threshold.  Rows are processed ``_CHUNK`` at a time, so a strided view
     of sliding windows is never copied whole.
     """
-    k, b = blocks.shape
+    return _joined_tops((blocks,), cap)
+
+
+def _joined_tops(parts, cap):
+    """:func:`block_tops` of the rows of ``parts`` joined side by side."""
+    k = len(parts[0])
     tops = np.full((k, cap), -np.inf)
-    width = min(b, cap)
+    width = min(sum(part.shape[1] for part in parts), cap)
     for lo in range(0, k, _CHUNK):
-        neg = -blocks[lo : lo + _CHUNK]
-        if b > cap:
+        neg = np.concatenate([part[lo : lo + _CHUNK] for part in parts], axis=1)
+        np.negative(neg, out=neg)
+        if neg.shape[1] > cap:
             neg = np.partition(neg, cap - 1, axis=1)[:, :cap]
-        tops[lo : lo + _CHUNK, :width] = -np.sort(neg, axis=1)
+        neg.sort(axis=1)
+        np.negative(neg, out=tops[lo : lo + _CHUNK, :width])
     return tops
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_block_size, check_m_max
+from .base import _integral, check_block_size, check_m_max
 from .blocks import exceedance_histogram, sample
 from .errors import DegenerateEstimateError
 from .estimators import PiEstimate
@@ -50,6 +50,7 @@ class CompetitorSpec:
             raise ValueError(
                 f"need 0 < sigma < phi, got ({self.robert_sigma}, {self.robert_phi})"
             )
+        object.__setattr__(self, "robert_grid", _integral("robert_grid", self.robert_grid))
         if self.robert_grid < 2:
             raise ValueError(f"grid must be >= 2, got {self.robert_grid}")
 

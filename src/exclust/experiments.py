@@ -4,7 +4,8 @@ Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
 pi-hat(m) against the model's known limit values.  A replication validates,
 sorts and ranks its series once, as one :class:`~exclust.blocks.Sample`
-read by every (estimator, b) cell.  Replications are pure functions of a
+read by every (estimator, b) cell; its sliding tops table per scale grows
+along the block grid.  Replications are pure functions of a
 mixed per-rep seed and are folded in rep order, so results are
 byte-identical for any worker count.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_block_size, check_m_max
+from .base import _integral, check_block_size, check_m_max
 from .blocks import Sample
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
@@ -78,9 +79,14 @@ class ExperimentConfig:
     truth_pi: tuple | None = None
 
     def __post_init__(self):
+        for name in ("n", "reps", "burnin", "master_seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
         object.__setattr__(self, "block_grid", grid)
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("block_grid", "estimators"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.truth_pi is not None:
             object.__setattr__(self, "truth_pi", tuple(float(v) for v in self.truth_pi))
         if self.reps < 2:
@@ -95,8 +101,8 @@ class ExperimentConfig:
         for est in self.estimators:
             for b in self.block_grid:
                 check_block_rule(est, self.n, b)
-        # the model spec is validated eagerly so bad params fail here
-        ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, 0)
+        # the model spec and master seed are validated eagerly so bad values fail here
+        ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, substream_seed(self.master_seed, 0))
         self.truth()  # so a model without limit values fails before the first replication
 
     def truth(self):
@@ -182,23 +188,28 @@ def run(config, workers=None):
     else:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_rep, tasks)
-    stack = np.stack(results)  # (reps, est, b, m), rep-indexed fold below
+    # (est, b, m, reps): each cell's replications contiguous, reduced over the last axis
+    stack = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))
     _, truth_pi = config.truth()
+    n_missing = np.count_nonzero(np.isnan(stack), axis=-1)
+    bias = np.mean(stack, axis=-1) - truth_pi
+    variance = np.var(stack, axis=-1)
+    mse = np.mean((stack - truth_pi[:, None]) ** 2, axis=-1)
+    for cell in zip(*np.nonzero(n_missing)):  # over the replications that did not fail
+        good = stack[cell][~np.isnan(stack[cell])]
+        if good.size:  # else the cell stays NaN
+            truth = truth_pi[cell[-1]]
+            bias[cell] = np.mean(good) - truth
+            variance[cell] = np.var(good)
+            mse[cell] = np.mean((good - truth) ** 2)
 
     rows = []
     for ie, est in enumerate(config.estimators):
         for ib, b in enumerate(config.block_grid):
             for m in range(1, config.m_max + 1):
-                vals = stack[:, ie, ib, m - 1]
-                good = vals[~np.isnan(vals)]
-                n_missing = config.reps - good.size
-                if good.size == 0:
-                    bias = variance = mse = float("nan")
-                else:
-                    bias = float(np.mean(good) - truth_pi[m - 1])
-                    variance = float(np.var(good))
-                    mse = float(np.mean((good - truth_pi[m - 1]) ** 2))
-                rows.append(SummaryRow(est, b, m, bias, variance, mse, n_missing))
+                cell = ie, ib, m - 1
+                rows.append(SummaryRow(est, b, m, float(bias[cell]), float(variance[cell]),
+                                       float(mse[cell]), int(n_missing[cell])))
     return SummaryTable(rows=tuple(rows), reps=config.reps)
 
 

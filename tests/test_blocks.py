@@ -1,4 +1,6 @@
 """Block layouts, the exceedance-count kernel, ranks and input validation."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,50 @@ def test_chunked_block_tops_change_no_estimate(monkeypatch):
     monkeypatch.setattr(blocks, "_CHUNK", 7)  # 66 disjoint blocks, 395 windows
     for got, want in zip(estimates(), whole, strict=True):
         assert np.array_equal(got, want)
+
+
+@st.composite
+def tops_requests(draw):
+    """A short series and a sequence of (b, mode, scale, cap) requests: b
+    ascending, descending and repeated, caps above and below b."""
+    n = draw(st.integers(min_value=4, max_value=60))
+    x = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.integers(0, 3).map(float))))
+    request = st.tuples(st.integers(2, n // 2), st.sampled_from(["disjoint", "sliding"]),
+                        st.sampled_from(["z", "y"]), st.integers(1, 6))
+    return x, draw(st.lists(request, min_size=1, max_size=12))
+
+
+@given(tops_requests(), st.sampled_from([1, 3, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
+    # a Sample extends its last sliding table and reads disjoint tops off it;
+    # every table it hands out must equal one built from scratch (+-0 compare equal)
+    x, requests = case
+    s = Sample(x)
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        for b, mode, scale, cap in requests:
+            series = x if scale == "z" else ranks(x)
+            if mode == "disjoint":
+                rows = disjoint_blocks(series, b)
+            else:
+                rows = np.lib.stride_tricks.sliding_window_view(series, b)
+            got = s.tops(b, mode, scale, cap)
+            want = np.full((len(rows), cap), -np.inf)
+            want[:, : min(b, cap)] = -np.sort(-rows, axis=1)[:, :cap]
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, block_tops(rows, cap))
+
+
+def test_tops_are_read_only():
+    s = Sample(np.random.default_rng(2).normal(size=60))
+    # fresh disjoint, fresh sliding, extended sliding, kept sliding, rows of the kept table
+    for b, mode in ((4, "disjoint"), (4, "sliding"), (6, "sliding"), (6, "sliding"), (6, "disjoint")):
+        for scale in ("z", "y"):
+            tops = s.tops(b, mode, scale, 3)
+            assert not tops.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                tops[0, 0] = 0.0
 
 
 def test_ranks_ties_use_max_rank():

@@ -122,6 +122,10 @@ def test_competitor_spec_validation():
         CompetitorSpec("robert", 20, robert_sigma=1.4)
     with pytest.raises(ValueError):
         CompetitorSpec("robert", 20, robert_grid=1)
+    # used to be accepted and fail inside np.linspace
+    with pytest.raises(ValueError, match=r"robert_grid=2\.5 is not an integer"):
+        CompetitorSpec("robert", 6, robert_grid=2.5)
+    assert type(CompetitorSpec("robert", 6, robert_grid=np.float64(4.0)).robert_grid) is int
 
 
 def test_hsing_hand_example():

@@ -1,6 +1,7 @@
 """The pair-averaged pbar estimators, the pi recursion and theta."""
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from exclust import blocks
 from exclust.blocks import Sample, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
@@ -232,6 +234,9 @@ def test_sliding_mean_approaches_theory():
 
 @st.composite
 def sweep_case(draw):
+    """A sample, b, a scale and one threshold per window: a permutation of
+    the series, or long runs of equal values (window maxima, piecewise
+    constant draws or all equal, from the series and +-inf and NaN)."""
     n = draw(st.integers(min_value=8, max_value=90))
     tied = draw(st.booleans())
     if tied:
@@ -241,24 +246,45 @@ def sweep_case(draw):
                             elements=st.floats(-100, 100, allow_nan=False)))
     b = draw(st.integers(min_value=2, max_value=n // 2))
     scale = draw(st.sampled_from(["z", "y"]))
-    random_thr = draw(st.booleans())
-    return x, b, scale, random_thr
-
-
-@given(sweep_case())
-@settings(max_examples=80, deadline=None)
-def test_sweep_equals_naive(case):
-    x, b, scale, random_thr = case
     series = x if scale == "z" else ranks(x)
-    if random_thr:
-        rng = np.random.default_rng(int(abs(x.sum())) % 2**32)
-        thr = rng.permutation(series)[: len(x) - b + 1]
-    else:
+    P = n - b + 1
+    pool = st.sampled_from(list(series) + [-np.inf, np.inf, np.nan])
+    kind = draw(st.sampled_from(["permutation", "maxima", "pieces", "equal"]))
+    if kind == "permutation":
+        thr = draw(st.permutations(series))[:P]
+    elif kind == "maxima":
         maxima = sliding_maxima(series, b)
         thr = maxima if scale == "z" else 1.0 + np.log(maxima)
-    fast = sliding_pair_counts(x, b, thr, 3, scale=scale)
-    slow = sliding_pair_naive(x, b, thr, 3, scale=scale)
-    np.testing.assert_array_equal(fast, slow)
+    elif kind == "pieces":
+        runs = draw(st.lists(st.tuples(pool, st.integers(1, P)), min_size=1))
+        thr = np.resize(np.concatenate([np.full(length, v) for v, length in runs]), P)
+    else:
+        thr = np.full(P, draw(pool))
+    return x, b, scale, np.asarray(thr, dtype=float)
+
+
+@given(sweep_case(), st.sampled_from([1, 5, 4096]))
+@settings(max_examples=200, deadline=None)
+def test_sweep_equals_naive(case, chunk):
+    # near blocks are compared in full only where the threshold changes,
+    # _CHUNK near rows per step
+    x, b, scale, thr = case
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        fast = sliding_pair_counts(x, b, thr, 3, scale=scale)
+    np.testing.assert_array_equal(fast, sliding_pair_naive(x, b, thr, 3, scale=scale))
+
+
+def test_sliding_pbar_memory_stays_below_the_old_peak():
+    # the bound is the peak of a direct (2b-1)-offset comparison of the near
+    # blocks here; gathering the run starts _CHUNK rows at a time stays below it
+    x = gen(ModelSpec("armax", 50_000, 0.5, seed=4))
+    tracemalloc.start()
+    try:
+        pbar_hat(x, 20, mode="sliding")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_731_521
 
 
 def test_sweep_all_above_max():
@@ -393,8 +419,12 @@ def test_theta_hat_values():
 def test_theta_hat_partial_m():
     pi = np.array([0.5, 0.25, 0.125])
     assert theta_hat(pi, m=1) == 2.0
+    assert theta_hat(pi, m=2.0) == theta_hat(pi, m=2)
     with pytest.raises(ValueError):
         theta_hat(pi, m=4)
+    # used to raise TypeError from slicing
+    with pytest.raises(ValueError, match=r"m=1\.5 is not an integer"):
+        theta_hat(pi, 1.5)
 
 
 def test_theta_hat_degenerate_carries_denominator():

@@ -70,6 +70,21 @@ def test_config_stores_m_max_as_an_int():
         ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6,), m_max=2.5)
 
 
+def test_config_rejects_non_integral_counts_and_empty_grids():
+    # each used to be accepted and fail inside run() or gen(), or to give an
+    # empty table that only write_csv refused
+    for name, value in (("reps", 2.5), ("n", 200.5), ("burnin", 10.5), ("master_seed", 0.5)):
+        with pytest.raises(ValueError, match=rf"{name}={value} is not an integer"):
+            ExperimentConfig("armax", 0.5, **{"n": 200, "reps": 2, "block_grid": (6,), name: value})
+    for name in ("block_grid", "estimators"):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            ExperimentConfig("armax", 0.5, n=200, reps=2, **{"block_grid": (6,), name: ()})
+    with pytest.raises(ValueError, match="master seed"):
+        ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6,), master_seed=-1)
+    cfg = ExperimentConfig("armax", 0.5, n=200.0, reps=np.int64(2), block_grid=(6,), burnin=np.float64(5))
+    assert (type(cfg.n), type(cfg.reps), type(cfg.burnin)) == (int, int, int)
+
+
 def test_config_without_limit_values_fails_before_the_first_replication(monkeypatch):
     # used to run every replication and raise only when folding the summary
     monkeypatch.setattr(ex, "_run_rep", lambda task: pytest.fail("a replication ran"))
