@@ -328,15 +328,38 @@ def render_svg(table, metric, destination):
 # config files
 # ---------------------------------------------------------------------------
 
-_INT_FIELDS = {"n", "reps", "m_max", "master_seed", "burnin"}
-_FLOAT_FIELDS = {"model_param", "truth_theta"}
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse(kind, text):
+    """``kind(text)``, or a ValueError that says what was expected."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"expected {_KIND_NAMES[kind]}, got {text!r}") from None
+
+
+def _items(value):
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+# one parser per key, applied to the stripped text after '='
+_PARSERS = {
+    "model_kind": str,
+    "estimators": lambda v: tuple(_items(v)),
+    "block_grid": lambda v: tuple(_parse(int, t) for t in _items(v)),
+    "truth_pi": lambda v: tuple(_parse(float, t) for t in _items(v)) if v else None,
+    **dict.fromkeys(("n", "reps", "m_max", "master_seed", "burnin"), lambda v: _parse(int, v)),
+    **dict.fromkeys(("model_param", "truth_theta"), lambda v: _parse(float, v) if v else None),
+}
 
 
 def read_config(path):
     """Parse a flat key=value file into an ExperimentConfig.
 
     Keys mirror the config field names exactly; lists are comma-separated;
-    blank lines and '#' comments are ignored.
+    blank lines and '#' comments are ignored.  A malformed line is reported
+    as ``path:line: ...``.
     """
     kwargs = {}
     with open(path) as fh:
@@ -348,25 +371,12 @@ def read_config(path):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key == "model_kind":
-                kwargs[key] = value
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(value) if value else None
-            elif key == "block_grid":
-                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
-            elif key == "estimators":
-                kwargs[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key == "truth_pi":
-                kwargs[key] = (
-                    tuple(float(v) for v in value.split(",") if v.strip())
-                    if value
-                    else None
-                )
-            else:
+            if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                kwargs[key] = _PARSERS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if "model_kind" not in kwargs:
         raise ValueError(f"{path}: missing required key model_kind")
     return ExperimentConfig(**kwargs)

@@ -3,7 +3,10 @@
 Independent oracles guard the covariance integrals: a literal 2-d
 quadrature built only on the count pmfs, the sliding-blocks rule summed
 term by term with one (s, u, count, count) table per overlap node, and
-closed-form integrands derived by hand for the iid model at m=1.
+closed-form integrands derived by hand for the iid model at m=1.  The
+sliding-blocks evaluator is also held to its earlier per-overlap-node
+form, which built a Poisson table per xi and summed the threshold axis by
+matrix products.
 
 The literal quadrature calls cpp_pmf, cpp2_pmf and cpp_pmf_dtau, which rest
 on the same cpmodel primitives (power tables, Poisson table) as sigma_db,
@@ -25,6 +28,8 @@ from scipy.stats import poisson
 from exclust.asymptotics import (
     CovMatrix,
     QuadratureSpec,
+    _shift_add,
+    _sigma_sb_entries,
     cpp_pmf_dtau,
     disjoint_process_var,
     gamma,
@@ -39,6 +44,7 @@ from exclust.asymptotics import (
 from exclust.cpmodel import (
     CppModel,
     bivar_powers,
+    conv_powers,
     cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
@@ -47,10 +53,12 @@ from exclust.cpmodel import (
     iid_model,
     max_ar_family,
     pbar_theory,
+    poisson_table,
 )
 from exclust.errors import NumericFailureError, UnsupportedModelError
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
+GEOM3 = CppModel(0.7, geometric_pi(0.3), max_ar_family(0.3))
 
 FAST = QuadratureSpec(nodes_1d=32, refinement=False)
 
@@ -192,6 +200,56 @@ def literal_sigma_sb(model, m, nodes=32):
     return 2.0 * acc
 
 
+def per_xi_sigma_sb_entries(model, m, nodes):
+    """The earlier form of `_sigma_sb_entries`: one loop step per overlap
+    node xi, with an (m+1, S, U) Poisson table of the private piece and two
+    GEMMs that sum the threshold axis."""
+    th = model.theta
+    s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
+    u, uw = gauss_legendre_01(nodes)
+    xi, xiw = gauss_legendre_01(nodes)
+    tau = -np.log1p(-u) / th
+
+    M = conv_powers(model.pi, m)
+    pbar = pbar_theory(model, m).weights[1:]
+    pp = np.outer(pbar, pbar)
+    BT = bivar_powers(model.pi2, s, m)
+
+    lam_st = th * np.outer(s, tau)
+    gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
+    gd1 = cpp_pmf_dtau(model, tau, m)[1:]
+
+    tail = np.zeros((nodes, m))
+    z = 2.0 * th * tau
+    for ll in range(1, m + 1):
+        coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
+        tail += np.outer(coef, M[ll, 1 : m + 1])
+
+    wA = (sw[:, None] * uw * th * tau * np.exp(-lam_st)).ravel()
+    wB = sw[:, None] * uw * tau * gd
+    Qa = np.zeros(((m + 1) * s.size, (m + 1) ** 2))
+    Qb = np.zeros((m * s.size, (m + 1) ** 2))
+    acc = np.zeros((m, m))
+    for xv, xw in zip(xi, xiw):
+        pois_x = poisson_table(xv * lam_st, m)
+        p_y = M.T @ poisson_table(xv * th * tau, m)
+        pois_s = poisson_table((1 - xv) * th * tau, m)
+        Y = (p_y[:, None] * pois_s).reshape(-1, u.size)
+        X = (M.T @ pois_x.reshape(m + 1, -1)) * wA
+        Qa += xw * (X.reshape(-1, u.size) @ Y.T)
+        Qb += xw * ((pois_x[0] * wB).reshape(-1, u.size) @ Y.T)
+        inner2 = np.einsum("u,ju,uv->jv", uw, p_y, tail)[1:, :]
+
+        innerC = np.einsum("s,asu,su->ua", sw, gd, pois_x[0])
+        ecc = np.einsum("u,bu,u,ua->ab", uw, gd1, tau / th, innerC)
+        acc += xw * (inner2 + inner2.T + ecc + ecc.T - 4.0 * pp)
+
+    Ja = _shift_add(Qa.reshape(m + 1, s.size, m + 1, m + 1), BT, m)
+    Jb = _shift_add(Qb.reshape(m, s.size, m + 1, m + 1), BT[..., :1], m)[:m, 1:]
+    acc += (Ja + Ja.T)[1:, 1:] + Jb + Jb.T
+    return 2.0 * acc
+
+
 def hand_sliding_integrand_iid(xv):
     """Hand-reduced xi-integrand of the iid m=1 sliding-blocks covariance.
 
@@ -224,6 +282,13 @@ def test_quadrature_spec_validation():
         QuadratureSpec(tolerance=0.0)
     spec = QuadratureSpec()
     assert spec.nodes_1d == 64 and spec.refinement
+    # a NaN tolerance used to switch the node-doubling check off, and a
+    # fractional node count failed inside scipy
+    for name, value in [("tolerance", float("nan")), ("tolerance", float("inf")),
+                        ("nodes_1d", 24.5), ("nodes_1d", float("nan"))]:
+        with pytest.raises(ValueError, match=name):
+            QuadratureSpec(**{name: value})
+    assert type(QuadratureSpec(nodes_1d=24.0).nodes_1d) is int
 
 
 def test_cov_matrix_validation():
@@ -345,6 +410,30 @@ def test_sigma_sb_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("nodes", [8, 24])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "model", [iid_model(), GEOM, GEOM3], ids=["iid", "geometric0.5", "geometric0.3"]
+)
+def test_sigma_sb_entries_match_the_per_xi_loop(model, m, nodes):
+    got = _sigma_sb_entries(model, m, nodes)
+    np.testing.assert_allclose(
+        got, per_xi_sigma_sb_entries(model, m, nodes), rtol=0, atol=1e-15
+    )
+
+
+def test_sigma_sb_entries_peak_memory_stays_below_the_per_xi_loop():
+    # the bound is the per-xi loop's peak here, after a warm-up call
+    _sigma_sb_entries(GEOM, 3, 8)
+    tracemalloc.start()
+    try:
+        _sigma_sb_entries(GEOM, 3, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18_014_364
 
 
 def test_sigma_sb_symmetry(iid_covs):

@@ -302,3 +302,21 @@ def test_read_config_errors(tmp_path):
     bad.write_text("n = 500\n")
     with pytest.raises(ValueError, match="model_kind"):
         read_config(bad)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("n = 2000.5", "n: expected an integer, got '2000.5'"),
+        ("block_grid = 6, 7.5", "block_grid: expected an integer, got '7.5'"),
+        ("model_param = abc", "model_param: expected a number, got 'abc'"),
+        ("truth_pi = 0.8, x", "truth_pi: expected a number, got 'x'"),
+    ],
+    ids=["int", "int-list", "float", "float-list"],
+)
+def test_read_config_names_line_and_key_of_a_bad_value(tmp_path, line, reason):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"model_kind = armax\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        read_config(bad)
+    assert str(exc.value) == f"{bad}:2: {reason}"
