@@ -35,7 +35,7 @@ from .cpmodel import (
     max_ar_family,
     pbar_theory,
 )
-from .errors import DegenerateEstimateError, NumericFailureError, UnsupportedModelError
+from .errors import DegenerateEstimateError, FieldError, NumericFailureError, UnsupportedModelError
 from .estimators import (
     ClusterSizeEstimator,
     PbarEstimate,
@@ -56,6 +56,7 @@ __all__ = [
     "CppModel",
     "DegenerateEstimateError",
     "ExperimentConfig",
+    "FieldError",
     "ModelSpec",
     "NumericFailureError",
     "PbarEstimate",

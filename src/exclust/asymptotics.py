@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from math import factorial, isfinite
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .base import _integral
 from .cpmodel import (
@@ -256,11 +255,13 @@ def _sigma_sb_entries(model, m, nodes):
     gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
     gd1 = cpp_pmf_dtau(model, tau, m)[1:]
 
-    # closed-form tail of the indicator-smooth mu-integral beyond mu = tau
+    # closed-form tail of the indicator-smooth mu-integral beyond mu = tau;
+    # at integer l the regularized upper incomplete gamma Q(l, z) is the
+    # Poisson(z) probability of fewer than l events, upper[l - 1]
     tail = np.zeros((nodes, m))
-    z = 2.0 * th * tau
+    upper = np.cumsum(poisson_table(2.0 * th * tau, m), axis=0)
     for ll in range(1, m + 1):
-        coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
+        coef = upper[ll - 1] / 2.0**ll - upper[ll] / 2.0 ** (ll + 1)
         tail += np.outer(coef, M[ll, 1 : m + 1])
 
     # xi-free weights, u-major: indicator-indicator with the private piece's
@@ -379,14 +380,22 @@ def mu2_robert(tau):
 def robert_crossover(variance, bracket=(1e-8, 50.0)):
     """Block-scale tau at which mu2_robert first exceeds `variance`.
 
-    mu2_robert is strictly increasing, so the crossing is unique.
+    mu2_robert is strictly increasing, so the crossing is unique, and a
+    bisection halves the bracket until it is at most 1e-12 wide (46 steps
+    from the default bracket) or no float lies between its ends.
     """
-    from scipy.optimize import brentq  # the only optimizer call; load it on demand
-
     lo, hi = bracket
     if not mu2_robert(lo) < variance < mu2_robert(hi):
         raise ValueError(f"variance {variance:g} is not bracketed by {bracket}")
-    return float(brentq(lambda t: mu2_robert(t) - variance, lo, hi, xtol=1e-12))
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mu2_robert(mid) < variance:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
 
 
 def disjoint_process_var(model, tau, j):

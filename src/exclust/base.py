@@ -6,8 +6,11 @@ import numbers
 
 
 def _integral(name, value):
-    """Return ``value`` as an int; it must be a finite integral number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+    """Return ``value`` as an int; it must be a finite integral number and
+    not a bool, which would otherwise pass as 0 or 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+    ):
         raise ValueError(f"{name}={value} is not an integer")
     return int(value)
 
@@ -20,11 +23,15 @@ def check_block_size(n, b):
     return b
 
 
-def check_m_max(m_max):
-    """Return the count cap m_max as an int; m_max must be integral and >= 1."""
+def check_m_max(m_max, n=None):
+    """Return the count cap m_max as an int; m_max must be integral and >= 1,
+    and at most the sample size n when one is given: no block holds more
+    exceedances, and an estimate carries one value per count."""
     m_max = _integral("m_max", m_max)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if n is not None and m_max > n:
+        raise ValueError(f"m_max={m_max} exceeds the sample size n={n}")
     return m_max
 
 

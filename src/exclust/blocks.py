@@ -21,12 +21,15 @@ _SCALES = ("z", "y")
 
 
 class Sample:
-    """A series validated as a 1-d float array ``x`` of n >= 2 finite values;
-    ``sorted`` and ``ranks`` are computed on first use and kept, and so is the
-    last sliding tops table built on each scale."""
+    """A series validated as a 1-d float array ``x`` of n >= 2 finite real
+    values; ``sorted`` and ``ranks`` are computed on first use and kept, and
+    so is the last sliding tops table built on each scale."""
 
     def __init__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            raise ValueError("sample x must be real, got complex values")
+        x = x.astype(float, copy=False)
         if x.ndim != 1:
             raise ValueError(f"sample must be one-dimensional, got shape {x.shape}")
         if x.size < 2:
@@ -128,6 +131,22 @@ def _joined_tops(parts, cap):
         neg.sort(axis=1)
         np.negative(neg, out=tops[lo : lo + _CHUNK, :width])
     return tops
+
+
+def count_cap(b, m_max):
+    """Tops columns that tell the counts 0..m_max apart from larger ones:
+    m_max + 1, but at most b, as a block of b entries has no more
+    exceedances.  So a tops table needs at most n*b entries, whatever m_max."""
+    return min(m_max + 1, b)
+
+
+def pad_counts(counts, width):
+    """``counts`` with zero columns appended up to ``width`` on its last axis:
+    the counts beyond a :func:`count_cap` of b, which no block reaches."""
+    short = width - counts.shape[-1]
+    if short <= 0:
+        return counts
+    return np.concatenate((counts, np.zeros(counts.shape[:-1] + (short,), counts.dtype)), axis=-1)
 
 
 def exceedance_histogram(tops, thresholds):

@@ -27,8 +27,8 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_legendre
 
+from .base import _integral
 from .errors import UnsupportedModelError
 
 __all__ = [
@@ -210,10 +210,57 @@ def pbar_theory(model, m_max):
     return Pmf(w, trunc_mass=max(0.0, 0.5 - w.sum()))
 
 
+def _legendre_pair(n, d):
+    """P_n, P_{n-1} and P_n - P_{n-1} at x = 1 - d.
+
+    The three-term recurrence runs on the differences P_k - P_{k-1}, so the
+    values keep their relative accuracy near x = 1, where x itself has
+    rounded away the low digits of d.
+    """
+    prev, cur, diff = np.ones_like(d), 1.0 - d, -d
+    for k in range(1, n):
+        diff = (k * diff - (2 * k + 1) * d * cur) / (k + 1)
+        prev, cur = cur, cur + diff
+    return cur, prev, diff
+
+
+@lru_cache(maxsize=32)
 def gauss_legendre_01(n):
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    """Gauss-Legendre nodes and weights on (0, 1), cached per n and read-only.
+
+    The nodes x = cos(theta) >= 0 of P_n come from Newton steps in theta,
+    started at pi (4k - 1) / (4n + 2); the others follow by symmetry.  The
+    weights 2 sin(theta)^2 / (n P_{n-1}(x))^2 are scaled to sum to 2 on
+    (-1, 1).  Working in theta and in d = 1 - x = 2 sin(theta/2)^2 avoids
+    the cancellation in 1 - x^2 near the ends.
+
+    For n up to 1024 the rule on (0, 1) agrees with
+    scipy.special.roots_legendre within 2.3e-16 in the nodes and 6.7e-14 in
+    the weights.  Most of that is scipy's error near the ends: against
+    50-digit values (n <= 128) these weights are within 2e-16 on (0, 1),
+    scipy's within 1.3e-14.
+    """
+    n = _integral("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    for _ in range(10):  # from this start 4 steps suffice, n = 1..4096
+        d = 2.0 * np.sin(theta / 2.0) ** 2
+        p, _, diff = _legendre_pair(n, d)
+        step = p * np.sin(theta) / (n * (diff - d * p))  # P_n / (d P_n / d theta)
+        theta = theta - step
+        if np.max(np.abs(step)) < 1e-14:
+            break
+    q = _legendre_pair(n, 2.0 * np.sin(theta / 2.0) ** 2)[1]
+    w = 2.0 * np.sin(theta) ** 2 / (n * q) ** 2
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0  # the middle node
+    x = np.concatenate((-x, x[::-1][n % 2 :]))
+    w = np.concatenate((w, w[::-1][n % 2 :]))
+    u, wu = (x + 1.0) / 2.0, w / w.sum()
+    u.flags.writeable = wu.flags.writeable = False  # shared by every caller through the cache
+    return u, wu
 
 
 def gauss_legendre_panels(n, knots):

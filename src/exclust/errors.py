@@ -28,5 +28,14 @@ class NumericFailureError(RuntimeError):
         self.delta = delta
 
 
+class FieldError(ValueError):
+    """A value that fails validation; ``field`` names the field that holds it,
+    so a config reader can point at the line that set it."""
+
+    def __init__(self, field, detail):
+        super().__init__(detail)
+        self.field = field
+
+
 class UnsupportedModelError(ValueError):
     """The requested computation needs model ingredients that are absent."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import blocks
 from .base import FitMixin, _integral, check_block_size, check_m_max
-from .blocks import exceedance_histogram, sample
+from .blocks import count_cap, exceedance_histogram, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -145,7 +145,7 @@ def _sliding_input(x, b, thresholds, m_max):
     P = x.x.size - b + 1
     if thresholds.shape != (P,):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    return x, b, thresholds, check_m_max(m_max)
+    return x, b, thresholds, check_m_max(m_max, x.x.size)
 
 
 def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
@@ -157,7 +157,8 @@ def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
     The output equals :func:`sliding_pair_naive` exactly.
     """
     x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
-    return _far_pair_counts(x.tops(b, "sliding", scale, m_max + 1), thresholds, b)
+    tops = x.tops(b, "sliding", scale, count_cap(b, m_max))
+    return pad_counts(_far_pair_counts(tops, thresholds, b), m_max + 2)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
@@ -177,10 +178,11 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     """Pair-averaged estimate of pbar(1..m_max) from one sample."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
-    m_max = check_m_max(m_max)
-    tops = x.tops(b, mode, scale, m_max + 1)
+    m_max = check_m_max(m_max, x.x.size)
+    tops = x.tops(b, mode, scale, count_cap(b, m_max))
     thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
     hist = _far_pair_counts(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)
+    hist = pad_counts(hist, m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 
     counts = hist[1 : m_max + 1].astype(np.int64)
@@ -214,6 +216,8 @@ def theta_hat(pi, m=None):
     partial mean cluster size is zero or negative.
     """
     values = np.asarray(getattr(pi, "values", pi), dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"pi must be one-dimensional, got shape {values.shape}")
     m = values.size if m is None else _integral("m", m)
     if not 1 <= m <= values.size:
         raise ValueError(f"m must lie in 1..{values.size}, got {m}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .base import _integral, check_block_size, check_m_max
 from .blocks import Sample
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
-from .errors import DegenerateEstimateError
+from .errors import DegenerateEstimateError, FieldError
 from .estimators import pbar_hat, pi_from_pbar
 from .simulate import ModelSpec, gen, substream_seed
 
@@ -64,6 +65,32 @@ _FIXED_TRUTH = {
 }
 
 
+# ModelSpec fields under their config names
+_SPEC_FIELDS = {"kind": "model_kind", "param": "model_param", "seed": "master_seed"}
+
+
+@contextmanager
+def _field(name):
+    """Raise a ValueError of the block as a :class:`FieldError` of config
+    field ``name``; one that names a ModelSpec field keeps it."""
+    try:
+        yield
+    except FieldError as err:
+        raise FieldError(_SPEC_FIELDS.get(err.field, err.field), str(err)) from None
+    except ValueError as err:
+        raise FieldError(name, str(err)) from None
+
+
+def _sequence(name, value):
+    """``value`` as a tuple; a string or a scalar is refused by name."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
@@ -79,31 +106,43 @@ class ExperimentConfig:
     truth_pi: tuple | None = None
 
     def __post_init__(self):
+        """Check every field, so that a bad value fails here, raising a
+        :class:`FieldError` that names it, and not halfway through a run."""
         for name in ("n", "reps", "burnin", "master_seed"):
-            object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
-        object.__setattr__(self, "block_grid", grid)
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+            with _field(name):
+                object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        with _field("master_seed"):
+            seed = substream_seed(self.master_seed, 0)
+        with _field("model_kind"):
+            ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, seed)
+        with _field("reps"):
+            if self.reps < 2:
+                raise ValueError(f"reps must be >= 2, got {self.reps}")
+        with _field("m_max"):
+            object.__setattr__(self, "m_max", check_m_max(self.m_max, self.n))
         for name in ("block_grid", "estimators"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
-        if self.truth_pi is not None:
-            object.__setattr__(self, "truth_pi", tuple(float(v) for v in self.truth_pi))
-        if self.reps < 2:
-            raise ValueError(f"reps must be >= 2, got {self.reps}")
-        object.__setattr__(self, "m_max", check_m_max(self.m_max))
-        odd = [b for b in self.block_grid if b % 2]
-        if odd:
-            raise ValueError(f"block sizes must be even, got {odd}")
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        for est in self.estimators:
-            for b in self.block_grid:
-                check_block_rule(est, self.n, b)
-        # the model spec and master seed are validated eagerly so bad values fail here
-        ModelSpec(self.model_kind, self.n, self.model_param, self.burnin, substream_seed(self.master_seed, 0))
-        self.truth()  # so a model without limit values fails before the first replication
+            with _field(name):
+                object.__setattr__(self, name, _sequence(name, getattr(self, name)))
+                if not getattr(self, name):
+                    raise ValueError(f"{name} must not be empty")
+        with _field("estimators"):
+            unknown = set(self.estimators) - set(ESTIMATORS)
+            if unknown:
+                raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        with _field("block_grid"):
+            grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
+            object.__setattr__(self, "block_grid", grid)
+            odd = [b for b in grid if b % 2]
+            if odd:
+                raise ValueError(f"block sizes must be even, got {odd}")
+            for est in self.estimators:
+                for b in grid:
+                    check_block_rule(est, self.n, b)
+        with _field("truth_pi"):
+            if self.truth_pi is not None:
+                pi = _sequence("truth_pi", self.truth_pi)
+                object.__setattr__(self, "truth_pi", tuple(float(v) for v in pi))
+            self.truth()  # so a model without limit values fails before the first replication
 
     def truth(self):
         """(theta, pi(1..m_max)) the summaries are centered on."""
@@ -357,11 +396,13 @@ _PARSERS = {
 def read_config(path):
     """Parse a flat key=value file into an ExperimentConfig.
 
-    Keys mirror the config field names exactly; lists are comma-separated;
-    blank lines and '#' comments are ignored.  A malformed line is reported
-    as ``path:line: ...``.
+    Keys mirror the config field names exactly, each at most once; lists
+    are comma-separated; blank lines and '#' comments are ignored.  A
+    malformed line, or a value the config refuses, is reported as
+    ``path:line: key: ...`` (``path: key: ...`` for a field the file left at
+    its default).
     """
-    kwargs = {}
+    kwargs, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -373,10 +414,17 @@ def read_config(path):
             key = key.strip()
             if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key}: repeats the key set on line {lines[key]}")
+            lines[key] = lineno
             try:
                 kwargs[key] = _PARSERS[key](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if "model_kind" not in kwargs:
         raise ValueError(f"{path}: missing required key model_kind")
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except FieldError as err:
+        where = f"{path}:{lines[err.field]}" if err.field in lines else path
+        raise ValueError(f"{where}: {err.field}: {err}") from None

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 __all__ = ["ModelSpec", "gen", "substream_seed"]
 
 KINDS = ("armax", "sqarch", "ar_uniform", "iid_frechet")
@@ -38,24 +40,24 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise FieldError("kind", f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.n < 10:
-            raise ValueError(f"n must be >= 10, got {self.n}")
+            raise FieldError("n", f"n must be >= 10, got {self.n}")
         if self.burnin < 0:
-            raise ValueError(f"burnin must be >= 0, got {self.burnin}")
+            raise FieldError("burnin", f"burnin must be >= 0, got {self.burnin}")
         if not 0 <= int(self.seed) <= _MASK64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise FieldError("seed", "seed must fit in 64 unsigned bits")
         if self.kind == "armax":
             if self.param is None or not 0.0 <= self.param < 1.0:
-                raise ValueError(f"armax needs alpha in [0, 1), got {self.param}")
+                raise FieldError("param", f"armax needs alpha in [0, 1), got {self.param}")
         elif self.kind == "sqarch":
             if self.param is None or not 0.0 < self.param < 1.0:
-                raise ValueError(f"sqarch needs lambda in (0, 1), got {self.param}")
+                raise FieldError("param", f"sqarch needs lambda in (0, 1), got {self.param}")
         elif self.kind == "ar_uniform":
             if self.param is None or self.param != int(self.param) or self.param < 2:
-                raise ValueError(f"ar_uniform needs integer r >= 2, got {self.param}")
+                raise FieldError("param", f"ar_uniform needs integer r >= 2, got {self.param}")
         elif self.param is not None:
-            raise ValueError("iid_frechet takes no parameter")
+            raise FieldError("param", "iid_frechet takes no parameter")
 
 
 def _frechet(rng, size):

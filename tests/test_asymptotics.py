@@ -21,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq
 from scipy.signal import convolve2d
 from scipy.special import gammaincc
 from scipy.stats import poisson
@@ -362,6 +363,66 @@ def test_sigma_db_matches_literal_quadrature_geometric():
     np.testing.assert_allclose(got, ref, atol=1e-6)
 
 
+# sigma_db and sigma_sb at m = 3 as evaluated with scipy's Gauss-Legendre
+# rule and incomplete gamma function; the default spec, and nodes_1d=32 for
+# the geometric sigma_sb to keep the test short
+SCIPY_RULE_ENTRIES = {
+    ("iid", "db"): [
+        [0.0462962962962985, -0.013888888888888451, -0.012088477366254506],
+        [-0.013888888888888465, 0.017746913580246507, -0.0005572702331965371],
+        [-0.012088477366254506, -0.0005572702331965371, 0.008952046181984474],
+    ],
+    ("iid", "sb"): [
+        [0.023678802548407485, -0.0053890420505764425, -0.006932230073791401],
+        [-0.0053890420505764425, 0.00720977496180876, 0.000522540639169719],
+        [-0.006932230073791401, 0.000522540639169719, 0.003816148890855589],
+    ],
+    (0.5, "db"): [
+        [0.013796296296296223, 0.004668209876543178, 0.0014980719369568907],
+        [0.004668209876543185, 0.006350197187928647, 0.0005120073875530644],
+        [0.0014980719369568976, 0.0005120073875530644, 0.0033366163228411364],
+    ],
+    (0.5, "sb"): [
+        [0.009611737507898413, 0.003719500083251309, 0.001077303716414152],
+        [0.003719500083251309, 0.0039035128782621623, 0.0006211898014867323],
+        [0.001077303716414152, 0.0006211898014867254, 0.0017824115415376665],
+    ],
+    (0.3, "db"): [
+        [0.027007806483231936, 0.0009823155321182636, -0.003005010791495219],
+        [0.0009823155321182636, 0.009785354647880697, -0.0015912488883226203],
+        [-0.003005010791495219, -0.0015912488883226203, 0.005575503676948555],
+    ],
+    (0.3, "sb"): [
+        [0.0172651461896233, 0.0015284870154270297, -0.0019857200185992296],
+        [0.0015284870154270436, 0.005127850755463237, -0.000517709821291297],
+        [-0.0019857200185992435, -0.000517709821291297, 0.002642711986405571],
+    ],
+}
+
+
+@pytest.mark.parametrize("model, kind", list(SCIPY_RULE_ENTRIES))
+def test_covariances_match_the_scipy_rule(model, kind):
+    mdl = {"iid": iid_model(), 0.5: GEOM, 0.3: GEOM3}[model]
+    evaluate = sigma_db if kind == "db" else sigma_sb
+    nodes = 32 if (model, kind) in ((0.5, "sb"), (0.3, "sb")) else 64
+    want = np.array(SCIPY_RULE_ENTRIES[model, kind])
+    for m in (1, 2, 3):
+        got = evaluate(mdl, m, QuadratureSpec(nodes_1d=nodes)).entries
+        assert np.max(np.abs(got - want[:m, :m])) <= 5e-14
+
+
+def test_sigma_db_iid_constant_to_round_off(iid_covs):
+    assert abs(iid_covs[1][0].entries[0, 0] - 5 / 108) <= 5e-15
+
+
+def test_poisson_sum_is_the_upper_incomplete_gamma():
+    # the tail in _sigma_sb_entries: at integer l, Q(l, z) = P(Poisson(z) < l)
+    z = np.linspace(0.0, 40.0, 801)
+    upper = np.cumsum(poisson_table(z, 5), axis=0)
+    for ll in range(1, 7):
+        assert np.max(np.abs(upper[ll - 1] - gammaincc(ll, z))) <= 1e-15
+
+
 def test_sigma_db_symmetry(iid_covs):
     db3, _ = iid_covs[3]
     assert np.max(np.abs(db3.entries - db3.entries.T)) < 1e-10
@@ -609,6 +670,12 @@ def test_robert_crossover():
     np.testing.assert_allclose(mu2_robert(t), 20 / 27, atol=1e-10)
     with pytest.raises(ValueError):
         robert_crossover(-1.0)
+
+
+@pytest.mark.parametrize("variance", [1e-6, 0.01, 20 / 27, 1.0, 7.5, 1e4])
+def test_robert_crossover_matches_brentq(variance):
+    want = brentq(lambda t: mu2_robert(t) - variance, 1e-8, 50.0, xtol=1e-12)
+    assert abs(robert_crossover(variance) - want) <= 2e-12
 
 
 def test_disjoint_process_var_closed_forms():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from exclust.cpmodel import (
     PBAR_AT_ZERO,
@@ -192,6 +193,13 @@ def test_pbar_integral_oracle_matches_theory(model):
     theory = pbar_theory(model, 5)
     quad = pbar_integral_oracle(model, 5)
     np.testing.assert_allclose(quad.weights[1:], theory.weights[1:], atol=1e-8)
+
+
+def test_pbar_integral_oracle_matches_the_scipy_rule():
+    # the oracle's 1024-node values with scipy's Gauss-Legendre rule
+    want = [0.12500000000011602, 0.09375000000085985, 0.07031250000361566, 0.05273437501117433]
+    got = pbar_integral_oracle(GEOM, 4).weights[1:]
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_pbar_unreachable_support():
@@ -385,6 +393,34 @@ def test_gauss_legendre_01():
     assert np.all((x > 0) & (x < 1))
     np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-14)
     np.testing.assert_allclose((w * x**3).sum(), 0.25, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 64, 128, 1024])
+def test_gauss_legendre_01_matches_scipy(n):
+    # the rule on (0, 1) against scipy's on (-1, 1), mapped the same way
+    x, w = gauss_legendre_01(n)
+    xs, ws = roots_legendre(n)
+    assert np.max(np.abs(x - (xs + 1.0) / 2.0)) <= 4.5e-16
+    assert np.max(np.abs(w - ws / 2.0)) <= 5e-14
+    assert np.all(np.diff(x) > 0) and np.all((x > 0) & (x < 1)) and np.all(w > 0)
+    assert abs(w.sum() - 1.0) <= 1e-15
+    # exact on x^k for k <= 2n - 1, up to round-off: 1e-14 relative, or k
+    # ulps where x**k itself carries that much (scipy's rule misses 1e-14
+    # from n = 64 on)
+    for k in range(2 * n):
+        assert abs((w * x**k).sum() * (k + 1) - 1.0) <= max(1e-14, k * np.finfo(float).eps)
+
+
+def test_gauss_legendre_01_is_cached_and_read_only():
+    x, w = gauss_legendre_01(24)
+    again = gauss_legendre_01(24)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    for bad in (0, -3, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="n"):
+            gauss_legendre_01(bad)
 
 
 def test_gauss_legendre_panels():

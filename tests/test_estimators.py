@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exclust import blocks
+from exclust import blocks, competitors, estimators
 from exclust.blocks import Sample, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
@@ -159,6 +159,62 @@ def test_non_finite_block_size_or_count_cap_is_named():
         hsing_pi(x, float("inf"))
     with pytest.raises(ValueError, match=r"m_max=-inf is not an integer"):
         robert_pi(x, CompetitorSpec("robert", 5, m_max=-np.inf))
+
+
+def test_bools_complex_samples_and_matrices_are_refused_by_name():
+    # a bool passed as 1, a complex sample lost its imaginary part with only
+    # a ComplexWarning, and a matrix failed inside numpy with a broadcast error
+    x = gen(ModelSpec("armax", 50, 0.5, seed=3))
+    with pytest.raises(ValueError, match=r"m_max=True is not an integer"):
+        pbar_hat(x, 5, m_max=True)
+    with pytest.raises(ValueError, match=r"b=True is not an integer"):
+        pbar_hat(x, True)
+    with pytest.raises(ValueError, match=r"x must be real"):
+        pbar_hat(x + 1j, 5)
+    with pytest.raises(ValueError, match=r"pi must be one-dimensional, got shape \(2, 2\)"):
+        theta_hat(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("b", [4, 7])
+def test_count_tables_capped_at_the_block_length_change_no_output(b):
+    # with m_max + 1 > b the tops tables keep b columns and the counts are
+    # padded with zeros; the outputs equal those of full m_max + 1 columns
+    x = gen(ModelSpec("armax", 120, 0.5, seed=5))
+    thr = np.quantile(x, 0.8) * np.ones(x.size - b + 1)
+
+    def outputs():
+        for m_max in range(b - 1, b + 4):
+            for mode in ("disjoint", "sliding"):
+                for scale in ("z", "y"):
+                    est = pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max)
+                    yield est.counts
+                    yield est.values
+            yield sliding_pair_counts(x, b, thr, m_max)
+            yield hsing_pi(x, max(b, 4), m_max).values
+            yield robert_pi(x, CompetitorSpec("robert", b, m_max=m_max)).values
+
+    capped = list(outputs())
+    full = lambda b, m_max: m_max + 1  # noqa: E731  (every column up to m_max + 1)
+    with mock.patch.object(estimators, "count_cap", full), mock.patch.object(competitors, "count_cap", full):
+        uncapped = list(outputs())
+    for got, want in zip(capped, uncapped, strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_count_cap_bounds_memory_by_the_block_length():
+    # with tops tables of m_max + 1 columns this call peaked at 194 MB, and
+    # m_max=10**12 raised MemoryError
+    x = gen(ModelSpec("armax", 2000, 0.5, seed=3))
+    tracemalloc.start()
+    try:
+        est = pbar_hat(x, 6, m_max=2000)
+        with pytest.raises(ValueError, match=r"m_max=1000000000000 exceeds the sample size n=2000"):
+            pbar_hat(x, 6, m_max=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.values.shape == (2000,) and not est.values[6:].any()
+    assert peak <= 2_000_000
 
 
 def test_pbar_hat_rejects_non_integral_block_size():

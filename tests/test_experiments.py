@@ -6,7 +6,7 @@ import pytest
 
 import exclust.experiments as ex
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
-from exclust.errors import DegenerateEstimateError
+from exclust.errors import DegenerateEstimateError, FieldError
 from exclust.estimators import pbar_hat, pi_from_pbar
 from exclust.experiments import (
     ExperimentConfig,
@@ -83,6 +83,37 @@ def test_config_rejects_non_integral_counts_and_empty_grids():
         ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6,), master_seed=-1)
     cfg = ExperimentConfig("armax", 0.5, n=200.0, reps=np.int64(2), block_grid=(6,), burnin=np.float64(5))
     assert (type(cfg.n), type(cfg.reps), type(cfg.burnin)) == (int, int, int)
+
+
+def test_config_refuses_a_scalar_or_string_for_a_list_by_name():
+    # block_grid=6 raised TypeError; estimators="sb-z" was split into characters
+    with pytest.raises(ValueError, match=r"block_grid must be a sequence, got 6"):
+        ExperimentConfig("armax", 0.5, block_grid=6)
+    with pytest.raises(ValueError, match=r"estimators must be a sequence, got 'sb-z'"):
+        ExperimentConfig("armax", 0.5, estimators="sb-z")
+    with pytest.raises(ValueError, match=r"truth_pi must be a sequence, got 0\.5"):
+        ExperimentConfig("armax", 0.5, truth_theta=0.5, truth_pi=0.5)
+
+
+def test_config_names_the_field_of_a_bad_value():
+    # n=0 was reported as "block size b=6 out of range for n=0"
+    with pytest.raises(FieldError, match=r"^n must be >= 10, got 0$") as exc:
+        ExperimentConfig("armax", 0.5, n=0)
+    assert exc.value.field == "n"
+    cases = {
+        "model_kind": dict(model_kind="garch"),
+        "model_param": dict(model_param=1.5),
+        "master_seed": dict(master_seed=-1),
+        "reps": dict(reps=1),
+        "m_max": dict(m_max=True),
+        "block_grid": dict(block_grid=(7,)),
+        "estimators": dict(estimators=("runs",)),
+        "truth_pi": dict(model_kind="sqarch", model_param=0.3),
+    }
+    for field, kwargs in cases.items():
+        with pytest.raises(FieldError) as exc:
+            ExperimentConfig(**{"model_kind": "armax", "model_param": 0.5, **kwargs})
+        assert exc.value.field == field
 
 
 def test_config_without_limit_values_fails_before_the_first_replication(monkeypatch):
@@ -289,6 +320,42 @@ def test_read_config_truth_override(tmp_path):
     )
     theta, pi = read_config(cfg_file).truth()
     assert theta == 0.8
+
+
+def test_read_config_refuses_a_repeated_key(tmp_path):
+    # the last of the two used to win without a word
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model_kind = armax\nn = 500\n\nn = 700\n")
+    with pytest.raises(ValueError) as exc:
+        read_config(bad)
+    assert str(exc.value) == f"{bad}:4: n: repeats the key set on line 2"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("model_param = 0.5\nn = 0\n", "3: n: n must be >= 10, got 0"),
+        ("model_param = 1.5\n", "2: model_param: armax needs alpha in [0, 1), got 1.5"),
+        ("model_param = 0.5\nestimators = sb-z, runs\n", "3: estimators: unknown estimators: ['runs']"),
+        ("model_param = 0.5\nn = 200\nm_max = 300\n", "4: m_max: m_max=300 exceeds the sample size n=200"),
+    ],
+    ids=["n", "model_param", "estimators", "m_max"],
+)
+def test_read_config_names_line_and_key_of_a_refused_value(tmp_path, text, reason):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model_kind = armax\n" + text)
+    with pytest.raises(ValueError) as exc:
+        read_config(bad)
+    assert str(exc.value) == f"{bad}:{reason}"
+
+
+def test_read_config_names_a_default_field_without_a_line(tmp_path):
+    # the grid is left at its default, which n = 20 cannot hold
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model_kind = armax\nmodel_param = 0.5\nn = 20\n")
+    with pytest.raises(ValueError) as exc:
+        read_config(bad)
+    assert str(exc.value) == f"{bad}: block_grid: block size b=12 out of range for n=20: need 2 <= b <= n/2"
 
 
 def test_read_config_errors(tmp_path):

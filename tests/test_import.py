@@ -1,4 +1,4 @@
-"""What a bare ``import exclust`` loads."""
+"""What a bare ``import exclust`` loads, and that the package runs without scipy."""
 import json
 import os
 import subprocess
@@ -6,17 +6,33 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # scipy.signal and scipy.optimize each take about half a second to load
-    # and pull in scipy.stats; only scipy.special belongs on the import path
+def _run(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    code = "import json, sys, exclust; print(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = json.loads(out)
-    heavy = {"scipy.signal", "scipy.stats", "scipy.optimize"}
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
-    assert "scipy.special" in loaded
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it took most of the start-up
+    loaded = json.loads(_run("import json, sys, exclust; print(json.dumps(sorted(sys.modules)))"))
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_runs_with_scipy_unimportable():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    out = _run(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from exclust.asymptotics import robert_crossover\n"
+        "from exclust.cli import main\n"
+        "assert main(['variance', '--model', 'iid', '--kind', 'sb', '--m', '3']) == 0\n"
+        "print(repr(robert_crossover(20 / 27)))\n"
+    )
+    # the variance table as printed when the quadrature rule came from scipy
+    table, crossover = out.rsplit("\n", 2)[:2]
+    assert table + "\n" == (DATA / "variance_iid_sb_m3.txt").read_text()
+    assert abs(float(crossover) - 0.7573) <= 1e-3
