@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import comb, isfinite
 
 import numpy as np
 
-from .base import _integral
+from .base import _integral, check_count
 from .cpmodel import (
     bivar_powers,
     conv_powers,
@@ -69,10 +69,7 @@ class QuadratureSpec:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        nodes = _integral("nodes_1d", self.nodes_1d)
-        if nodes < 8:
-            raise ValueError(f"nodes_1d must be >= 8, got {nodes}")
-        object.__setattr__(self, "nodes_1d", nodes)
+        object.__setattr__(self, "nodes_1d", check_count("nodes_1d", self.nodes_1d, 8))
         tol = self.tolerance
         if not (isinstance(tol, numbers.Real) and isfinite(tol) and tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -181,37 +178,32 @@ def _sigma_db_entries(model, m, nodes):
     t_ind = np.einsum("t,tk,tkab->ab", w, wk, sym)[1:, 1:]
 
     # indicator-smooth: integration by parts in the smooth coordinate, with
-    # the level-mu tail law Pois_k(theta tau) B_{mu/tau}^{*k}(j, 0)
-    G = np.zeros((s.size, m + 1, m + 1))
-    for kk in range(m + 1):
-        for ll in range(1, m + 1):
-            G[:, kk, ll] = s ** (ll - 1) * factorial(kk + ll) / (
-                factorial(ll - 1) * factorial(kk) * (2.0 + s) ** (kk + ll + 1)
-            ) - s**ll * factorial(kk + ll + 1) / (
-                factorial(ll) * factorial(kk) * (2.0 + s) ** (kk + ll + 2)
-            )
+    # the level-mu tail law Pois_k(theta tau) B_{mu/tau}^{*k}(j, 0); G[t, k, l]
+    # and C[k, l] below are binomial C(k + l, k) times powers of s, 2 + s, 3
+    kk, binom = k[:, None], np.array([[comb(a + c, a) for c in k] for a in k], dtype=float)
+    ss = s[:, None, None]
+    G = np.where(k > 0, binom * ss ** (k - 1) * (k - (kk + k + 1) * ss / (2.0 + ss))
+                 / (2.0 + ss) ** (kk + k + 1), 0.0)
     t_mix = np.einsum("t,tkj,tkl,lp->jp", w, BT[:, :, :, 0], G, M)[1:, 1:]
 
     # smooth-smooth: shared threshold, fully closed form
-    C = np.zeros((m + 1, m + 1))
-    for kk in range(1, m + 1):
-        for ll in range(1, m + 1):
-            C[kk, ll] = factorial(kk + ll) / (
-                factorial(kk) * factorial(ll) * 3.0 ** (kk + ll + 1)
-            )
+    C = np.where((kk > 0) & (k > 0), binom / 3.0 ** (kk + k + 1), 0.0)
     t_zz = np.einsum("kj,lp,kl->jp", M, M, C)[1:, 1:]
 
     return t_ind + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
 
 
-def sigma_db(model, m, quad=None):
-    """Limit covariance of the disjoint-blocks estimates (pbar(1)..pbar(m))."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def _sigma(model, m, quad, entries, kind):
+    """The CovMatrix of ``kind`` from ``entries(model, m, nodes)``, refined."""
+    m = check_count("m", m, 1)
     quad = quad if quad is not None else QuadratureSpec()
     _require_family(model)
-    entries = _refined(quad, lambda n: _sigma_db_entries(model, m, n))
-    return CovMatrix(m=m, entries=entries, kind="sigma_db")
+    return CovMatrix(m=m, entries=_refined(quad, lambda n: entries(model, m, n)), kind=kind)
+
+
+def sigma_db(model, m, quad=None):
+    """Limit covariance of the disjoint-blocks estimates (pbar(1)..pbar(m))."""
+    return _sigma(model, m, quad, _sigma_db_entries, "sigma_db")
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +298,7 @@ def _sigma_sb_entries(model, m, nodes):
 
 def sigma_sb(model, m, quad=None):
     """Limit covariance of the sliding-blocks estimates (pbar(1)..pbar(m))."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    quad = quad if quad is not None else QuadratureSpec()
-    _require_family(model)
-    entries = _refined(quad, lambda n: _sigma_sb_entries(model, m, n))
-    return CovMatrix(m=m, entries=entries, kind="sigma_sb")
+    return _sigma(model, m, quad, _sigma_sb_entries, "sigma_sb")
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +312,7 @@ def recursion_matrix(pi, pbar, m):
     - 2 sum_{k<j} pbar(j-k) v_k, unrolled to an explicit lower-triangular
     matrix.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = check_count("m", m, 1)
     A = np.zeros((m, m))
     for j in range(1, m + 1):
         row = np.zeros(m)
@@ -355,7 +341,7 @@ def gamma(sigma, A):
 
 def theta_asymp_var(gamma_cov, pi, m=None):
     """Limit variance {sum j pi(j)}^{-4} (1..m) Gamma (1..m)^T of theta-hat."""
-    m = gamma_cov.m if m is None else m
+    m = gamma_cov.m if m is None else _integral("m", m)
     if not 1 <= m <= gamma_cov.m:
         raise ValueError(f"m must lie in 1..{gamma_cov.m}, got {m}")
     denom = float(sum(j * pi[j] for j in range(1, m + 1)))
@@ -402,8 +388,7 @@ def disjoint_process_var(model, tau, j):
     """Variance p(1 - p) of the disjoint-blocks empirical process at (tau, j)."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
+    j = check_count("j", j, 0)
     p = cpp_pmf(model, tau, j)[j]
     return p * (1.0 - p)
 
@@ -417,8 +402,7 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
     """
     if not 0 <= tau <= tau_prime:
         raise ValueError(f"need 0 <= tau <= tau_prime, got ({tau}, {tau_prime})")
-    if j < 0 or j_prime < 0:
-        raise ValueError("counts must be >= 0")
+    j, j_prime = check_count("j", j, 0), check_count("j_prime", j_prime, 0)
     quad = quad if quad is not None else QuadratureSpec()
     _require_family(model)
     if tau_prime == 0:

@@ -1,4 +1,4 @@
-"""Estimator base class and the checks of block size and count cap."""
+"""Estimator base class and the checks of block size, count cap and counts."""
 
 import inspect
 import math
@@ -23,13 +23,19 @@ def check_block_size(n, b):
     return b
 
 
+def check_count(name, value, low):
+    """Return ``value`` as an int; it must be integral and >= ``low``."""
+    value = _integral(name, value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def check_m_max(m_max, n=None):
     """Return the count cap m_max as an int; m_max must be integral and >= 1,
     and at most the sample size n when one is given: no block holds more
     exceedances, and an estimate carries one value per count."""
-    m_max = _integral("m_max", m_max)
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    m_max = check_count("m_max", m_max, 1)
     if n is not None and m_max > n:
         raise ValueError(f"m_max={m_max} exceeds the sample size n={n}")
     return m_max

@@ -2,9 +2,14 @@
 read from one series: its values, sorted values and ranks, and the top order
 statistics of its disjoint or sliding blocks (:func:`block_tops`) on either
 scale.  It keeps the last sliding table per scale, so a run over a growing
-block-size grid extends one table instead of rebuilding it.  Cluster sizes
-are counts of strict exceedances within blocks; :func:`exceedance_histogram`
-counts, for many thresholds at once, the blocks by capped exceedance count.
+block-size grid extends one table instead of rebuilding it.
+
+Cluster sizes are counts of strict exceedances within blocks, and
+:func:`exceedance_histogram` is the one exact kernel that counts them: for
+many thresholds at once, the blocks by capped exceedance count, over all
+blocks, or per block over the blocks at least a radius away.  A tops table
+keeps at most as many columns as a block has entries, so the counts above
+that are zero; :func:`pad_counts` appends them.
 """
 
 from functools import cached_property
@@ -53,12 +58,14 @@ class Sample:
 
     def tops(self, b, mode, scale, cap):
         """:func:`block_tops` of the disjoint or sliding blocks of length b of
-        the values (``scale="z"``) or of their ranks (``scale="y"``), read-only.
+        the values (``scale="z"``) or of their ranks (``scale="y"``), read-only:
+        the ``min(cap, b)`` largest entries of each block.
 
         A sliding table at a larger b and the same cap as the last one on
-        this scale extends it by the entries the windows gained; disjoint
-        tops are every b-th row of the last sliding table when it has this b
-        and cap, and are built directly otherwise.
+        this scale extends it by the entries the windows gained, which is
+        exact: a kept row short of cap columns holds its whole window.
+        Disjoint tops are every b-th row of the last sliding table when it
+        has this b and cap, and are built directly otherwise.
         """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -109,11 +116,11 @@ def disjoint_blocks(x, b):
 
 
 def block_tops(blocks, cap):
-    """The ``cap`` largest entries of each row of ``blocks``, descending.
-
-    Rows shorter than ``cap`` are padded with -inf, which exceeds no
-    threshold.  Rows are processed ``_CHUNK`` at a time, so a strided view
-    of sliding windows is never copied whole.
+    """The ``min(cap, b)`` largest entries of each row of ``blocks`` (rows of
+    b entries), descending: a block of b entries has no more exceedances.
+    So a table needs at most n*b entries, whatever the cap.  Rows are
+    processed ``_CHUNK`` at a time, so a strided view of sliding windows is
+    never copied whole.
     """
     return _joined_tops((blocks,), cap)
 
@@ -121,46 +128,87 @@ def block_tops(blocks, cap):
 def _joined_tops(parts, cap):
     """:func:`block_tops` of the rows of ``parts`` joined side by side."""
     k = len(parts[0])
-    tops = np.full((k, cap), -np.inf)
     width = min(sum(part.shape[1] for part in parts), cap)
+    tops = np.empty((k, width))
     for lo in range(0, k, _CHUNK):
         neg = np.concatenate([part[lo : lo + _CHUNK] for part in parts], axis=1)
         np.negative(neg, out=neg)
-        if neg.shape[1] > cap:
-            neg = np.partition(neg, cap - 1, axis=1)[:, :cap]
+        if neg.shape[1] > width:
+            neg = np.partition(neg, width - 1, axis=1)[:, :width]
         neg.sort(axis=1)
-        np.negative(neg, out=tops[lo : lo + _CHUNK, :width])
+        np.negative(neg, out=tops[lo : lo + _CHUNK])
     return tops
-
-
-def count_cap(b, m_max):
-    """Tops columns that tell the counts 0..m_max apart from larger ones:
-    m_max + 1, but at most b, as a block of b entries has no more
-    exceedances.  So a tops table needs at most n*b entries, whatever m_max."""
-    return min(m_max + 1, b)
 
 
 def pad_counts(counts, width):
     """``counts`` with zero columns appended up to ``width`` on its last axis:
-    the counts beyond a :func:`count_cap` of b, which no block reaches."""
+    the counts above a block's length, which no block reaches."""
     short = width - counts.shape[-1]
     if short <= 0:
         return counts
     return np.concatenate((counts, np.zeros(counts.shape[:-1] + (short,), counts.dtype)), axis=-1)
 
 
-def exceedance_histogram(tops, thresholds):
-    """Row t counts the blocks with exactly c entries above ``thresholds[t]``, c = 0..cap.
+def exceedance_histogram(tops, thresholds, radius=0):
+    """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
+    c = 0..w, where ``tops`` holds the w largest entries of every block
+    (:func:`block_tops`); counts are capped at w.
 
-    ``tops`` holds the ``cap`` largest entries of every block
-    (:func:`block_tops`); counts are capped at ``cap``.  A block's count is
-    < c exactly when its c-th largest entry is <= the threshold, so each
-    column is one ``searchsorted`` into a sorted order-statistic column.
+    With ``radius >= 1`` there is one threshold per block, row q belongs to
+    block q, and it counts only the blocks i' with |q - i'| >= radius: the
+    2*radius - 1 near blocks are subtracted from the count over all blocks.
+
+    A block's count is < c exactly when its c-th largest entry is <= the
+    threshold, so each column is one ``searchsorted`` into a sorted
+    order-statistic column.
     """
     k, cap = tops.shape
+    thresholds = np.asarray(thresholds)
+    if radius and len(thresholds) != k:
+        raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
     # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1
     below = np.zeros((len(thresholds), cap + 2), dtype=np.int64)
     below[:, -1] = k
     for j in range(cap):
         below[:, j + 1] = np.searchsorted(np.sort(tops[:, j]), thresholds, side="right")
-    return np.diff(below, axis=1)
+    hist = np.diff(below, axis=1)
+    del below  # not kept while the near blocks are counted
+    if not radius:
+        return hist
+    q = np.arange(k)
+    hist[:, 0] -= np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0)
+    # near[q, c] = #near blocks whose capped count is >= c + 1; a disjoint
+    # block's only near block is itself
+    near = tops > thresholds[:, None] if radius == 1 else _near_counts(tops, thresholds, radius)
+    hist[:, :-1] += near
+    hist[:, 1:] -= near
+    return hist
+
+
+def _near_counts(tops, thresholds, radius):
+    """Row q counts the blocks i' with |q - i'| < radius whose c-th largest
+    entry exceeds ``thresholds[q]``, in column c - 1.
+
+    Along a run of equal thresholds, row q's near window gains block
+    q + radius - 1 and loses block q - radius.  So the near blocks are
+    compared in full only at run starts (``_CHUNK`` near rows per step),
+    and the counts are carried through each run by a cumulative sum of the
+    +-1 steps.
+    """
+    k, cap = tops.shape
+    width = 2 * radius - 1
+    padded = np.full((k + width, cap), -np.inf)  # block j at row j + radius
+    padded[radius : radius + k] = tops
+    t = thresholds[:, None]
+    steps = (padded[width:] > t).view(np.int8) - (padded[:k] > t).view(np.int8)
+    near = np.cumsum(steps, axis=0, dtype=np.int32)
+    starts = np.flatnonzero(np.concatenate(([True], thresholds[1:] != thresholds[:-1])))
+    shift = near[starts]  # minus the full count at each start, below
+    window = np.arange(1, width + 1)[:, None]
+    per_step = max(1, _CHUNK // width)
+    for lo in range(0, starts.size, per_step):
+        at = starts[lo : lo + per_step]
+        shift[lo : lo + per_step] -= np.add.reduce(
+            padded.take(window + at, axis=0) > t[at], axis=0, dtype=np.int32)
+    near -= np.repeat(shift, np.diff(starts, append=k), axis=0)
+    return near

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import count_cap, exceedance_histogram, pad_counts, sample
+from .blocks import exceedance_histogram, pad_counts, sample
 from .errors import DegenerateEstimateError
 from .estimators import PiEstimate
 
@@ -89,7 +89,7 @@ def hsing_pi(x, b, m_max=5):
     m_max = check_m_max(m_max, n)
     s = 2 * (b - 3)
     v = x.sorted[n - n // s - 1]
-    hist = exceedance_histogram(x.tops(b, "disjoint", "z", count_cap(b, m_max)), [v])[0]
+    hist = exceedance_histogram(x.tops(b, "disjoint", "z", m_max + 1), [v])[0]
     hist = pad_counts(hist, m_max + 2)
     occupied = n // b - hist[0]
     if occupied == 0:
@@ -122,7 +122,8 @@ def ferro_pi(x, b, m_max=5):
     """
     x = sample(x).x
     n = x.size
-    num = 3 * (n // check_block_rule("ferro", n, b))
+    b = check_block_rule("ferro", n, b)
+    num = 3 * (n // b)
     m_max = check_m_max(m_max, n)
     pos = np.sort(np.argsort(-x, kind="stable")[:num])
     T = np.diff(pos).astype(float)
@@ -192,7 +193,7 @@ def robert_pi(x, spec):
     rank = np.ceil(k * taus).astype(np.int64)
     taus, rank = taus[rank <= n], rank[rank <= n]
     thresholds = x.sorted[n - rank]  # the rank-th largest values
-    tops = x.tops(b, "disjoint", "z", count_cap(b, spec.m_max))
+    tops = x.tops(b, "disjoint", "z", spec.m_max + 1)
     phats = pad_counts(exceedance_histogram(tops, thresholds), spec.m_max + 1)[:, : spec.m_max + 1] / k
     acc = np.zeros(spec.m_max)
     used = 0

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .base import _integral
+from .base import check_count
 from .errors import UnsupportedModelError
 
 __all__ = [
@@ -195,6 +195,7 @@ def cpp_pmf(model, tau, m_max):
     """Law of the exceedance count N_tau ~ CPP(theta*tau, pi) on 0..m_max."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    m_max = check_count("m_max", m_max, 0)
     w = poisson_table(model.theta * tau, m_max) @ conv_powers(model.pi, m_max)
     return Pmf(w, trunc_mass=max(0.0, 1.0 - w.sum()))
 
@@ -205,6 +206,7 @@ def pbar_theory(model, m_max):
     The returned weights are indexed by m with index 0 unused (pbar(0) = 1/2
     is the module constant PBAR_AT_ZERO).
     """
+    m_max = check_count("m_max", m_max, 0)
     w = 0.5 ** np.arange(1, m_max + 2) @ conv_powers(model.pi, m_max)
     w[0] = 0.0
     return Pmf(w, trunc_mass=max(0.0, 0.5 - w.sum()))
@@ -240,9 +242,7 @@ def gauss_legendre_01(n):
     50-digit values (n <= 128) these weights are within 2e-16 on (0, 1),
     scipy's within 1.3e-14.
     """
-    n = _integral("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_count("n", n, 1)
     theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
     for _ in range(10):  # from this start 4 steps suffice, n = 1..4096
         d = 2.0 * np.sin(theta / 2.0) ** 2
@@ -314,6 +314,7 @@ def cpp2_pmf(model, tau1, tau2, i_max):
         )
     if not (tau1 >= tau2 >= 0.0) or tau1 <= 0.0:
         raise ValueError(f"need tau1 >= tau2 >= 0 and tau1 > 0, got ({tau1}, {tau2})")
+    i_max = check_count("i_max", i_max, 0)
     pois = poisson_table(model.theta * tau1, i_max)
     B = bivar_powers(model.pi2, [tau2 / tau1], i_max)[0]
     return (pois @ B.reshape(i_max + 1, -1)).reshape(i_max + 1, i_max + 1)

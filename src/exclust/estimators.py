@@ -12,12 +12,13 @@ then turns either estimate into an estimate of pi, and the extremal index is
 estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
 Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
-its block tops from the sample.  Both modes count with the exact integer
-kernel of :mod:`exclust.blocks`; this module subtracts the near blocks left
-out of the pairs, compared in full only where the threshold changes.  At
-fixed b, memory grows linearly in n and time about like n*log(n): sliding
-``pbar_hat`` on an array takes 8-12x per 10x of n at b = 6, 20 and 38, n
-from 2e3 to 2e5, and from n = 2e4 on about the same time at all three b.
+its block tops from the sample.  Both modes take their pair counts from
+:func:`~exclust.blocks.exceedance_histogram`, which leaves out the near
+blocks of each block: itself (disjoint) or the windows that overlap it
+(sliding).  At fixed b, memory grows linearly in n and time about like
+n*log(n): sliding ``pbar_hat`` on an array takes 8-12x per 10x of n at
+b = 6, 20 and 38, n from 2e3 to 2e5, and from n = 2e4 on about the same
+time at all three b.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -27,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import blocks
 from .base import FitMixin, _integral, check_block_size, check_m_max
-from .blocks import count_cap, exceedance_histogram, pad_counts, sample
+from .blocks import exceedance_histogram, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -91,52 +91,6 @@ def _y_thresholds(block_cdf_maxima):
     return 1.0 + np.log(block_cdf_maxima)
 
 
-def _far_pair_counts(tops, thresholds, radius):
-    """Row q counts the blocks i' with |q - i'| >= radius whose capped count
-    above ``thresholds[q]`` equals c, c = 0..cap: the histogram over all
-    blocks minus that of the 2*radius - 1 near blocks.
-    """
-    k, cap = tops.shape
-    q = np.arange(k)
-    far = exceedance_histogram(tops, thresholds)
-    far[:, 0] -= np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0)
-    # near[q, c] = #near blocks whose capped count is >= c + 1; a disjoint
-    # block's only near block is itself
-    near = tops > thresholds[:, None] if radius == 1 else _near_counts(tops, thresholds, radius)
-    far[:, :-1] += near
-    far[:, 1:] -= near
-    return far
-
-
-def _near_counts(tops, thresholds, radius):
-    """Row q counts the blocks i' with |q - i'| < radius whose c-th largest
-    entry exceeds ``thresholds[q]``, in column c - 1.
-
-    Along a run of equal thresholds, row q's near window gains block
-    q + radius - 1 and loses block q - radius.  So the near blocks are
-    compared in full only at run starts (``_CHUNK`` near rows per step),
-    and the counts are carried through each run by a cumulative sum of the
-    +-1 steps.
-    """
-    k, cap = tops.shape
-    width = 2 * radius - 1
-    padded = np.full((k + width, cap), -np.inf)  # block j at row j + radius
-    padded[radius : radius + k] = tops
-    t = thresholds[:, None]
-    steps = (padded[width:] > t).view(np.int8) - (padded[:k] > t).view(np.int8)
-    near = np.cumsum(steps, axis=0, dtype=np.int32)
-    starts = np.flatnonzero(np.concatenate(([True], thresholds[1:] != thresholds[:-1])))
-    shift = near[starts]  # minus the full count at each start, below
-    window = np.arange(1, width + 1)[:, None]
-    per_step = max(1, blocks._CHUNK // width)
-    for lo in range(0, starts.size, per_step):
-        at = starts[lo : lo + per_step]
-        shift[lo : lo + per_step] -= np.add.reduce(
-            padded.take(window + at, axis=0) > t[at], axis=0, dtype=np.int32)
-    near -= np.repeat(shift, np.diff(starts, append=k), axis=0)
-    return near
-
-
 def _sliding_input(x, b, thresholds, m_max):
     """The sample, b, one checked threshold per window start, and m_max."""
     x = sample(x)
@@ -157,8 +111,8 @@ def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
     The output equals :func:`sliding_pair_naive` exactly.
     """
     x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
-    tops = x.tops(b, "sliding", scale, count_cap(b, m_max))
-    return pad_counts(_far_pair_counts(tops, thresholds, b), m_max + 2)
+    tops = x.tops(b, "sliding", scale, m_max + 1)
+    return pad_counts(exceedance_histogram(tops, thresholds, b), m_max + 2)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
@@ -179,9 +133,9 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     x = sample(x)
     b = check_block_size(x.x.size, b)
     m_max = check_m_max(m_max, x.x.size)
-    tops = x.tops(b, mode, scale, count_cap(b, m_max))
+    tops = x.tops(b, mode, scale, m_max + 1)
     thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
-    hist = _far_pair_counts(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)
+    hist = exceedance_histogram(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)
     hist = pad_counts(hist, m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 

@@ -363,6 +363,61 @@ def test_sigma_db_matches_literal_quadrature_geometric():
     np.testing.assert_allclose(got, ref, atol=1e-6)
 
 
+# sigma_db at m = 3 with the default spec, as evaluated by the factorial
+# double loops that the binomial closed forms of G and C replaced
+FACTORIAL_LOOP_DB_ENTRIES = {
+    "iid": [
+        [0.04629629629629628, -0.013888888888888867, -0.012088477366255165],
+        [-0.013888888888888867, 0.01774691358024691, -0.0005572702331961554],
+        [-0.012088477366255165, -0.0005572702331961554, 0.008952046181984454],
+    ],
+    0.5: [
+        [0.013796296296296348, 0.00466820987654324, 0.0014980719369568352],
+        [0.00466820987654324, 0.006350197187928661, 0.0005120073875530921],
+        [0.0014980719369568352, 0.0005120073875530887, 0.003336616322841126],
+    ],
+    0.3: [
+        [0.027007806483231825, 0.000982315532118208, -0.0030050107914953578],
+        [0.000982315532118208, 0.009785354647880579, -0.0015912488883225648],
+        [-0.0030050107914953578, -0.0015912488883225717, 0.005575503676948486],
+    ],
+}
+
+
+@pytest.mark.parametrize("model", list(FACTORIAL_LOOP_DB_ENTRIES))
+def test_sigma_db_closed_forms_match_the_factorial_loops(model):
+    mdl = {"iid": iid_model(), 0.5: GEOM, 0.3: GEOM3}[model]
+    got = sigma_db(mdl, 3).entries
+    assert np.max(np.abs(got - np.array(FACTORIAL_LOOP_DB_ENTRIES[model]))) <= 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sigma_db(iid_model(), 2.5, FAST), r"^m=2\.5 is not an integer$"),
+    (lambda: sigma_db(iid_model(), True, FAST), r"^m=True is not an integer$"),
+    (lambda: sigma_sb(iid_model(), 0, FAST), r"^m must be >= 1, got 0$"),
+    (lambda: recursion_matrix(GEOM.pi, pbar_theory(GEOM, 3), 2.5), r"^m=2\.5 is not an integer$"),
+    (lambda: disjoint_process_var(GEOM, 1.0, 1.5), r"^j=1\.5 is not an integer$"),
+    (lambda: sliding_process_cov(GEOM, 1.0, 1.0, 1.5, 1), r"^j=1\.5 is not an integer$"),
+    (lambda: sliding_process_cov(GEOM, 1.0, 1.0, 1, -1), r"^j_prime must be >= 0, got -1$"),
+    (lambda: theta_asymp_var(CovMatrix(2, np.eye(2), "gamma_db"), GEOM.pi, 1.5),
+     r"^m=1\.5 is not an integer$"),
+], ids=["sigma_db-float", "sigma_db-bool", "sigma_sb-zero", "recursion_matrix", "disjoint_process_var",
+        "sliding_process_cov", "sliding_process_cov-negative", "theta_asymp_var"])
+def test_non_integer_counts_are_refused_by_name(call, message):
+    # each used to fail inside numpy or Python with a TypeError, or (a bool)
+    # to return a CovMatrix with m=True
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integral_float_counts_are_taken_as_ints():
+    # sigma_sb(model, 2.0) used to fail inside numpy with a TypeError
+    got, want = sigma_sb(iid_model(), 2.0, FAST), sigma_sb(iid_model(), 2, FAST)
+    assert type(got.m) is int and np.array_equal(got.entries, want.entries)
+    A = recursion_matrix(GEOM.pi, pbar_theory(GEOM, 3), np.int64(3))
+    assert np.array_equal(A, recursion_matrix(GEOM.pi, pbar_theory(GEOM, 3), 3))
+
+
 # sigma_db and sigma_sb at m = 3 as evaluated with scipy's Gauss-Legendre
 # rule and incomplete gamma function; the default spec, and nodes_1d=32 for
 # the geometric sigma_sb to keep the test short

@@ -53,20 +53,33 @@ def test_sliding_maxima_matches_naive(case):
 
 
 @given(series_and_block(), st.integers(1, 8), st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_exceedance_histogram_matches_literal_counts(case, cap, data):
+    # over all blocks (radius 0), or per block over the blocks at least a
+    # radius away: itself left out (1), or the overlapping windows (r); a
+    # table keeps min(cap, b) columns and the counts are capped there
     x, b = case
     if data.draw(st.booleans()):
         rows = disjoint_blocks(x, b)
     else:
         rows = np.lib.stride_tricks.sliding_window_view(x, b)
-    picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), max_size=6))
+    k, width = len(rows), min(cap, b)
+    radius = data.draw(st.sampled_from([0, 1, data.draw(st.integers(2, k + 1))]))
+    size = {"max_size": 6} if radius == 0 else {"min_size": k, "max_size": k}
+    picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), **size))
     thresholds = np.array(picks, dtype=float)
-    got = exceedance_histogram(block_tops(rows, cap), thresholds)
-    assert got.shape == (thresholds.size, cap + 1)
-    for t, row in zip(thresholds, got):
-        capped = np.minimum((rows > t).sum(axis=1), cap)
-        np.testing.assert_array_equal(row, np.bincount(capped, minlength=cap + 1))
+    got = exceedance_histogram(block_tops(rows, cap), thresholds, radius)
+    assert got.shape == (thresholds.size, width + 1)
+    for q, (t, row) in enumerate(zip(thresholds, got)):
+        far = rows[np.abs(np.arange(k) - q) >= radius]
+        capped = np.minimum((far > t).sum(axis=1), width)
+        np.testing.assert_array_equal(row, np.bincount(capped, minlength=width + 1))
+
+
+def test_exceedance_histogram_needs_one_threshold_per_block_with_a_radius():
+    tops = block_tops(disjoint_blocks(np.arange(12.0), 3), 2)
+    with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
+        exceedance_histogram(tops, np.zeros(3), 1)
 
 
 def test_disjoint_blocks_drop_the_remainder():
@@ -118,9 +131,8 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
             else:
                 rows = np.lib.stride_tricks.sliding_window_view(series, b)
             got = s.tops(b, mode, scale, cap)
-            want = np.full((len(rows), cap), -np.inf)
-            want[:, : min(b, cap)] = -np.sort(-rows, axis=1)[:, :cap]
-            assert np.array_equal(got, want)
+            want = -np.sort(-rows, axis=1)[:, :cap]  # min(cap, b) columns
+            assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(got, block_tops(rows, cap))
 
 

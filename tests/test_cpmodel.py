@@ -138,6 +138,19 @@ def test_count_cap_zero():
     assert conv_powers(GEOM.pi, 0).tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pbar_theory(GEOM, 2.5), r"^m_max=2\.5 is not an integer$"),
+    (lambda: cpp_pmf(GEOM, 1.0, 2.5), r"^m_max=2\.5 is not an integer$"),
+    (lambda: cpp_pmf(GEOM, 1.0, True), r"^m_max=True is not an integer$"),
+    (lambda: cpp_pmf(GEOM, 1.0, -1), r"^m_max must be >= 0, got -1$"),
+    (lambda: cpp2_pmf(GEOM, 1.0, 0.5, 2.5), r"^i_max=2\.5 is not an integer$"),
+], ids=["pbar_theory", "cpp_pmf", "cpp_pmf-bool", "cpp_pmf-negative", "cpp2_pmf"])
+def test_non_integer_counts_are_refused_by_name(call, message):
+    # each used to fail inside numpy with a TypeError or an IndexError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cpp_pmf_rejects_negative_tau():
     with pytest.raises(ValueError):
         cpp_pmf(GEOM, -0.1, 5)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exclust import blocks, competitors, estimators
-from exclust.blocks import Sample, ranks, sliding_maxima
+from exclust import blocks
+from exclust.blocks import Sample, pad_counts, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
@@ -30,6 +30,8 @@ from exclust.estimators import (
     theta_hat,
 )
 from exclust.simulate import ModelSpec, gen, substream_seed
+
+from test_competitors import literal_hsing, literal_robert
 
 
 def ref_pbar_disjoint(x, b, scale, m_max):
@@ -178,27 +180,39 @@ def test_bools_complex_samples_and_matrices_are_refused_by_name():
 @pytest.mark.parametrize("b", [4, 7])
 def test_count_tables_capped_at_the_block_length_change_no_output(b):
     # with m_max + 1 > b the tops tables keep b columns and the counts are
-    # padded with zeros; the outputs equal those of full m_max + 1 columns
+    # padded with zeros: every output still equals its literal reference,
+    # and the counts at m_max >= b are those at b - 1 padded with zeros
     x = gen(ModelSpec("armax", 120, 0.5, seed=5))
     thr = np.quantile(x, 0.8) * np.ones(x.size - b + 1)
+    maxima = {"z": sliding_maxima(x, b), "y": 1.0 + np.log(sliding_maxima(ranks(x), b))}
 
-    def outputs():
-        for m_max in range(b - 1, b + 4):
-            for mode in ("disjoint", "sliding"):
-                for scale in ("z", "y"):
-                    est = pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max)
-                    yield est.counts
-                    yield est.values
-            yield sliding_pair_counts(x, b, thr, m_max)
-            yield hsing_pi(x, max(b, 4), m_max).values
-            yield robert_pi(x, CompetitorSpec("robert", b, m_max=m_max)).values
+    def outputs(m_max):
+        for scale in ("z", "y"):
+            est = pbar_hat(x, b, mode="disjoint", scale=scale, m_max=m_max)
+            assert np.array_equal(est.values, ref_pbar_disjoint(x, b, scale, m_max))
+            yield est.counts
+            est = pbar_hat(x, b, mode="sliding", scale=scale, m_max=m_max)
+            naive = sliding_pair_naive(x, b, maxima[scale], m_max, scale=scale).sum(axis=0)
+            assert np.array_equal(est.counts, naive[1 : m_max + 1]) and est.pair_count == naive.sum()
+            yield est.counts
+        hsing = hsing_pi(x, max(b, 4), m_max).values
+        assert np.array_equal(hsing, literal_hsing(x, max(b, 4), m_max))
+        yield hsing
+        spec = CompetitorSpec("robert", b, m_max=m_max)
+        assert np.array_equal(robert_pi(x, spec).values, literal_robert(x, spec))
 
-    capped = list(outputs())
-    full = lambda b, m_max: m_max + 1  # noqa: E731  (every column up to m_max + 1)
-    with mock.patch.object(estimators, "count_cap", full), mock.patch.object(competitors, "count_cap", full):
-        uncapped = list(outputs())
-    for got, want in zip(capped, uncapped, strict=True):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    uncapped = list(outputs(b - 1))
+    counts = sliding_pair_counts(x, b, thr, b - 1)
+    assert np.array_equal(counts, sliding_pair_naive(x, b, thr, b - 1))
+    for m_max in range(b, b + 4):
+        # pbar counts and hsing values: index c - 1 holds count c, and no
+        # block of b entries has a count above b
+        for got, want in zip(outputs(m_max), uncapped, strict=True):
+            assert got.shape == (m_max,) and not got[b:].any()
+            assert np.array_equal(got[: b - 1], want)
+        got = sliding_pair_counts(x, b, thr, m_max)
+        assert np.array_equal(got, sliding_pair_naive(x, b, thr, m_max))
+        assert np.array_equal(got, pad_counts(counts, m_max + 2))
 
 
 def test_count_cap_bounds_memory_by_the_block_length():
@@ -215,6 +229,46 @@ def test_count_cap_bounds_memory_by_the_block_length():
         tracemalloc.stop()
     assert est.values.shape == (2000,) and not est.values[6:].any()
     assert peak <= 2_000_000
+
+
+def _count_like(hi):
+    """A block size or count cap as a caller may pass it: in or out of range,
+    a float, a NumPy scalar, a bool, NaN or infinite."""
+    whole = st.integers(-2, hi)
+    return st.one_of(whole, whole.map(float), whole.map(np.int64), whole.map(np.float64),
+                     st.floats(-4, hi), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+
+
+@st.composite
+def public_calls(draw):
+    """A series with ties or magnitudes near 1e300, and a block size and count cap."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    scale = draw(st.sampled_from([1.0, 1e300, -1e300]))
+    x = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.integers(0, 3).map(float), st.floats(-1.7, 1.7, allow_nan=False))))
+    return x * scale, draw(_count_like(n // 2 + 2)), draw(_count_like(8))
+
+
+@given(public_calls())
+@settings(max_examples=150, deadline=None)
+def test_public_estimators_return_their_shape_or_refuse_by_name(case):
+    # each call returns one value per count 1..m_max, or raises ValueError or
+    # DegenerateEstimateError; never TypeError, IndexError or a numpy error.
+    # ferro_pi used to keep b as given, so b=6.0 gave an estimate with b=6.0
+    x, b, m_max = case
+    calls = [lambda mode=mode, scale=scale: pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max)
+             for mode in ("disjoint", "sliding") for scale in ("z", "y")]
+    calls += [lambda: hsing_pi(x, b, m_max), lambda: ferro_pi(x, b, m_max),
+              lambda: robert_pi(x, CompetitorSpec("robert", b, m_max=m_max)),
+              lambda: ClusterSizeEstimator(b, m_max=m_max).fit(x).pi_]
+    for call in calls:
+        try:
+            got = call()
+        except (ValueError, DegenerateEstimateError):
+            continue
+        assert got.values.shape == (m_max,) and got.b == b and type(got.b) is int
+        if isinstance(got, PbarEstimate):
+            assert got.counts.shape == (m_max,) and got.counts.dtype == np.int64
 
 
 def test_pbar_hat_rejects_non_integral_block_size():
