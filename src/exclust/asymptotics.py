@@ -261,6 +261,7 @@ def _sigma_sb_entries(model, m, nodes):
     w = sw[:, None] * uw * tau
     L = (th * w * poisson_table(lam_st, m)).transpose(2, 1, 0)  # [u, s, k]
     wB = (w * gd).transpose(2, 1, 0)                           # [u, s, j]
+    del w  # one (S, U) table fewer live through the u loop
 
     # the (xi, u) pieces: count d on the xi*tau private piece, k clusters in
     # the shared piece; Y[u, xi, (d, k)]

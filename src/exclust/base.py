@@ -7,9 +7,11 @@ import numbers
 
 def _integral(name, value):
     """Return ``value`` as an int; it must be a finite integral number and
-    not a bool, which would otherwise pass as 0 or 1."""
+    not a bool, which would otherwise pass as 0 or 1.  An int of any size
+    passes here, where a float conversion would overflow."""
     if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
     ):
         raise ValueError(f"{name}={value} is not an integer")
     return int(value)

@@ -1,8 +1,9 @@
 """Shared primitives of every estimator.  A :class:`Sample` holds what they
-read from one series: its values, sorted values and ranks, and the top order
-statistics of its disjoint or sliding blocks (:func:`block_tops`) on either
-scale.  It keeps the last sliding table per scale, so a run over a growing
-block-size grid extends one table instead of rebuilding it.
+read from one series: its values, sorted values, empirical c.d.f. F_n and
+its inverse (so a c.d.f. level maps to a value threshold), and the top order
+statistics of its disjoint or sliding blocks (:func:`block_tops`).  It keeps
+the last sliding table, so a run over a growing block-size grid extends one
+table instead of rebuilding it.
 
 Cluster sizes are counts of strict exceedances within blocks, and
 :func:`exceedance_histogram` is the one exact kernel that counts them: for
@@ -22,13 +23,12 @@ __all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops",
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
 _MODES = ("disjoint", "sliding")
-_SCALES = ("z", "y")
 
 
 class Sample:
     """A series validated as a 1-d float array ``x`` of n >= 2 finite real
     values; ``sorted`` and ``ranks`` are computed on first use and kept, and
-    so is the last sliding tops table built on each scale."""
+    so is the last sliding tops table built."""
 
     def __init__(self, x):
         x = np.asarray(x)
@@ -42,7 +42,7 @@ class Sample:
         if not np.all(np.isfinite(x)):
             raise ValueError("sample contains non-finite values (NaN or inf)")
         self.x = x
-        self._sliding = {}  # scale: (b, cap, tops) of the last sliding table built
+        self._sliding = (None, None, None)  # (b, cap, tops) of the last sliding table built
 
     @cached_property
     def sorted(self):
@@ -50,40 +50,49 @@ class Sample:
 
     @cached_property
     def ranks(self):
-        """Empirical c.d.f. values F_n(X_s) = #{t : X_t <= X_s} / n; ties share
-        a value, so no sort need be stable, and the maximum maps to 1."""
-        counts = np.empty(self.x.size, dtype=np.intp)
-        counts[np.argsort(self.x)] = np.searchsorted(self.sorted, self.sorted, side="right")
-        return counts / self.x.size
+        """Empirical c.d.f. values F_n(X_s): :meth:`cdf` of the sample itself."""
+        return self.cdf(self.x)
 
-    def tops(self, b, mode, scale, cap):
-        """:func:`block_tops` of the disjoint or sliding blocks of length b of
-        the values (``scale="z"``) or of their ranks (``scale="y"``), read-only:
-        the ``min(cap, b)`` largest entries of each block.
+    def cdf(self, values):
+        """F_n(v) = #{t : X_t <= v} / n; ties share a value, and the maximum maps to 1."""
+        return np.searchsorted(self.sorted, values, side="right") / self.x.size
 
-        A sliding table at a larger b and the same cap as the last one on
-        this scale extends it by the entries the windows gained, which is
-        exact: a kept row short of cap columns holds its whole window.
-        Disjoint tops are every b-th row of the last sliding table when it
-        has this b and cap, and are built directly otherwise.
+    def cdf_threshold(self, levels):
+        """Value thresholds t with X_s > t exactly when F_n(X_s) > y, for every
+        sample value X_s and c.d.f. level y in ``levels``: F_n(X_s) = r/n
+        exceeds y when r > j = #{c : c/n <= y} (n for NaN), so t is the float
+        just below the (j+1)-th smallest value, or the largest float at j = n.
+        """
+        n = self.x.size
+        j = np.searchsorted(np.arange(1, n + 1) / n, levels, side="right")
+        with np.errstate(over="ignore"):  # just below -1.797e308 is -inf
+            return np.nextafter(np.append(self.sorted, np.inf)[j], -np.inf)
+
+    def tops(self, b, mode, cap):
+        """:func:`block_tops` of the disjoint or sliding blocks of length b,
+        read-only: the ``min(cap, b)`` largest entries of each block.
+
+        A sliding table at a larger b and the same cap as the last one
+        extends it by the entries the windows gained, which is exact: a kept
+        row short of cap columns holds its whole window.  Disjoint tops are
+        every b-th row of the last sliding table when it has this b and cap,
+        and are built directly otherwise.
         """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if scale not in _SCALES:
-            raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
-        series = self.x if scale == "z" else self.ranks
-        last_b, last_cap, last = self._sliding.get(scale, (None, None, None))
+        x = self.x
+        last_b, last_cap, last = self._sliding
         if (last_b, last_cap) == (b, cap):  # the kept table, or every b-th row of it
-            return last if mode == "sliding" else last[: series.size // b * b : b]
+            return last if mode == "sliding" else last[: x.size // b * b : b]
         if mode == "disjoint":
-            tops = block_tops(disjoint_blocks(series, b), cap)
+            tops = block_tops(disjoint_blocks(x, b), cap)
         else:
-            windows = np.lib.stride_tricks.sliding_window_view(series, b)
-            if last_cap == cap and last_b < b:  # window i gains series[i + last_b : i + b]
+            windows = np.lib.stride_tricks.sliding_window_view(x, b)
+            if last_cap == cap and last_b < b:  # window i gains x[i + last_b : i + b]
                 tops = _joined_tops((last[: len(windows)], windows[:, last_b:]), cap)
             else:
                 tops = block_tops(windows, cap)
-            self._sliding[scale] = (b, cap, tops)
+            self._sliding = (b, cap, tops)
         tops.flags.writeable = False
         return tops
 

@@ -89,7 +89,7 @@ def hsing_pi(x, b, m_max=5):
     m_max = check_m_max(m_max, n)
     s = 2 * (b - 3)
     v = x.sorted[n - n // s - 1]
-    hist = exceedance_histogram(x.tops(b, "disjoint", "z", m_max + 1), [v])[0]
+    hist = exceedance_histogram(x.tops(b, "disjoint", m_max + 1), [v])[0]
     hist = pad_counts(hist, m_max + 2)
     occupied = n // b - hist[0]
     if occupied == 0:
@@ -193,7 +193,7 @@ def robert_pi(x, spec):
     rank = np.ceil(k * taus).astype(np.int64)
     taus, rank = taus[rank <= n], rank[rank <= n]
     thresholds = x.sorted[n - rank]  # the rank-th largest values
-    tops = x.tops(b, "disjoint", "z", spec.m_max + 1)
+    tops = x.tops(b, "disjoint", spec.m_max + 1)
     phats = pad_counts(exceedance_histogram(tops, thresholds), spec.m_max + 1)[:, : spec.m_max + 1] / k
     acc = np.zeros(spec.m_max)
     used = 0

@@ -140,6 +140,7 @@ def conv_powers(pi, m):
     Mass only moves upward (pi(0) = 0), so truncating every power at m
     stays exact.
     """
+    m = check_count("m", m, 0)
     head = pi.weights[: m + 1]
     w = np.zeros(m + 1)
     w[: head.size] = head
@@ -168,6 +169,7 @@ def bivar_powers(family, sigma, m):
     operator K[(r, x), (r', x')] = pi2(r - r', x - x'), zero for negative
     shifts.
     """
+    m = check_count("m", m, 0)
     F = (m + 1) ** 2
     tables = family.table(sigma, m).reshape(-1, F)
     flat = np.zeros((len(tables), F + 1))  # the last column stays zero
@@ -183,6 +185,7 @@ def bivar_powers(family, sigma, m):
 
 def poisson_table(lam, k_max):
     """out[k, ...] = exp(-lam) lam^k / k! for k in 0..k_max, broadcast over lam."""
+    k_max = check_count("k_max", k_max, 0)
     lam = np.asarray(lam, dtype=float)
     out = np.empty((k_max + 1,) + lam.shape)
     out[0] = np.exp(-lam)

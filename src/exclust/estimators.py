@@ -12,13 +12,15 @@ then turns either estimate into an estimate of pi, and the extremal index is
 estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
 Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
-its block tops from the sample.  Both modes take their pair counts from
-:func:`~exclust.blocks.exceedance_histogram`, which leaves out the near
-blocks of each block: itself (disjoint) or the windows that overlap it
-(sliding).  At fixed b, memory grows linearly in n and time about like
-n*log(n): sliding ``pbar_hat`` on an array takes 8-12x per 10x of n at
-b = 6, 20 and 38, n from 2e3 to 2e5, and from n = 2e4 on about the same
-time at all three b.
+its block tops from the sample.  F_n is monotone, so a y-scale level maps
+to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), and
+both scales read the same tops table of the values.  Both modes take their
+pair counts from :func:`~exclust.blocks.exceedance_histogram`, which leaves
+out the near blocks of each block: itself (disjoint) or the windows that
+overlap it (sliding).  At fixed b, memory grows linearly in n and time
+about like n*log(n): sliding ``pbar_hat`` on an array takes 8-12x per 10x
+of n at b = 6, 20 and 38, n from 2e3 to 2e5, and from n = 2e4 on about the
+same time at all three b.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -85,13 +87,15 @@ class PiEstimate:
         return self.values.size
 
 
-def _y_thresholds(block_cdf_maxima):
-    # Y_i = -b*log(F_n(M_i)) turns the condition F_n(X_s) > 1 - Y_i/b into
-    # F_n(X_s) > 1 + log(F_n(M_i)); F_n(M_i) >= 1/n keeps the log finite.
-    return 1.0 + np.log(block_cdf_maxima)
+_SCALES = ("z", "y")
 
 
-def _sliding_input(x, b, thresholds, m_max):
+def _check_scale(scale):
+    if scale not in _SCALES:
+        raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
+
+
+def _sliding_input(x, b, thresholds, m_max, scale):
     """The sample, b, one checked threshold per window start, and m_max."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
@@ -99,7 +103,9 @@ def _sliding_input(x, b, thresholds, m_max):
     P = x.x.size - b + 1
     if thresholds.shape != (P,):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
-    return x, b, thresholds, check_m_max(m_max, x.x.size)
+    m_max = check_m_max(m_max, x.x.size)
+    _check_scale(scale)
+    return x, b, thresholds, m_max
 
 
 def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
@@ -107,18 +113,22 @@ def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
 
     For every sliding-window start i, row i counts the windows i' with
     |i - i'| >= b whose number of entries strictly above ``thresholds[i]``
-    equals c, for c = 0..m_max plus an overflow bucket (last column).
-    The output equals :func:`sliding_pair_naive` exactly.
+    equals c, for c = 0..m_max plus an overflow bucket (last column); on
+    the y scale the entries are the ranks F_n(X_s).  The output equals
+    :func:`sliding_pair_naive` exactly.
     """
-    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
-    tops = x.tops(b, "sliding", scale, m_max + 1)
+    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max, scale)
+    if scale == "y":
+        thresholds = x.cdf_threshold(thresholds)
+    tops = x.tops(b, "sliding", m_max + 1)
     return pad_counts(exceedance_histogram(tops, thresholds, b), m_max + 2)
 
 
 def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
-    """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`."""
-    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max)
-    windows = x.tops(b, "sliding", scale, b)  # every entry of each window, descending
+    """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`,
+    on the raw windows of the values or of their ranks."""
+    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max, scale)
+    windows = np.lib.stride_tricks.sliding_window_view(x.x if scale == "z" else x.ranks, b)
     P, cap = len(windows), m_max + 1
     out = np.zeros((P, cap + 1), dtype=np.int64)
     for i in range(P):
@@ -133,8 +143,13 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     x = sample(x)
     b = check_block_size(x.x.size, b)
     m_max = check_m_max(m_max, x.x.size)
-    tops = x.tops(b, mode, scale, m_max + 1)
-    thr = tops[:, 0] if scale == "z" else _y_thresholds(tops[:, 0])
+    _check_scale(scale)
+    tops = x.tops(b, mode, m_max + 1)
+    thr = tops[:, 0]
+    if scale == "y":
+        # Y_i = -b*log(F_n(M_i)) turns the condition F_n(X_s) > 1 - Y_i/b into
+        # F_n(X_s) > 1 + log(F_n(M_i)); F_n(M_i) >= 1/n keeps the log finite.
+        thr = x.cdf_threshold(1.0 + np.log(x.cdf(thr)))
     hist = exceedance_histogram(tops, thr, 1 if mode == "disjoint" else b).sum(axis=0)
     hist = pad_counts(hist, m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding

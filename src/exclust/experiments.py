@@ -2,18 +2,20 @@
 
 Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
-pi-hat(m) against the model's known limit values.  A replication validates,
-sorts and ranks its series once, as one :class:`~exclust.blocks.Sample`
-read by every (estimator, b) cell; its sliding tops table per scale grows
-along the block grid.  Replications are pure functions of a
-mixed per-rep seed and are folded in rep order, so results are
-byte-identical for any worker count.
+pi-hat(m) against the model's known limit values.  A replication validates
+and sorts its series once, as one :class:`~exclust.blocks.Sample` read by
+every (estimator, b) cell; its one sliding tops table grows along the
+block grid and serves both threshold scales.  Replications are pure
+functions of a mixed per-rep seed and are folded in rep order, so results
+are byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
+import numbers
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +93,16 @@ def _sequence(name, value):
     raise ValueError(f"{name} must be a sequence, got {value!r}")
 
 
+def _finite(name, value):
+    """``value`` as a float; it must be a finite real number and not a bool
+    (an int too large for a float is not finite)."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
@@ -126,9 +138,9 @@ class ExperimentConfig:
                 if not getattr(self, name):
                     raise ValueError(f"{name} must not be empty")
         with _field("estimators"):
-            unknown = set(self.estimators) - set(ESTIMATORS)
+            unknown = [est for est in self.estimators if est not in ESTIMATORS]
             if unknown:
-                raise ValueError(f"unknown estimators: {sorted(unknown)}")
+                raise ValueError(f"unknown estimators: {unknown}")
         with _field("block_grid"):
             grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
             object.__setattr__(self, "block_grid", grid)
@@ -138,10 +150,15 @@ class ExperimentConfig:
             for est in self.estimators:
                 for b in grid:
                     check_block_rule(est, self.n, b)
+        with _field("truth_theta"):
+            if self.truth_theta is not None:
+                object.__setattr__(self, "truth_theta", _finite("truth_theta", self.truth_theta))
+            elif self.truth_pi is not None:
+                raise ValueError("truth_pi requires truth_theta")
         with _field("truth_pi"):
             if self.truth_pi is not None:
                 pi = _sequence("truth_pi", self.truth_pi)
-                object.__setattr__(self, "truth_pi", tuple(float(v) for v in pi))
+                object.__setattr__(self, "truth_pi", tuple(_finite("truth_pi", v) for v in pi))
             self.truth()  # so a model without limit values fails before the first replication
 
     def truth(self):
@@ -150,10 +167,7 @@ class ExperimentConfig:
             pi = self.truth_pi
             if len(pi) < self.m_max:
                 raise ValueError("truth_pi is shorter than m_max")
-            theta = self.truth_theta
-            if theta is None:
-                raise ValueError("truth_pi requires truth_theta")
-            return theta, np.asarray(pi[: self.m_max])
+            return self.truth_theta, np.asarray(pi[: self.m_max])
         if self.model_kind == "armax":
             pi = geometric_pi(self.model_param)
             return 1.0 - self.model_param, pi.weights[1 : self.m_max + 1].copy()

@@ -16,9 +16,11 @@ streams through a stateless seed-mixing hash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
+from .base import check_count
 from .errors import FieldError
 
 __all__ = ["ModelSpec", "gen", "substream_seed"]
@@ -39,14 +41,21 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
+        """Check every field, raising a :class:`FieldError` that names it;
+        the counts are stored as ints."""
         if self.kind not in KINDS:
             raise FieldError("kind", f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n < 10:
-            raise FieldError("n", f"n must be >= 10, got {self.n}")
-        if self.burnin < 0:
-            raise FieldError("burnin", f"burnin must be >= 0, got {self.burnin}")
-        if not 0 <= int(self.seed) <= _MASK64:
+        for name, low in (("n", 10), ("burnin", 0), ("seed", 0)):
+            try:
+                object.__setattr__(self, name, check_count(name, getattr(self, name), low))
+            except ValueError as err:
+                raise FieldError(name, str(err)) from None
+        if self.seed > _MASK64:
             raise FieldError("seed", "seed must fit in 64 unsigned bits")
+        if self.param is not None and (
+            isinstance(self.param, bool) or not isinstance(self.param, numbers.Real)
+        ):
+            raise FieldError("param", f"param must be a real number, got {self.param!r}")
         if self.kind == "armax":
             if self.param is None or not 0.0 <= self.param < 1.0:
                 raise FieldError("param", f"armax needs alpha in [0, 1), got {self.param}")
@@ -54,7 +63,8 @@ class ModelSpec:
             if self.param is None or not 0.0 < self.param < 1.0:
                 raise FieldError("param", f"sqarch needs lambda in (0, 1), got {self.param}")
         elif self.kind == "ar_uniform":
-            if self.param is None or self.param != int(self.param) or self.param < 2:
+            r = self.param
+            if r is None or not (isinstance(r, numbers.Integral) or float(r).is_integer()) or r < 2:
                 raise FieldError("param", f"ar_uniform needs integer r >= 2, got {self.param}")
         elif self.param is not None:
             raise FieldError("param", "iid_frechet takes no parameter")
@@ -104,7 +114,7 @@ def _gen_ar(rng, r, total):
 
 def gen(spec):
     """Generate the sample described by `spec`; same spec, same sample."""
-    rng = np.random.default_rng(int(spec.seed))
+    rng = np.random.default_rng(spec.seed)
     total = spec.burnin + spec.n
     if spec.kind == "armax":
         x = _gen_armax(rng, spec.param, total)

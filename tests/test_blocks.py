@@ -1,4 +1,4 @@
-"""Block layouts, the exceedance-count kernel, ranks and input validation."""
+"""Block layouts, the exceedance-count kernel, ranks and their inverse, and input validation."""
 from unittest import mock
 
 import numpy as np
@@ -106,13 +106,13 @@ def test_chunked_block_tops_change_no_estimate(monkeypatch):
 
 @st.composite
 def tops_requests(draw):
-    """A short series and a sequence of (b, mode, scale, cap) requests: b
+    """A short series and a sequence of (b, mode, cap) requests: b
     ascending, descending and repeated, caps above and below b."""
     n = draw(st.integers(min_value=4, max_value=60))
     x = draw(hnp.arrays(np.float64, n, elements=st.one_of(
         st.floats(-1e6, 1e6, allow_nan=False), st.integers(0, 3).map(float))))
     request = st.tuples(st.integers(2, n // 2), st.sampled_from(["disjoint", "sliding"]),
-                        st.sampled_from(["z", "y"]), st.integers(1, 6))
+                        st.integers(1, 6))
     return x, draw(st.lists(request, min_size=1, max_size=12))
 
 
@@ -124,13 +124,12 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
     x, requests = case
     s = Sample(x)
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        for b, mode, scale, cap in requests:
-            series = x if scale == "z" else ranks(x)
+        for b, mode, cap in requests:
             if mode == "disjoint":
-                rows = disjoint_blocks(series, b)
+                rows = disjoint_blocks(x, b)
             else:
-                rows = np.lib.stride_tricks.sliding_window_view(series, b)
-            got = s.tops(b, mode, scale, cap)
+                rows = np.lib.stride_tricks.sliding_window_view(x, b)
+            got = s.tops(b, mode, cap)
             want = -np.sort(-rows, axis=1)[:, :cap]  # min(cap, b) columns
             assert got.shape == want.shape and np.array_equal(got, want)
             assert np.array_equal(got, block_tops(rows, cap))
@@ -140,11 +139,41 @@ def test_tops_are_read_only():
     s = Sample(np.random.default_rng(2).normal(size=60))
     # fresh disjoint, fresh sliding, extended sliding, kept sliding, rows of the kept table
     for b, mode in ((4, "disjoint"), (4, "sliding"), (6, "sliding"), (6, "sliding"), (6, "disjoint")):
-        for scale in ("z", "y"):
-            tops = s.tops(b, mode, scale, 3)
-            assert not tops.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                tops[0, 0] = 0.0
+        tops = s.tops(b, mode, 3)
+        assert not tops.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tops[0, 0] = 0.0
+
+
+_EXTREME = np.finfo(float).max
+
+
+@st.composite
+def series_and_levels(draw):
+    """A series with ties, +-0 and magnitudes up to the largest float, and
+    c.d.f. levels: NaN, +-inf, values <= 0, every c/n, 1 and uniform draws."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    pool = [0.0, -0.0, 1.0, -1.0, _EXTREME, -_EXTREME, np.nextafter(-_EXTREME, 0.0), 5e-324, -5e-324]
+    x = np.array(draw(st.lists(st.one_of(
+        st.sampled_from(pool), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=n, max_size=n)))
+    drawn = draw(st.lists(st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 5e-324]),
+        st.floats(0.0, 1.0), st.floats(allow_nan=False)), max_size=20))
+    levels = np.concatenate((np.arange(1, n + 1) / n, np.array(drawn, dtype=float)))
+    return x, levels
+
+
+@given(series_and_levels())
+@settings(max_examples=300, deadline=None)
+def test_cdf_threshold_is_the_exact_inverse_of_the_ranks(case):
+    # x > t(y) must equal F_n(x) > y elementwise, for every sample value
+    x, levels = case
+    s = Sample(x)
+    t = s.cdf_threshold(levels)
+    assert t.shape == levels.shape
+    assert np.array_equal(x[:, None] > t, s.ranks[:, None] > levels)
+    assert np.array_equal(s.cdf(x), s.ranks)
 
 
 def test_ranks_ties_use_max_rank():
@@ -181,12 +210,14 @@ def test_as_sample_validation():
 
 
 def test_tops_rejects_unknown_mode_or_scale():
-    # an unknown mode used to give the sliding tops, an unknown scale the y tops
+    # an unknown mode used to give the sliding tops, an unknown scale the y
+    # tops; tops take no scale now, and pbar_hat refuses one before any table
     s = Sample(np.arange(20.0))
     with pytest.raises(ValueError, match="mode must be one of .* got 'bogus'"):
-        s.tops(5, "bogus", "z", 2)
+        s.tops(5, "bogus", 2)
     with pytest.raises(ValueError, match="scale must be one of .* got 'w'"):
-        s.tops(5, "sliding", "w", 2)
+        pbar_hat(s, 5, mode="sliding", scale="w")
+    assert s._sliding == (None, None, None)
 
 
 def test_check_block_size_bounds():

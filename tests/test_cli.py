@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, exit codes, golden help."""
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclust.cli import main
 from exclust.estimators import pbar_hat, pi_from_pbar, theta_hat
@@ -133,6 +137,50 @@ def test_bad_block_size_exits_1(tmp_path, capsys):
     f = tmp_path / "x.csv"
     f.write_text("\n".join(str(float(v)) for v in range(20)) + "\n")
     assert main(["estimate", "--in", str(f), "--b", "19"]) == 1
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(1e299, 1.7e308).map(lambda v: f"{v:.17g}"),
+    st.floats(-1.7e308, -1e299).map(lambda v: f"{v:.17g}"),
+    st.integers(0, 3).map(str),
+)
+_LINE = st.one_of(
+    _NUMBER_TEXT,
+    st.sampled_from(["", "   ", "# a comment", "nan", "inf", "-inf", "1e400", "0x10", "1,2"]),
+    st.text(alphabet="abcxe+-.,# 0123456789", max_size=6),
+)
+_COUNT_TEXT = st.one_of(
+    st.sampled_from(["2", "3", "5", "8"]),
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "2.0", "1e1", "0x4", " 6", "10" * 12, "-x"]),
+    st.text(alphabet="abc-+.e 0123456789", max_size=5),
+)
+_SERIES = st.one_of(
+    st.lists(_LINE, max_size=60),
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=1),  # a single value
+    st.lists(_NUMBER_TEXT, min_size=20, max_size=80),
+    st.none(),  # no such file
+)
+
+
+@given(_SERIES, _COUNT_TEXT, _COUNT_TEXT, st.sampled_from(["disjoint", "sliding"] * 3 + ["blocks", ""]),
+       st.sampled_from(["z", "y"] * 3 + ["w", ""]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_estimate_exits_with_a_documented_code(tmp_path_factory, lines, b, m_max, mode, scale, clip):
+    # exit codes 0 success, 1 usage error, 2 degenerate estimate, 3 I/O
+    # failure, and no traceback: every failure is reported on one line
+    path = tmp_path_factory.mktemp("series") / "x.csv"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n")
+    argv = ["estimate", "--in", str(path), "--b", b, "--m-max", m_max, "--mode", mode,
+            "--scale", scale] + ["--clip"] * clip
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -10,6 +10,7 @@ from exclust.cpmodel import (
     BivariatePmfFamily,
     CppModel,
     Pmf,
+    bivar_powers,
     conv_powers,
     cpp2_pmf,
     cpp_pmf,
@@ -144,9 +145,16 @@ def test_count_cap_zero():
     (lambda: cpp_pmf(GEOM, 1.0, True), r"^m_max=True is not an integer$"),
     (lambda: cpp_pmf(GEOM, 1.0, -1), r"^m_max must be >= 0, got -1$"),
     (lambda: cpp2_pmf(GEOM, 1.0, 0.5, 2.5), r"^i_max=2\.5 is not an integer$"),
-], ids=["pbar_theory", "cpp_pmf", "cpp_pmf-bool", "cpp_pmf-negative", "cpp2_pmf"])
+    (lambda: conv_powers(GEOM.pi, 2.5), r"^m=2\.5 is not an integer$"),
+    (lambda: conv_powers(GEOM.pi, True), r"^m=True is not an integer$"),
+    (lambda: poisson_table(1.0, 2.5), r"^k_max=2\.5 is not an integer$"),
+    (lambda: poisson_table(1.0, -1), r"^k_max must be >= 0, got -1$"),
+    (lambda: bivar_powers(GEOM.pi2, [0.5], 2.5), r"^m=2\.5 is not an integer$"),
+], ids=["pbar_theory", "cpp_pmf", "cpp_pmf-bool", "cpp_pmf-negative", "cpp2_pmf",
+        "conv_powers", "conv_powers-bool", "poisson_table", "poisson_table-negative", "bivar_powers"])
 def test_non_integer_counts_are_refused_by_name(call, message):
-    # each used to fail inside numpy with a TypeError or an IndexError
+    # each used to fail inside numpy with a TypeError or an IndexError, and
+    # conv_powers(pi, True) returned a 2x2 table
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exclust.experiments as ex
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
@@ -114,6 +116,40 @@ def test_config_names_the_field_of_a_bad_value():
         with pytest.raises(FieldError) as exc:
             ExperimentConfig(**{"model_kind": "armax", "model_param": 0.5, **kwargs})
         assert exc.value.field == field
+
+
+_SCALARS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**400, -(10**400)]),  # no float holds them
+    st.floats(),  # NaN and +-inf included
+    st.booleans(),
+    st.sampled_from([np.int64(4), np.uint64(2**63), np.float64(0.5), np.float32(2.0), np.bool_(True)]),
+    st.text(max_size=4),
+    st.complex_numbers(),
+    st.none(),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.sampled_from(ex.ESTIMATORS + ("armax", "sqarch", "garch")),
+    st.lists(st.one_of(_SCALARS, st.sampled_from(ex.ESTIMATORS)), max_size=4),
+)
+_VALID = dict(model_kind="armax", model_param=0.5, n=200, reps=2, block_grid=(4,),
+              estimators=("sb-z",), m_max=2, master_seed=0, burnin=10,
+              truth_theta=0.5, truth_pi=(0.005,) * 200)  # as long as any m_max <= n
+
+
+@given(st.sampled_from(sorted(_VALID)), _VALUES)
+@settings(max_examples=400, deadline=None)
+def test_config_returns_or_names_the_drawn_field(field, value):
+    # ints, floats, NaN, +-inf, bools, NumPy scalars, strings, complex values,
+    # None, scalars where lists belong and lists where scalars belong; a
+    # string or complex model_param, truth_pi=[None] and unknown estimators
+    # of mixed types (sorted for the message) raised TypeError, n=10**400
+    # OverflowError, and truth_theta="x" was accepted
+    try:
+        ExperimentConfig(**{**_VALID, field: value})
+    except FieldError as err:
+        assert err.field == field, (field, value, err.field, str(err))
 
 
 def test_config_without_limit_values_fails_before_the_first_replication(monkeypatch):

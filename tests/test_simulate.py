@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from exclust.errors import FieldError
 from exclust.estimators import pbar_hat, pi_from_pbar
 from exclust.simulate import ModelSpec, gen, substream_seed
 
@@ -27,6 +28,35 @@ def test_model_spec_validation():
         ModelSpec("iid_frechet", 100, 0.5)
     with pytest.raises(ValueError):
         ModelSpec("armax", 5, 0.5)
+    # a non-integral n or burnin used to fail inside numpy, a float seed was
+    # truncated, a bool burnin taken as 1, and a string parameter raised TypeError
+    for field, kwargs in (
+        ("n", dict(n=100.5)),
+        ("n", dict(n=True)),
+        ("n", dict(n="100")),
+        ("burnin", dict(burnin=2.5)),
+        ("burnin", dict(burnin=True)),
+        ("burnin", dict(burnin=-1)),
+        ("seed", dict(seed=1.7)),
+        ("seed", dict(seed=False)),
+        ("seed", dict(seed=-1)),
+        ("seed", dict(seed=2 ** 64)),
+        ("seed", dict(seed=np.nan)),
+        ("param", dict(param="0.5")),
+        ("param", dict(param=0.5 + 0j)),
+        ("param", dict(param=True)),
+    ):
+        spec = {"kind": "armax", "n": 100, "param": 0.5, **kwargs}
+        with pytest.raises(FieldError, match=f"^{field}") as exc:
+            ModelSpec(**spec)
+        assert exc.value.field == field
+    for r in (np.nan, np.inf, 2.5):
+        with pytest.raises(FieldError, match="ar_uniform needs integer r >= 2"):
+            ModelSpec("ar_uniform", 100, r)
+    spec = ModelSpec("armax", 100.0, 0.5, burnin=np.int64(3), seed=np.float64(7))
+    assert (spec.n, spec.burnin, spec.seed) == (100, 3, 7)
+    assert all(type(v) is int for v in (spec.n, spec.burnin, spec.seed))
+    assert gen(spec).size == 100
 
 
 def test_gen_is_deterministic():
