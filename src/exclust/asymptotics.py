@@ -21,13 +21,12 @@ exact because k-fold convolutions of cluster laws vanish below k.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
-from .base import _integral, check_count
+from .base import _finite, _integral, check_count
 from .cpmodel import (
     bivar_powers,
     conv_powers,
@@ -70,9 +69,9 @@ class QuadratureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes_1d", check_count("nodes_1d", self.nodes_1d, 8))
-        tol = self.tolerance
-        if not (isinstance(tol, numbers.Real) and isfinite(tol) and tol > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {tol}")
+        object.__setattr__(self, "tolerance", _finite("tolerance", self.tolerance))
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,9 @@ def _sigma_sb_entries(model, m, nodes):
     # xi-free weights, u-major: indicator-indicator with the private piece's
     # exp(-lam) lam^k / k!, and indicator-smooth below mu = tau
     w = sw[:, None] * uw * tau
-    L = (th * w * poisson_table(lam_st, m)).transpose(2, 1, 0)  # [u, s, k]
+    L = poisson_table(lam_st, m)  # scaled in place, not copied
+    L *= th * w
+    L = L.transpose(2, 1, 0)                                   # [u, s, k]
     wB = (w * gd).transpose(2, 1, 0)                           # [u, s, j]
     del w  # one (S, U) table fewer live through the u loop
 
@@ -359,7 +360,7 @@ def theta_asymp_var(gamma_cov, pi, m=None):
 def mu2_robert(tau):
     """Closed-form variance e^tau (tau + (1-tau)^2 - e^{-tau}) of the
     multilevel-threshold estimator at block-scale tau."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return float(np.exp(tau) * (tau + (1.0 - tau) ** 2 - np.exp(-tau)))
 
@@ -387,7 +388,7 @@ def robert_crossover(variance, bracket=(1e-8, 50.0)):
 
 def disjoint_process_var(model, tau, j):
     """Variance p(1 - p) of the disjoint-blocks empirical process at (tau, j)."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     j = check_count("j", j, 0)
     p = cpp_pmf(model, tau, j)[j]

@@ -1,8 +1,9 @@
-"""Estimator base class and the checks of block size, count cap and counts."""
+"""Estimator base class and the checks of block size, count cap, counts and reals."""
 
 import inspect
 import math
 import numbers
+from contextlib import suppress
 
 
 def _integral(name, value):
@@ -15,6 +16,16 @@ def _integral(name, value):
     ):
         raise ValueError(f"{name}={value} is not an integer")
     return int(value)
+
+
+def _finite(name, value):
+    """``value`` as a float; it must be a finite real number and not a bool
+    (an int too large for a float is not finite)."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def check_block_size(n, b):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _integral, check_block_size, check_m_max
+from .base import _finite, _integral, check_block_size, check_m_max
 from .blocks import exceedance_histogram, pad_counts, sample
 from .errors import DegenerateEstimateError
 from .estimators import PiEstimate
@@ -46,6 +46,8 @@ class CompetitorSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "m_max", check_m_max(self.m_max))
+        for name in ("robert_sigma", "robert_phi"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not 0 < self.robert_sigma < self.robert_phi:
             raise ValueError(
                 f"need 0 < sigma < phi, got ({self.robert_sigma}, {self.robert_phi})"
@@ -155,7 +157,7 @@ def cpp_invert(p_values, tau):
         raise ValueError("p_values must contain p(0)..p(m) with m >= 1")
     if not 0.0 < p[0] < 1.0:
         raise ValueError(f"p(0) must lie strictly in (0, 1), got {p[0]}")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = -math.log(p[0])
     m_top = p.size - 1

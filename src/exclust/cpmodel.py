@@ -151,36 +151,22 @@ def conv_powers(pi, m):
     return P
 
 
-@lru_cache(maxsize=None)
-def _shift_index(m):
-    """idx[(r, x), (r', x')] = flat index of (r - r', x - x') in an
-    (m+1) x (m+1) table, or (m+1)^2 (a zero column) for negative shifts."""
-    r, x = np.divmod(np.arange((m + 1) ** 2), m + 1)
-    dr, dx = np.subtract.outer(r, r), np.subtract.outer(x, x)
-    idx = np.where((dr >= 0) & (dx >= 0), dr * (m + 1) + dx, (m + 1) ** 2)
-    idx.flags.writeable = False  # shared by every caller through the cache
-    return idx
-
-
 def bivar_powers(family, sigma, m):
     """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x) for k, r, x in 0..m.
 
-    Each power is one batched matrix product with the block-Toeplitz
-    operator K[(r, x), (r', x')] = pi2(r - r', x - x'), zero for negative
-    shifts.
+    As in :func:`conv_powers`, power k adds power k-1 shifted by each cell
+    (r, x) of J and scaled by its mass, cut at m.  Memory is O(result): B
+    and the pi2 tables, with no operator over pairs of cells.
     """
     m = check_count("m", m, 0)
-    F = (m + 1) ** 2
-    tables = family.table(sigma, m).reshape(-1, F)
-    flat = np.zeros((len(tables), F + 1))  # the last column stays zero
-    flat[:, :F] = tables
-    K = flat[:, _shift_index(m)]
-    B = np.zeros((len(flat), m + 1, F, 1))
-    B[:, 0, 0] = 1.0
-    B[:, 1:2, :, 0] = flat[:, None, :F]  # K @ B[:, 0] would copy it bit for bit
-    for k in range(2, m + 1):
-        B[:, k] = K @ B[:, k - 1]
-    return B.reshape(len(flat), m + 1, m + 1, m + 1)
+    T = family.table(sigma, m)[..., None, None]
+    B = np.zeros((len(T), m + 1, m + 1, m + 1))
+    B[:, 0, 0, 0] = 1.0
+    cells = [(r, x) for r in range(1, m + 1) for x in range(r + 1)]
+    for k in range(1, m + 1):
+        for r, x in cells:
+            B[:, k, r:, x:] += T[:, r, x] * B[:, k - 1, : m + 1 - r, : m + 1 - x]
+    return B
 
 
 def poisson_table(lam, k_max):
@@ -196,7 +182,7 @@ def poisson_table(lam, k_max):
 
 def cpp_pmf(model, tau, m_max):
     """Law of the exceedance count N_tau ~ CPP(theta*tau, pi) on 0..m_max."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     m_max = check_count("m_max", m_max, 0)
     w = poisson_table(model.theta * tau, m_max) @ conv_powers(model.pi, m_max)

@@ -11,16 +11,14 @@ are byte-identical for any worker count.
 """
 from __future__ import annotations
 
-import math
 import multiprocessing
-import numbers
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _integral, check_block_size, check_m_max
+from .base import _finite, _integral, check_block_size, check_m_max
 from .blocks import Sample
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
@@ -93,14 +91,11 @@ def _sequence(name, value):
     raise ValueError(f"{name} must be a sequence, got {value!r}")
 
 
-def _finite(name, value):
-    """``value`` as a float; it must be a finite real number and not a bool
-    (an int too large for a float is not finite)."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        with suppress(OverflowError):
-            if math.isfinite(value):
-                return float(value)
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+def _unique(name, values):
+    """Refuse a repeated entry, which would run and be summarized once per copy."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{name} repeats {repeated}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +136,11 @@ class ExperimentConfig:
             unknown = [est for est in self.estimators if est not in ESTIMATORS]
             if unknown:
                 raise ValueError(f"unknown estimators: {unknown}")
+            _unique("estimators", self.estimators)
         with _field("block_grid"):
             grid = tuple(check_block_size(self.n, b) for b in self.block_grid)
             object.__setattr__(self, "block_grid", grid)
+            _unique("block_grid", grid)
             odd = [b for b in grid if b % 2]
             if odd:
                 raise ValueError(f"block sizes must be even, got {odd}")

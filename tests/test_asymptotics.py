@@ -283,9 +283,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(tolerance=0.0)
     spec = QuadratureSpec()
     assert spec.nodes_1d == 64 and spec.refinement
-    # a NaN tolerance used to switch the node-doubling check off, and a
-    # fractional node count failed inside scipy
+    # a NaN tolerance used to switch the node-doubling check off, a
+    # fractional node count failed inside scipy, a bool tolerance was
+    # accepted and one of 10**400 raised OverflowError
     for name, value in [("tolerance", float("nan")), ("tolerance", float("inf")),
+                        ("tolerance", True), ("tolerance", 10**400), ("tolerance", "a"),
                         ("nodes_1d", 24.5), ("nodes_1d", float("nan"))]:
         with pytest.raises(ValueError, match=name):
             QuadratureSpec(**{name: value})
@@ -711,6 +713,9 @@ def test_mu2_robert_closed_form():
     assert abs(mu2_robert(0.7573) - 20 / 27) < 1e-3
     with pytest.raises(ValueError):
         mu2_robert(0.0)
+    # NaN passed `tau <= 0` and came back as nan
+    with pytest.raises(ValueError, match="tau must be positive, got nan"):
+        mu2_robert(float("nan"))
 
 
 def test_mu2_robert_strictly_increasing():
@@ -742,6 +747,9 @@ def test_disjoint_process_var_closed_forms():
     np.testing.assert_allclose(
         disjoint_process_var(model, 1.0, 2), p2 * (1 - p2), rtol=1e-13
     )
+    # NaN passed `tau < 0` and came back as nan
+    with pytest.raises(ValueError, match="tau must be >= 0, got nan"):
+        disjoint_process_var(model, float("nan"), 1)
 
 
 def test_process_variances_at_count_zero():

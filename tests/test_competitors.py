@@ -126,6 +126,14 @@ def test_competitor_spec_validation():
     with pytest.raises(ValueError, match=r"robert_grid=2\.5 is not an integer"):
         CompetitorSpec("robert", 6, robert_grid=2.5)
     assert type(CompetitorSpec("robert", 6, robert_grid=np.float64(4.0)).robert_grid) is int
+    # a string raised TypeError in the comparison; an infinite phi was
+    # accepted and robert_pi failed inside numpy
+    with pytest.raises(ValueError, match=r"^robert_sigma must be a finite real number, got 'a'$"):
+        CompetitorSpec("robert", 20, robert_sigma="a")
+    with pytest.raises(ValueError, match=r"^robert_phi must be a finite real number, got inf$"):
+        CompetitorSpec("robert", 20, robert_phi=math.inf)
+    spec = CompetitorSpec("robert", 20, robert_sigma=np.float64(0.5), robert_phi=2)
+    assert (type(spec.robert_sigma), type(spec.robert_phi)) == (float, float)
 
 
 def test_hsing_hand_example():
@@ -246,6 +254,9 @@ def test_cpp_invert_validates_p0():
         cpp_invert(np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         cpp_invert(np.array([0.5, 0.25]), 0.0)
+    # NaN passed `tau <= 0` and gave a NaN theta
+    with pytest.raises(ValueError, match="tau must be positive, got nan"):
+        cpp_invert(np.array([0.5, 0.25]), math.nan)
 
 
 def test_robert_iid_concentrates_on_one():

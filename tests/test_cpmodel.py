@@ -1,5 +1,6 @@
 """Compound-Poisson limit machinery: power tables, cluster laws, pbar."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,9 @@ def test_non_integer_counts_are_refused_by_name(call, message):
 def test_cpp_pmf_rejects_negative_tau():
     with pytest.raises(ValueError):
         cpp_pmf(GEOM, -0.1, 5)
+    # NaN passed `tau < 0` and gave NaN weights
+    with pytest.raises(ValueError, match="tau must be >= 0, got nan"):
+        cpp_pmf(iid_model(), math.nan, 3)
 
 
 @pytest.mark.parametrize("model", [iid_model(), GEOM])
@@ -221,6 +225,22 @@ def test_pbar_integral_oracle_matches_the_scipy_rule():
     want = [0.12500000000011602, 0.09375000000085985, 0.07031250000361566, 0.05273437501117433]
     got = pbar_integral_oracle(GEOM, 4).weights[1:]
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_bivar_powers_need_no_memory_beyond_their_result(m):
+    # the block-Toeplitz operator it used to build had (m+1) times the
+    # result's size and peaked at 5.8-7.5x the result on this grid
+    family = GEOM.pi2
+    sigma, _ = gauss_legendre_panels(128, family.breakpoints)
+    tracemalloc.start()
+    try:
+        B = bivar_powers(family, sigma, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.shape == (sigma.size, m + 1, m + 1, m + 1)
+    assert peak <= 2 * B.nbytes, peak / B.nbytes
 
 
 def test_pbar_unreachable_support():

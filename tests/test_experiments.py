@@ -1,9 +1,11 @@
 """Monte Carlo harness: summaries, persistence, config parsing."""
+import dataclasses
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import exclust.experiments as ex
@@ -116,6 +118,22 @@ def test_config_names_the_field_of_a_bad_value():
         with pytest.raises(FieldError) as exc:
             ExperimentConfig(**{"model_kind": "armax", "model_param": 0.5, **kwargs})
         assert exc.value.field == field
+
+
+def test_config_refuses_a_repeated_estimator_or_block_size_by_name(tmp_path):
+    # each cell used to run once per copy, and run() returned 20 rows for 5
+    with pytest.raises(FieldError, match=r"^estimators repeats \['sb-z'\]$") as exc:
+        ExperimentConfig("armax", .5, n=200, reps=2, block_grid=(6,), estimators=("sb-z", "db-z", "sb-z"))
+    assert exc.value.field == "estimators"
+    # 6 and 6.0 are the same block size
+    with pytest.raises(FieldError, match=r"^block_grid repeats \[6\]$") as exc:
+        ExperimentConfig("armax", .5, n=200, reps=2, block_grid=(6, 8, 6.0), estimators=("sb-z",))
+    assert exc.value.field == "block_grid"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("model_kind = armax\nmodel_param = 0.5\nn = 200\nblock_grid = 6, 6\n")
+    with pytest.raises(ValueError) as exc:
+        read_config(bad)
+    assert str(exc.value) == f"{bad}:4: block_grid: block_grid repeats [6]"
 
 
 _SCALARS = st.one_of(
@@ -423,3 +441,63 @@ def test_read_config_names_line_and_key_of_a_bad_value(tmp_path, line, reason):
     with pytest.raises(ValueError) as exc:
         read_config(bad)
     assert str(exc.value) == f"{bad}:2: {reason}"
+
+
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# a config that runs, one line per key; the drawn files take any subset
+_BASE_LINES = ["model_kind = armax", "model_param = 0.5", "n = 200", "reps = 2",
+               "block_grid = 6, 8", "estimators = sb-z, db-y", "m_max = 2"]
+_TOKENS = st.one_of(
+    st.sampled_from(["armax", "sqarch", "garch", "sb-z", "db-y", "hsing", "runs", "0.5", "4",
+                     "200", "6", "1.5", "-1", "0", "nan", "inf", "-inf", "1e309", "x", "", "True"]),
+    st.integers(-10, 400).map(str),
+    st.floats().map(repr),
+)
+_NO_NEWLINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                      max_size=12)
+_KEY_VALUE = st.builds(
+    "{}{} ={} {}".format,
+    st.sampled_from(["", "  "]),
+    st.sampled_from(_FIELDS + _FIELDS + ["workers", "N", "model kind", ""]),
+    st.sampled_from(["", " "]),
+    _TOKENS | st.lists(_TOKENS, max_size=4).map(", ".join),
+)
+_LINES = st.one_of(
+    _KEY_VALUE,
+    _KEY_VALUE,
+    st.sampled_from(["", "   ", "# a comment", "  # model_kind = garch"]),
+    _NO_NEWLINE,  # mostly lines without '='
+)
+
+
+@given(st.lists(st.sampled_from(_BASE_LINES), unique=True), st.lists(_LINES, max_size=4), st.randoms())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_config_returns_or_names_the_line_and_key(tmp_path, base, drawn, rnd):
+    # unknown and repeated keys, blank and comment lines, lines without '=',
+    # bad ints and floats, NaN, +-inf and empty lists: each file gives a
+    # config, or a ValueError that starts with the path and names the key
+    lines = base + drawn
+    rnd.shuffle(lines)
+    path = tmp_path / "exp.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        assert isinstance(read_config(path), ExperimentConfig)
+        return
+    except ValueError as err:
+        msg = str(err)
+    where = re.match(rf"{re.escape(str(path))}(?::(\d+))?: ", msg)
+    assert where, msg
+    rest = msg[where.end():]
+    if where[1] is None:  # the missing model_kind, or a field left at its default
+        keys = {line.partition("=")[0].strip() for line in lines if "=" in line}
+        field = rest.partition(": ")[0]
+        assert rest == "missing required key model_kind" or field in _FIELDS and field not in keys, msg
+        return
+    line = lines[int(where[1]) - 1]
+    key = line.partition("=")[0].strip()
+    if "=" not in line:
+        assert rest == f"expected key=value, got {line.strip()!r}", msg
+    elif key not in _FIELDS:
+        assert rest == f"unknown key {key!r}", msg
+    else:
+        assert rest.startswith(f"{key}: "), msg
