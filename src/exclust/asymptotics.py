@@ -170,11 +170,11 @@ def _sigma_db_entries(model, m, nodes):
     pbar = pbar_theory(model, m).weights[1:]
     BT = bivar_powers(model.pi2, s, m)
 
-    # indicator-indicator: counts of one block at two threshold levels
+    # indicator-indicator: counts of one block at two threshold levels, in
+    # either order, so BT is contracted once and its transpose added
     k = np.arange(m + 1)
     wk = (k + 1) / (2.0 + s[:, None]) ** (k + 2)
-    sym = BT + BT.transpose(0, 1, 3, 2)
-    t_ind = np.einsum("t,tk,tkab->ab", w, wk, sym)[1:, 1:]
+    t_ind = np.einsum("t,tk,tkab->ab", w, wk, BT)[1:, 1:]
 
     # indicator-smooth: integration by parts in the smooth coordinate, with
     # the level-mu tail law Pois_k(theta tau) B_{mu/tau}^{*k}(j, 0); G[t, k, l]
@@ -189,7 +189,7 @@ def _sigma_db_entries(model, m, nodes):
     C = np.where((kk > 0) & (k > 0), binom / 3.0 ** (kk + k + 1), 0.0)
     t_zz = np.einsum("kj,lp,kl->jp", M, M, C)[1:, 1:]
 
-    return t_ind + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
+    return t_ind + t_ind.T + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
 
 
 def _sigma(model, m, quad, entries, kind):

@@ -1,6 +1,5 @@
-"""Estimator base class and the checks of block size, count cap, counts and reals."""
+"""The checks of block size, count cap, counts and reals that every module shares."""
 
-import inspect
 import math
 import numbers
 from contextlib import suppress
@@ -53,32 +52,3 @@ def check_m_max(m_max, n=None):
         raise ValueError(f"m_max={m_max} exceeds the sample size n={n}")
     return m_max
 
-
-class FitMixin:
-    """Minimal scikit-learn style parameter handling for estimator classes.
-
-    Subclasses keep all constructor arguments as same-named attributes, so
-    parameters can be introspected from the ``__init__`` signature.
-    """
-
-    def get_params(self, deep=True):
-        names = [
-            p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
-            if p.name != "self" and p.kind is not p.VAR_KEYWORD
-        ]
-        return {name: getattr(self, name) for name in names}
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
-    def _check_fitted(self, attr):
-        if not hasattr(self, attr):
-            raise AttributeError(
-                f"{type(self).__name__} instance is not fitted yet; call fit() first"
-            )

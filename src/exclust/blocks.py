@@ -2,8 +2,9 @@
 read from one series: its values, sorted values, empirical c.d.f. F_n and
 its inverse (so a c.d.f. level maps to a value threshold), and the top order
 statistics of its disjoint or sliding blocks (:func:`block_tops`).  It keeps
-the last sliding table, so a run over a growing block-size grid extends one
-table instead of rebuilding it.
+the last table of each block layout, so the estimators at one block size
+share one table per layout, and a run over a growing block-size grid extends
+the sliding table instead of rebuilding it.
 
 Cluster sizes are counts of strict exceedances within blocks, and
 :func:`exceedance_histogram` is the one exact kernel that counts them: for
@@ -28,7 +29,7 @@ _MODES = ("disjoint", "sliding")
 class Sample:
     """A series validated as a 1-d float array ``x`` of n >= 2 finite real
     values; ``sorted`` and ``ranks`` are computed on first use and kept, and
-    so is the last sliding tops table built."""
+    so is the last tops table built in each block layout."""
 
     def __init__(self, x):
         x = np.asarray(x)
@@ -42,7 +43,7 @@ class Sample:
         if not np.all(np.isfinite(x)):
             raise ValueError("sample contains non-finite values (NaN or inf)")
         self.x = x
-        self._sliding = (None, None, None)  # (b, cap, tops) of the last sliding table built
+        self._tops = {}  # mode: (b, cap, tops) of the last table built in that layout
 
     @cached_property
     def sorted(self):
@@ -72,18 +73,17 @@ class Sample:
         """:func:`block_tops` of the disjoint or sliding blocks of length b,
         read-only: the ``min(cap, b)`` largest entries of each block.
 
-        A sliding table at a larger b and the same cap as the last one
-        extends it by the entries the windows gained, which is exact: a kept
-        row short of cap columns holds its whole window.  Disjoint tops are
-        every b-th row of the last sliding table when it has this b and cap,
-        and are built directly otherwise.
+        The last table of each layout is kept and handed out again at the
+        same b and cap.  A sliding table at a larger b and the same cap
+        extends the kept one by the entries the windows gained, which is
+        exact: a kept row short of cap columns holds its whole window.
         """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        last_b, last_cap, last = self._tops.get(mode, (None, None, None))
+        if (last_b, last_cap) == (b, cap):
+            return last
         x = self.x
-        last_b, last_cap, last = self._sliding
-        if (last_b, last_cap) == (b, cap):  # the kept table, or every b-th row of it
-            return last if mode == "sliding" else last[: x.size // b * b : b]
         if mode == "disjoint":
             tops = block_tops(disjoint_blocks(x, b), cap)
         else:
@@ -92,8 +92,8 @@ class Sample:
                 tops = _joined_tops((last[: len(windows)], windows[:, last_b:]), cap)
             else:
                 tops = block_tops(windows, cap)
-            self._sliding = (b, cap, tops)
         tops.flags.writeable = False
+        self._tops[mode] = (b, cap, tops)
         return tops
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "Pmf",
     "BivariatePmfFamily",
     "CppModel",
-    "PBAR_AT_ZERO",
     "conv_powers",
     "bivar_powers",
     "poisson_table",
@@ -49,9 +48,6 @@ __all__ = [
     "max_ar_family",
     "geometric_pi",
 ]
-
-# pbar(0) = int exp(-theta*tau) theta exp(-theta*tau) dtau = 1/2 for every model
-PBAR_AT_ZERO = 0.5
 
 # default support cap for constructed cluster size distributions
 SUPPORT_CAP = 40
@@ -192,8 +188,8 @@ def cpp_pmf(model, tau, m_max):
 def pbar_theory(model, m_max):
     """pbar(m) = sum_{j<=m} 2^{-(j+1)} pi^{*j}(m) for m = 1..m_max.
 
-    The returned weights are indexed by m with index 0 unused (pbar(0) = 1/2
-    is the module constant PBAR_AT_ZERO).
+    The returned weights are indexed by m with index 0 unused: pbar(0) =
+    int exp(-theta*tau) theta exp(-theta*tau) dtau = 1/2 for every model.
     """
     m_max = check_count("m_max", m_max, 0)
     w = 0.5 ** np.arange(1, m_max + 2) @ conv_powers(model.pi, m_max)
@@ -255,13 +251,12 @@ def gauss_legendre_01(n):
 def gauss_legendre_panels(n, knots):
     """Composite Gauss-Legendre rule on (0, 1) split at interior knots.
 
-    ``n`` nodes per panel; with no knots this is :func:`gauss_legendre_01`.
-    Splitting restores geometric convergence when the integrand is smooth
-    between the knots but kinked at them.
+    ``n`` nodes per panel; with no knots the one panel (0, 1) gives the
+    floats of :func:`gauss_legendre_01`.  Splitting restores geometric
+    convergence when the integrand is smooth between the knots but kinked
+    at them.
     """
     knots = np.asarray(knots, dtype=float)
-    if knots.size == 0:
-        return gauss_legendre_01(n)
     if np.any(knots <= 0.0) or np.any(knots >= 1.0) or np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing inside (0, 1)")
     edges = np.concatenate(([0.0], knots, [1.0]))

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import FitMixin, _integral, check_block_size, check_m_max
+from .base import _integral, check_block_size, check_m_max
 from .blocks import exceedance_histogram, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
@@ -203,13 +203,14 @@ def _mean_cluster_size(pi):
     return denom
 
 
-class ClusterSizeEstimator(FitMixin):
+class ClusterSizeEstimator:
     """Fit-style front end bundling pbar_hat, the pi recursion and theta_hat.
 
-    Parameters mirror :func:`pbar_hat` plus the clipping flag.  After
-    ``fit(x)`` the instance carries ``pbar_`` (:class:`PbarEstimate`),
-    ``pi_`` (:class:`PiEstimate`), ``theta_`` (float, or NaN when the
-    denominator is degenerate) and ``theta_denominator_``.
+    Parameters mirror :func:`pbar_hat` plus the clipping flag, and are read
+    and set scikit-learn style by name.  After ``fit(x)`` the instance
+    carries ``pbar_`` (:class:`PbarEstimate`), ``pi_`` (:class:`PiEstimate`),
+    ``theta_`` (float, or NaN when the denominator is degenerate) and
+    ``theta_denominator_``.
     """
 
     def __init__(self, b, mode="sliding", scale="z", m_max=5, clip=False):
@@ -218,6 +219,17 @@ class ClusterSizeEstimator(FitMixin):
         self.scale = scale
         self.m_max = m_max
         self.clip = clip
+
+    def get_params(self, deep=True):
+        return {name: getattr(self, name) for name in ("b", "mode", "scale", "m_max", "clip")}
+
+    def set_params(self, **params):
+        valid = self.get_params()
+        for key, value in params.items():
+            if key not in valid:
+                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
+            setattr(self, key, value)
+        return self
 
     def fit(self, x):
         self.pbar_ = pbar_hat(x, self.b, mode=self.mode, scale=self.scale, m_max=self.m_max)
@@ -233,5 +245,6 @@ class ClusterSizeEstimator(FitMixin):
 
     def theta(self, m=None):
         """theta(m) from the fitted pi; raises on a degenerate denominator."""
-        self._check_fitted("pi_")
+        if not hasattr(self, "pi_"):
+            raise AttributeError(f"{type(self).__name__} instance is not fitted yet; call fit() first")
         return theta_hat(self.pi_, m)

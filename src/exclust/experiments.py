@@ -4,10 +4,11 @@ Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
 pi-hat(m) against the model's known limit values.  A replication validates
 and sorts its series once, as one :class:`~exclust.blocks.Sample` read by
-every (estimator, b) cell; its one sliding tops table grows along the
-block grid and serves both threshold scales.  Replications are pure
-functions of a mixed per-rep seed and are folded in rep order, so results
-are byte-identical for any worker count.
+every (estimator, b) cell; it keeps one tops table per block layout,
+which serves both threshold scales, and the sliding one grows along the
+block grid.  Replications are pure functions of a mixed per-rep seed and
+are folded in rep order, so results are byte-identical for any worker
+count.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, r
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError, FieldError
 from .estimators import pbar_hat, pi_from_pbar
-from .simulate import ModelSpec, gen, substream_seed
+from .simulate import MAX_LENGTH, ModelSpec, gen, substream_seed
 
 __all__ = [
     "ESTIMATORS",
@@ -125,6 +126,8 @@ class ExperimentConfig:
         with _field("reps"):
             if self.reps < 2:
                 raise ValueError(f"reps must be >= 2, got {self.reps}")
+            if self.reps > MAX_LENGTH:  # run() stacks one result per replication
+                raise ValueError(f"reps must be at most {MAX_LENGTH}, got {self.reps}")
         with _field("m_max"):
             object.__setattr__(self, "m_max", check_m_max(self.m_max, self.n))
         for name in ("block_grid", "estimators"):

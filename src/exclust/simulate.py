@@ -28,6 +28,7 @@ __all__ = ["ModelSpec", "gen", "substream_seed"]
 KINDS = ("armax", "sqarch", "ar_uniform", "iid_frechet")
 
 _MASK64 = (1 << 64) - 1
+MAX_LENGTH = int(np.iinfo(np.intp).max)  # no array holds more entries
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,10 @@ class ModelSpec:
                 object.__setattr__(self, name, check_count(name, getattr(self, name), low))
             except ValueError as err:
                 raise FieldError(name, str(err)) from None
+        if self.n > MAX_LENGTH:
+            raise FieldError("n", f"n must be at most {MAX_LENGTH}, got {self.n}")
+        if self.burnin > MAX_LENGTH - self.n:  # n + burnin values are generated
+            raise FieldError("burnin", f"burnin must be at most {MAX_LENGTH} - n, got {self.burnin}")
         if self.seed > _MASK64:
             raise FieldError("seed", "seed must fit in 64 unsigned bits")
         if self.param is not None and (

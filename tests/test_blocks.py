@@ -13,6 +13,7 @@ from exclust.base import check_block_size
 from exclust.blocks import Sample, block_tops, disjoint_blocks, exceedance_histogram, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
 from exclust.estimators import pbar_hat
+from exclust.experiments import ExperimentConfig, _run_rep
 
 
 def naive_sliding_maxima(x, b):
@@ -119,8 +120,9 @@ def tops_requests(draw):
 @given(tops_requests(), st.sampled_from([1, 3, 4096]))
 @settings(max_examples=150, deadline=None)
 def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
-    # a Sample extends its last sliding table and reads disjoint tops off it;
-    # every table it hands out must equal one built from scratch (+-0 compare equal)
+    # a Sample keeps its last table of each layout and extends the sliding
+    # one; every table it hands out must equal one built from scratch (+-0
+    # compare equal)
     x, requests = case
     s = Sample(x)
     with mock.patch.object(blocks, "_CHUNK", chunk):
@@ -137,8 +139,9 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
 
 def test_tops_are_read_only():
     s = Sample(np.random.default_rng(2).normal(size=60))
-    # fresh disjoint, fresh sliding, extended sliding, kept sliding, rows of the kept table
-    for b, mode in ((4, "disjoint"), (4, "sliding"), (6, "sliding"), (6, "sliding"), (6, "disjoint")):
+    # fresh disjoint, fresh sliding, extended sliding, kept sliding, fresh and kept disjoint
+    for b, mode in ((4, "disjoint"), (4, "sliding"), (6, "sliding"), (6, "sliding"), (6, "disjoint"),
+                    (6, "disjoint")):
         tops = s.tops(b, mode, 3)
         assert not tops.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -217,7 +220,16 @@ def test_tops_rejects_unknown_mode_or_scale():
         s.tops(5, "bogus", 2)
     with pytest.raises(ValueError, match="scale must be one of .* got 'w'"):
         pbar_hat(s, 5, mode="sliding", scale="w")
-    assert s._sliding == (None, None, None)
+    assert s._tops == {}
+
+
+def test_one_table_build_per_layout_and_block_size():
+    # the disjoint table db-z builds serves db-y, hsing and robert at the same
+    # b, and the sliding one sb-z extends serves sb-y: 2 builds per b
+    config = ExperimentConfig("armax", 0.5, reps=2)
+    with mock.patch.object(blocks, "_joined_tops", wraps=blocks._joined_tops) as joined:
+        _run_rep((config, 0))
+    assert joined.call_count == 2 * len(config.block_grid) == 34
 
 
 def test_check_block_size_bounds():

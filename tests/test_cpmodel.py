@@ -7,7 +7,6 @@ import pytest
 from scipy.special import roots_legendre
 
 from exclust.cpmodel import (
-    PBAR_AT_ZERO,
     BivariatePmfFamily,
     CppModel,
     Pmf,
@@ -204,7 +203,6 @@ def test_pbar_theory_iid():
     # pi = delta_1 makes pi*j(m) = 1(j=m), so pbar(m) = 2^-(m+1)
     p = pbar_theory(iid_model(), 3)
     np.testing.assert_allclose(p.weights[1:], [0.25, 0.125, 0.0625], rtol=1e-14)
-    assert PBAR_AT_ZERO == 0.5
 
 
 def test_pbar_theory_geometric_hand():

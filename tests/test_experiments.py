@@ -392,8 +392,16 @@ def test_read_config_refuses_a_repeated_key(tmp_path):
         ("model_param = 1.5\n", "2: model_param: armax needs alpha in [0, 1), got 1.5"),
         ("model_param = 0.5\nestimators = sb-z, runs\n", "3: estimators: unknown estimators: ['runs']"),
         ("model_param = 0.5\nn = 200\nm_max = 300\n", "4: m_max: m_max=300 exceeds the sample size n=200"),
+        # counts no array can hold: run() built a task list of reps tuples,
+        # or numpy failed with "Maximum allowed dimension exceeded"
+        ("model_param = 0.5\nreps = 99999999999999999999999\n",
+         "3: reps: reps must be at most 9223372036854775807, got 99999999999999999999999"),
+        ("model_param = 0.5\nn = 99999999999999999999999\n",
+         "3: n: n must be at most 9223372036854775807, got 99999999999999999999999"),
+        ("model_param = 0.5\nburnin = 9223372036854775000\n",
+         "3: burnin: burnin must be at most 9223372036854775807 - n, got 9223372036854775000"),
     ],
-    ids=["n", "model_param", "estimators", "m_max"],
+    ids=["n", "model_param", "estimators", "m_max", "reps-above-intp", "n-above-intp", "burnin-above-intp"],
 )
 def test_read_config_names_line_and_key_of_a_refused_value(tmp_path, text, reason):
     bad = tmp_path / "bad.cfg"

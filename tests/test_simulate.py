@@ -37,6 +37,8 @@ def test_model_spec_validation():
         ("burnin", dict(burnin=2.5)),
         ("burnin", dict(burnin=True)),
         ("burnin", dict(burnin=-1)),
+        ("n", dict(n=10 ** 23)),  # more values than an array holds
+        ("burnin", dict(burnin=2 ** 63 - 100)),
         ("seed", dict(seed=1.7)),
         ("seed", dict(seed=False)),
         ("seed", dict(seed=-1)),
