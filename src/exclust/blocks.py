@@ -9,9 +9,11 @@ the sliding table instead of rebuilding it.
 Cluster sizes are counts of strict exceedances within blocks, and
 :func:`exceedance_histogram` is the one exact kernel that counts them: for
 many thresholds at once, the blocks by capped exceedance count, over all
-blocks, or per block over the blocks at least a radius away.  A tops table
-keeps at most as many columns as a block has entries, so the counts above
-that are zero; :func:`pad_counts` appends them.
+blocks, or per block over the blocks at least a radius away.
+:func:`exceedance_totals` gives its column sums without the per-row table,
+counted once per run of equal thresholds.  A tops table keeps at most as
+many columns as a block has entries, so the counts above that are zero;
+:func:`pad_counts` appends them.
 """
 
 from functools import cached_property
@@ -20,7 +22,8 @@ import numpy as np
 
 from .base import check_block_size
 
-__all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram"]
+__all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram",
+           "exceedance_totals"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
 _MODES = ("disjoint", "sliding")
@@ -61,12 +64,17 @@ class Sample:
     def cdf_threshold(self, levels):
         """Value thresholds t with X_s > t exactly when F_n(X_s) > y, for every
         sample value X_s and c.d.f. level y in ``levels``: F_n(X_s) = r/n
-        exceeds y when r > j = #{c : c/n <= y} (n for NaN), so t is the float
-        just below the (j+1)-th smallest value, or the largest float at j = n.
+        exceeds y when r > j = #{c in 1..n : c/n <= y} (n for NaN), so t is
+        the float just below the (j+1)-th smallest value, or the largest
+        float at j = n.  floor(n*y) is j or one off, so one step against
+        the float c/n corrects it.
         """
         n = self.x.size
-        j = np.searchsorted(np.arange(1, n + 1) / n, levels, side="right")
-        with np.errstate(over="ignore"):  # just below -1.797e308 is -inf
+        with np.errstate(over="ignore"):  # n*y may overflow; just below -1.797e308 is -inf
+            j = np.floor(np.asarray(levels, dtype=float) * n)
+            j += (j + 1) / n <= levels
+            j -= j / n > levels
+            j = np.maximum(np.fmin(j, n), 0).astype(np.intp)  # fmin sends NaN to n
             return np.nextafter(np.append(self.sorted, np.inf)[j], -np.inf)
 
     def tops(self, b, mode, cap):
@@ -172,9 +180,7 @@ def exceedance_histogram(tops, thresholds, radius=0):
     order-statistic column.
     """
     k, cap = tops.shape
-    thresholds = np.asarray(thresholds)
-    if radius and len(thresholds) != k:
-        raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
+    thresholds = _checked_thresholds(k, thresholds, radius)
     # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1
     below = np.zeros((len(thresholds), cap + 2), dtype=np.int64)
     below[:, -1] = k
@@ -194,30 +200,108 @@ def exceedance_histogram(tops, thresholds, radius=0):
     return hist
 
 
+def exceedance_totals(tops, thresholds, radius=0):
+    """The column sums of ``exceedance_histogram(tops, thresholds, radius)``,
+    counted once per run of equal thresholds.
+
+    The rows of a run have the same count over all blocks, so that
+    histogram is taken at the run starts only and weighted by the run
+    lengths.  Along a run, row q's near count is row q - 1's plus a step
+    (:func:`_steps`), so the near counts are summed from the steps,
+    ``_CHUNK`` rows at a time and in integers, and no per-row table is built.
+    """
+    k, cap = tops.shape
+    thresholds = _checked_thresholds(k, thresholds, radius)
+    starts = _run_starts(thresholds)
+    runlen = np.diff(starts, append=len(thresholds))
+    totals = runlen @ exceedance_histogram(tops, thresholds[starts])
+    if not radius:
+        return totals
+    d = min(radius, k) - 1
+    totals[0] -= k + d * (2 * k - d - 1)  # ordered block pairs less than radius apart
+    # near[c] = #(row, near block) pairs whose block's capped count is >= c + 1
+    if radius == 1:  # a disjoint block's only near block is itself
+        near = np.count_nonzero(tops > thresholds[:, None], axis=0)
+    else:
+        near = _near_totals(tops, thresholds, radius, starts, runlen)
+    totals[:-1] += near
+    totals[1:] -= near
+    return totals
+
+
+def _near_totals(tops, thresholds, radius, starts, runlen):
+    """The column sums of :func:`_near_counts`, given the runs of equal
+    thresholds: each run start's full count times the run length, plus each
+    later row's step times the rows from it to the end of its run."""
+    k = len(tops)
+    padded = _padded(tops, radius)
+    near = runlen @ _near_at(padded, thresholds, starts, radius)
+    rows_left = np.repeat(starts + runlen, runlen) - np.arange(k)
+    rows_left[starts] = 0  # a start's count is in already
+    for lo in range(0, k, _CHUNK):
+        hi = min(lo + _CHUNK, k)
+        near += rows_left[lo:hi] @ _steps(padded, thresholds, radius, lo, hi)
+    return near
+
+
+def _checked_thresholds(k, thresholds, radius):
+    thresholds = np.asarray(thresholds)
+    if radius and len(thresholds) != k:
+        raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
+    return thresholds
+
+
+def _run_starts(thresholds):
+    """The indices at which a run of equal thresholds begins."""
+    new = np.ones(len(thresholds), dtype=bool)
+    np.not_equal(thresholds[1:], thresholds[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _padded(tops, radius):
+    """``tops`` between radius rows of -inf above and radius - 1 below: block
+    j at row j + radius, so rows q + 1 .. q + 2*radius - 1 are q's near blocks."""
+    k, cap = tops.shape
+    padded = np.full((k + 2 * radius - 1, cap), -np.inf)
+    padded[radius : radius + k] = tops
+    return padded
+
+
+def _steps(padded, thresholds, radius, lo, hi):
+    """Rows lo .. hi - 1 of the +-1 steps of :func:`_near_counts`: row q's near
+    window gains block q + radius - 1 and loses block q - radius."""
+    t = thresholds[lo:hi, None]
+    width = 2 * radius - 1
+    return (padded[lo + width : hi + width] > t).view(np.int8) - (padded[lo:hi] > t).view(np.int8)
+
+
+def _near_at(padded, thresholds, rows, radius):
+    """Rows ``rows`` of :func:`_near_counts`, each near block compared in full
+    (``_CHUNK`` near rows per step)."""
+    width = 2 * radius - 1
+    window = np.arange(1, width + 1)[:, None]
+    per_step = max(1, _CHUNK // width)
+    near = np.empty((rows.size, padded.shape[1]), dtype=np.int32)
+    for lo in range(0, rows.size, per_step):
+        at = rows[lo : lo + per_step]
+        np.add.reduce(padded.take(window + at, axis=0) > thresholds[at, None], axis=0,
+                      dtype=np.int32, out=near[lo : lo + per_step])
+    return near
+
+
 def _near_counts(tops, thresholds, radius):
     """Row q counts the blocks i' with |q - i'| < radius whose c-th largest
     entry exceeds ``thresholds[q]``, in column c - 1.
 
-    Along a run of equal thresholds, row q's near window gains block
-    q + radius - 1 and loses block q - radius.  So the near blocks are
-    compared in full only at run starts (``_CHUNK`` near rows per step),
-    and the counts are carried through each run by a cumulative sum of the
-    +-1 steps.
+    Along a run of equal thresholds, row q's count is row q - 1's plus a
+    step (:func:`_steps`).  So the near blocks are compared in full only at
+    run starts (:func:`_near_at`), and the counts are carried through each
+    run by a cumulative sum of the steps.
     """
-    k, cap = tops.shape
-    width = 2 * radius - 1
-    padded = np.full((k + width, cap), -np.inf)  # block j at row j + radius
-    padded[radius : radius + k] = tops
-    t = thresholds[:, None]
-    steps = (padded[width:] > t).view(np.int8) - (padded[:k] > t).view(np.int8)
-    near = np.cumsum(steps, axis=0, dtype=np.int32)
-    starts = np.flatnonzero(np.concatenate(([True], thresholds[1:] != thresholds[:-1])))
-    shift = near[starts]  # minus the full count at each start, below
-    window = np.arange(1, width + 1)[:, None]
-    per_step = max(1, _CHUNK // width)
-    for lo in range(0, starts.size, per_step):
-        at = starts[lo : lo + per_step]
-        shift[lo : lo + per_step] -= np.add.reduce(
-            padded.take(window + at, axis=0) > t[at], axis=0, dtype=np.int32)
+    k = len(tops)
+    padded = _padded(tops, radius)
+    near = np.cumsum(_steps(padded, thresholds, radius, 0, k), axis=0, dtype=np.int32)
+    starts = _run_starts(thresholds)
+    shift = near[starts] - _near_at(padded, thresholds, starts, radius)
     near -= np.repeat(shift, np.diff(starts, append=k), axis=0)
     return near

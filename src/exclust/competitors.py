@@ -161,16 +161,19 @@ def cpp_invert(p_values, tau):
         raise ValueError(f"tau must be positive, got {tau}")
     lam = -math.log(p[0])
     m_top = p.size - 1
+    ratio = (p / p[0]).tolist()
     pi = np.zeros(m_top + 1)
+    rev = pi[::-1]  # a view, so it follows pi as pi is filled
     for m in range(1, m_top + 1):
         tail = 0.0
         cur = pi
         fact = lam
         for j in range(2, m + 1):
-            cur = np.convolve(cur, pi)[: m_top + 1]
+            # np.convolve(cur, pi) without its argument checks: the same C call
+            cur = np.correlate(cur, rev, "full")[: m_top + 1]
             fact *= lam / j
-            tail += fact * cur[m]
-        pi[m] = (p[m] / p[0] - tail) / lam
+            tail += fact * cur.item(m)
+        pi[m] = (ratio[m] - tail) / lam
     return lam / tau, pi[1:]
 
 

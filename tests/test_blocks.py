@@ -10,7 +10,8 @@ from scipy.stats import rankdata
 
 from exclust import blocks
 from exclust.base import check_block_size
-from exclust.blocks import Sample, block_tops, disjoint_blocks, exceedance_histogram, ranks, sliding_maxima
+from exclust.blocks import (Sample, block_tops, disjoint_blocks, exceedance_histogram, exceedance_totals, ranks,
+                            sliding_maxima)
 from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
 from exclust.estimators import pbar_hat
 from exclust.experiments import ExperimentConfig, _run_rep
@@ -79,8 +80,39 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
 
 def test_exceedance_histogram_needs_one_threshold_per_block_with_a_radius():
     tops = block_tops(disjoint_blocks(np.arange(12.0), 3), 2)
-    with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
-        exceedance_histogram(tops, np.zeros(3), 1)
+    for kernel in (exceedance_histogram, exceedance_totals):
+        for radius in (1, 2):
+            with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
+                kernel(tops, np.zeros(3), radius)
+
+
+@st.composite
+def totals_case(draw):
+    """A tops table of k >= 1 blocks with ties, a radius (0, or 1 to k) and
+    thresholds in runs of equal values, drawn from the entries, +-inf and NaN."""
+    k = draw(st.integers(1, 40))
+    b = draw(st.integers(1, 6))
+    entries = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(-10, 10)
+    rows = draw(hnp.arrays(np.float64, (k, b), elements=entries))
+    tops = block_tops(rows, draw(st.integers(1, 7)))
+    radius = draw(st.integers(0, k))
+    size = k if radius else draw(st.integers(0, 3 * k))
+    pool = st.sampled_from(list(rows.ravel()) + [-np.inf, np.inf, np.nan])
+    runs = draw(st.lists(st.tuples(pool, st.integers(1, k)), min_size=1))
+    thresholds = np.resize(np.concatenate([np.full(length, v) for v, length in runs]), size)
+    return tops, thresholds, radius
+
+
+@given(totals_case(), st.sampled_from([1, 3, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_exceedance_totals_are_the_histogram_column_sums(case, chunk):
+    # counted per run of equal thresholds, with the near-count steps summed
+    # _CHUNK rows at a time
+    tops, thresholds, radius = case
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        got = exceedance_totals(tops, thresholds, radius)
+    want = exceedance_histogram(tops, thresholds, radius).sum(axis=0)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_disjoint_blocks_drop_the_remainder():
@@ -154,29 +186,43 @@ _EXTREME = np.finfo(float).max
 @st.composite
 def series_and_levels(draw):
     """A series with ties, +-0 and magnitudes up to the largest float, and
-    c.d.f. levels: NaN, +-inf, values <= 0, every c/n, 1 and uniform draws."""
+    c.d.f. levels: NaN, +-inf, values outside [0, 1], every c/n (c = 0..n+1)
+    with its two neighbouring floats, and uniform draws."""
     n = draw(st.integers(min_value=2, max_value=40))
     pool = [0.0, -0.0, 1.0, -1.0, _EXTREME, -_EXTREME, np.nextafter(-_EXTREME, 0.0), 5e-324, -5e-324]
     x = np.array(draw(st.lists(st.one_of(
         st.sampled_from(pool), st.floats(allow_nan=False, allow_infinity=False)),
         min_size=n, max_size=n)))
     drawn = draw(st.lists(st.one_of(
-        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 5e-324]),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0, 5e-324, -0.5, 1.5, _EXTREME]),
         st.floats(0.0, 1.0), st.floats(allow_nan=False)), max_size=20))
-    levels = np.concatenate((np.arange(1, n + 1) / n, np.array(drawn, dtype=float)))
+    steps = np.arange(n + 2) / n
+    levels = np.concatenate((steps, np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf),
+                             np.array(drawn, dtype=float)))
     return x, levels
+
+
+def searchsorted_threshold(s, levels):
+    """:meth:`Sample.cdf_threshold` by its first rule: j = #{c : c/n <= y}
+    by ``searchsorted`` into all n levels c/n, O(n) per call."""
+    n = s.x.size
+    j = np.searchsorted(np.arange(1, n + 1) / n, levels, side="right")
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.append(s.sorted, np.inf)[j], -np.inf)
 
 
 @given(series_and_levels())
 @settings(max_examples=300, deadline=None)
 def test_cdf_threshold_is_the_exact_inverse_of_the_ranks(case):
-    # x > t(y) must equal F_n(x) > y elementwise, for every sample value
+    # x > t(y) must equal F_n(x) > y elementwise, for every sample value, and
+    # floor(n*y) corrected by one step must give the searchsorted rule's floats
     x, levels = case
     s = Sample(x)
     t = s.cdf_threshold(levels)
     assert t.shape == levels.shape
     assert np.array_equal(x[:, None] > t, s.ranks[:, None] > levels)
     assert np.array_equal(s.cdf(x), s.ranks)
+    assert t.tobytes() == searchsorted_threshold(s, levels).tobytes()
 
 
 def test_ranks_ties_use_max_rank():

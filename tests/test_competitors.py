@@ -247,6 +247,45 @@ def test_cpp_invert_round_trip():
         np.testing.assert_allclose(pi_hat, pi.weights[1:6], atol=1e-12)
 
 
+def convolve_invert(p_values, tau):
+    """:func:`cpp_invert` as first written, one ``np.convolve`` per power:
+    the oracle of its floats."""
+    p = np.asarray(p_values, dtype=float)
+    lam = -math.log(p[0])
+    m_top = p.size - 1
+    pi = np.zeros(m_top + 1)
+    for m in range(1, m_top + 1):
+        tail = 0.0
+        cur = pi
+        fact = lam
+        for j in range(2, m + 1):
+            cur = np.convolve(cur, pi)[: m_top + 1]
+            fact *= lam / j
+            tail += fact * cur[m]
+        pi[m] = (p[m] / p[0] - tail) / lam
+    return lam / tau, pi[1:]
+
+
+def test_cpp_invert_matches_the_convolve_loop_bit_for_bit():
+    # count fractions as robert_pi passes them (some with zero entries) and
+    # arbitrary rows, m from 1 to 8
+    rng = np.random.default_rng(97)
+    for _ in range(3000):
+        m = int(rng.integers(1, 9))
+        if rng.random() < 0.5:
+            k = int(rng.integers(2, 400))
+            counts = rng.multinomial(k, rng.dirichlet(np.ones(m + 2)))
+            if not 0 < counts[0] < k:
+                continue
+            p = counts[: m + 1] / k
+        else:
+            p = rng.dirichlet(np.ones(m + 2))[: m + 1]
+        tau = rng.uniform(0.1, 3.0)
+        theta, pi = cpp_invert(p, tau)
+        want_theta, want_pi = convolve_invert(p, tau)
+        assert theta == want_theta and pi.tobytes() == want_pi.tobytes()
+
+
 def test_cpp_invert_validates_p0():
     with pytest.raises(ValueError):
         cpp_invert(np.array([0.0, 0.5]), 1.0)

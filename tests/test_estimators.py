@@ -397,6 +397,21 @@ def test_sliding_pbar_memory_stays_below_the_old_peak():
     assert peak <= 13_731_521
 
 
+def test_sliding_pbar_builds_no_per_row_table():
+    # pbar_hat sums column totals per run of equal thresholds; the per-row
+    # histogram and near counts it summed before peaked at 3.6x the table
+    s = Sample(gen(ModelSpec("armax", 50_000, 0.5, seed=4)))
+    for scale in ("z", "y"):
+        pbar_hat(s, 20, mode="sliding", scale=scale)  # builds the kept table and sorted values
+        tracemalloc.start()
+        try:
+            pbar_hat(s, 20, mode="sliding", scale=scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * s.tops(20, "sliding", 6).nbytes
+
+
 def test_sweep_all_above_max():
     x = np.arange(12.0)
     thr = np.full(12 - 3 + 1, 100.0)
