@@ -222,13 +222,17 @@ def _sigma_sb_entries(model, m, nodes):
     count k and two count shifts.  On the private s*tau piece,
     Pois_k(xi lam) = exp(-xi lam) xi^k lam^k / k! (lam = theta s tau), and
     lam^k / k! does not depend on xi.  With S ratio and X overlap nodes,
-    each threshold node u costs an (S, X) table exp(-xi lam), one GEMM of
-    it with the (X, (m+1)^3) table xw xi^k Y[(d, k), u], and weighted adds
-    of S*(2m+1)*(m+1)^2 terms.  Doubling the nodes at m=3 made each u
-    2.3-3.5x dearer (iid, S = 64 to 128: 0.10 to 0.23-0.27 ms; geometric
-    alpha=0.5, S = 816 to 1632: 0.51-0.61 to 1.8-2.1 ms; 2-vCPU host): the
-    adds grow linearly, the table and GEMM quadratically.  `_shift_add`
-    contracts the sums Q with the bivariate powers BT once at the end.
+    each threshold node u builds its own (S, X) table exp(-xi lam), shared
+    piece table Y[xi, (d, k)] and xi-free weights, then sums the overlap
+    axis by one GEMM with xw xi^k Y and S*(2m+1)*(m+1)^2 weighted adds.
+    Doubling the nodes at m=3 made each u 2.1-2.6x dearer (iid, S = 64 to
+    128: 0.13-0.16 to 0.29-0.40 ms; geometric alpha=0.5, S = 816 to 1632:
+    0.62-0.75 to 1.5-2.0 ms; 2-vCPU host): the adds grow linearly, the
+    table and GEMM quadratically.  ``gd``, ``e1`` and ``p_y`` stay whole
+    grids, so the peak still grows about like the square of the nodes: the
+    einsums after the loop read them whole, and splitting those per u
+    would change their summation order.  `_shift_add` contracts the sums Q
+    with the bivariate powers BT once at the end.
     """
     th = model.theta
     s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
@@ -241,7 +245,6 @@ def _sigma_sb_entries(model, m, nodes):
     pp = np.outer(pbar, pbar)
     BT = bivar_powers(model.pi2, s, m)
 
-    lam_st = th * np.outer(s, tau)  # theta * s * tau(u), reused on every axis
     # derivative of the count pmf at window length s*tau resp. tau, count first
     gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
     gd1 = cpp_pmf_dtau(model, tau, m)[1:]
@@ -255,20 +258,8 @@ def _sigma_sb_entries(model, m, nodes):
         coef = upper[ll - 1] / 2.0**ll - upper[ll] / 2.0 ** (ll + 1)
         tail += np.outer(coef, M[ll, 1 : m + 1])
 
-    # xi-free weights, u-major: indicator-indicator with the private piece's
-    # exp(-lam) lam^k / k!, and indicator-smooth below mu = tau
-    w = sw[:, None] * uw * tau
-    L = poisson_table(lam_st, m)  # scaled in place, not copied
-    L *= th * w
-    L = L.transpose(2, 1, 0)                                   # [u, s, k]
-    wB = (w * gd).transpose(2, 1, 0)                           # [u, s, j]
-    del w  # one (S, U) table fewer live through the u loop
-
-    # the (xi, u) pieces: count d on the xi*tau private piece, k clusters in
-    # the shared piece; Y[u, xi, (d, k)]
+    # count d on the xi*tau private piece, p_y[d, xi, u]
     p_y = np.einsum("kd,kxu->dxu", M, poisson_table(th * np.outer(xi, tau), m))
-    pois_s = poisson_table(th * np.outer(1 - xi, tau), m)
-    Y = (p_y[:, None] * pois_s).reshape(-1, xi.size, u.size).T
     xpow = xiw[:, None] * xi[:, None] ** np.arange(m + 1)  # xw xi^k
 
     # per u, one GEMM sums the overlap axis; the xi-free weights then sum u
@@ -276,11 +267,18 @@ def _sigma_sb_entries(model, m, nodes):
     Rb = np.zeros((s.size, m, (m + 1) ** 2))
     e1 = np.empty((s.size, u.size))
     for iu in range(u.size):
-        E = np.exp(-np.outer(lam_st[:, iu], xi))
-        G = E @ (xpow[:, :, None] * Y[iu][:, None, :]).reshape(xi.size, -1)
+        lam = th * (s * tau[iu])
+        w = sw * uw[iu] * tau[iu]
+        # k clusters in the shared piece: Y[xi, (d, k)]
+        Y = p_y[:, None, :, iu] * poisson_table(th * ((1 - xi) * tau[iu]), m)
+        Y = Y.reshape(-1, xi.size).T
+        E = np.exp(-np.outer(lam, xi))
+        G = E @ (xpow[:, :, None] * Y[:, None, :]).reshape(xi.size, -1)
         G = G.reshape(s.size, m + 1, -1)
-        Ra += L[iu][:, :, None] * G
-        Rb += wB[iu][:, :, None] * G[:, None, 0]
+        # xi-free weights: indicator-indicator with the private piece's
+        # exp(-lam) lam^k / k!, and indicator-smooth below mu = tau
+        Ra += (poisson_table(lam, m) * (th * w)).T[:, :, None] * G
+        Rb += (w * gd[:, :, iu]).T[:, :, None] * G[:, None, 0]
         e1[:, iu] = E @ xiw
     Qa = np.einsum("ke,skf->esf", M, Ra)
     Qb = Rb.transpose(1, 0, 2)

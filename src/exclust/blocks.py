@@ -135,9 +135,10 @@ def disjoint_blocks(x, b):
 def block_tops(blocks, cap):
     """The ``min(cap, b)`` largest entries of each row of ``blocks`` (rows of
     b entries), descending: a block of b entries has no more exceedances.
-    So a table needs at most n*b entries, whatever the cap.  Rows are
-    processed ``_CHUNK`` at a time, so a strided view of sliding windows is
-    never copied whole.
+    So a table needs at most n*b entries, whatever the cap.  Each step
+    copies at most ``_CHUNK`` times the table's width in entries (one row
+    at least), so a strided view of sliding windows is never copied whole,
+    however long its windows.
     """
     return _joined_tops((blocks,), cap)
 
@@ -145,15 +146,17 @@ def block_tops(blocks, cap):
 def _joined_tops(parts, cap):
     """:func:`block_tops` of the rows of ``parts`` joined side by side."""
     k = len(parts[0])
-    width = min(sum(part.shape[1] for part in parts), cap)
+    joined = sum(part.shape[1] for part in parts)
+    width = min(joined, cap)
+    step = max(1, _CHUNK * width // joined)  # rows per copy of <= _CHUNK * width entries
     tops = np.empty((k, width))
-    for lo in range(0, k, _CHUNK):
-        neg = np.concatenate([part[lo : lo + _CHUNK] for part in parts], axis=1)
+    for lo in range(0, k, step):
+        neg = np.concatenate([part[lo : lo + step] for part in parts], axis=1)
         np.negative(neg, out=neg)
-        if neg.shape[1] > width:
+        if joined > width:
             neg = np.partition(neg, width - 1, axis=1)[:, :width]
         neg.sort(axis=1)
-        np.negative(neg, out=tops[lo : lo + _CHUNK])
+        np.negative(neg, out=tops[lo : lo + step])
     return tops
 
 
@@ -192,9 +195,8 @@ def exceedance_histogram(tops, thresholds, radius=0):
         return hist
     q = np.arange(k)
     hist[:, 0] -= np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0)
-    # near[q, c] = #near blocks whose capped count is >= c + 1; a disjoint
-    # block's only near block is itself
-    near = tops > thresholds[:, None] if radius == 1 else _near_counts(tops, thresholds, radius)
+    # near[q, c] = #near blocks whose capped count is >= c + 1
+    near = _near_counts(tops, thresholds, radius)
     hist[:, :-1] += near
     hist[:, 1:] -= near
     return hist
@@ -220,10 +222,7 @@ def exceedance_totals(tops, thresholds, radius=0):
     d = min(radius, k) - 1
     totals[0] -= k + d * (2 * k - d - 1)  # ordered block pairs less than radius apart
     # near[c] = #(row, near block) pairs whose block's capped count is >= c + 1
-    if radius == 1:  # a disjoint block's only near block is itself
-        near = np.count_nonzero(tops > thresholds[:, None], axis=0)
-    else:
-        near = _near_totals(tops, thresholds, radius, starts, runlen)
+    near = _near_totals(tops, thresholds, radius, starts, runlen)
     totals[:-1] += near
     totals[1:] -= near
     return totals

@@ -1,4 +1,5 @@
 """Block layouts, the exceedance-count kernel, ranks and their inverse, and input validation."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -135,6 +136,21 @@ def test_chunked_block_tops_change_no_estimate(monkeypatch):
     monkeypatch.setattr(blocks, "_CHUNK", 7)  # 66 disjoint blocks, 395 windows
     for got, want in zip(estimates(), whole, strict=True):
         assert np.array_equal(got, want)
+
+
+def test_sliding_tops_at_half_the_series_copy_no_whole_window_view():
+    # chunks of _CHUNK rows copied the whole (k, b) window view at b = n/2:
+    # a 64 MB traced peak here, growing like n^2; chunks of _CHUNK * cap
+    # entries keep it at 0.64 MB
+    x = np.random.default_rng(1).standard_normal(4000)
+    pbar_hat(x[:100], 10, mode="sliding")  # warm-up
+    tracemalloc.start()
+    try:
+        pbar_hat(x, 2000, mode="sliding")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @st.composite

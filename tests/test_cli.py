@@ -54,6 +54,28 @@ def test_variance_geometric_sb(capsys):
     assert "theta_var,1,1," in out
 
 
+def _variance_golden():
+    """``tests/data/variance.txt``: per "$ exclust variance ..." line, the output lines."""
+    cases, spec = {}, None
+    for line in DATA.joinpath("variance.txt").read_text().splitlines():
+        if line.startswith("$ exclust variance "):
+            spec = line.removeprefix("$ exclust variance ")
+            cases[spec] = []
+        else:
+            cases[spec].append(line)
+    return cases
+
+
+VARIANCE_GOLDEN = _variance_golden()
+
+
+@pytest.mark.parametrize("spec", list(VARIANCE_GOLDEN))
+def test_variance_output_golden(capsys, spec):
+    # iid and geometric alpha=0.5, db and sb, at m=3: every line to 10 digits
+    assert main(["variance"] + spec.split()) == 0
+    assert capsys.readouterr().out.splitlines() == VARIANCE_GOLDEN[spec]
+
+
 def test_variance_unstable_quadrature_exits_2(capsys):
     code = main(["variance", "--model", "iid", "--kind", "sb", "--m", "1",
                  "--nodes", "8"])
