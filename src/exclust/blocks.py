@@ -1,10 +1,10 @@
 """Shared primitives of every estimator.  A :class:`Sample` holds what they
 read from one series: its values, sorted values, empirical c.d.f. F_n and
 its inverse (so a c.d.f. level maps to a value threshold), and the top order
-statistics of its disjoint or sliding blocks (:func:`block_tops`).  It keeps
-the last table of each block layout, so the estimators at one block size
-share one table per layout, and a run over a growing block-size grid extends
-the sliding table instead of rebuilding it.
+statistics of its disjoint or sliding blocks, which :func:`block_tops` builds
+from block rows given in column parts.  It keeps the last table of each
+layout, so the estimators at one block size share it, and a run over a
+growing block-size grid extends the sliding table by the columns gained.
 
 Cluster sizes are counts of strict exceedances within blocks, and
 :func:`exceedance_histogram` is the one exact kernel that counts them: for
@@ -22,8 +22,7 @@ import numpy as np
 
 from .base import check_block_size
 
-__all__ = ["Sample", "sliding_maxima", "ranks", "disjoint_blocks", "block_tops", "exceedance_histogram",
-           "exceedance_totals"]
+__all__ = ["Sample", "sliding_maxima", "ranks", "block_tops", "exceedance_histogram", "exceedance_totals"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
 _MODES = ("disjoint", "sliding")
@@ -78,8 +77,8 @@ class Sample:
             return np.nextafter(np.append(self.sorted, np.inf)[j], -np.inf)
 
     def tops(self, b, mode, cap):
-        """:func:`block_tops` of the disjoint or sliding blocks of length b,
-        read-only: the ``min(cap, b)`` largest entries of each block.
+        """:func:`block_tops` of the floor(n/b) disjoint blocks of length b or of
+        the sliding ones, read-only: the ``min(cap, b)`` largest entries of each block.
 
         The last table of each layout is kept and handed out again at the
         same b and cap.  A sliding table at a larger b and the same cap
@@ -93,13 +92,14 @@ class Sample:
             return last
         x = self.x
         if mode == "disjoint":
-            tops = block_tops(disjoint_blocks(x, b), cap)
+            parts = (x[: x.size // b * b].reshape(-1, b),)
         else:
             windows = np.lib.stride_tricks.sliding_window_view(x, b)
             if last_cap == cap and last_b < b:  # window i gains x[i + last_b : i + b]
-                tops = _joined_tops((last[: len(windows)], windows[:, last_b:]), cap)
+                parts = (last[: len(windows)], windows[:, last_b:])
             else:
-                tops = block_tops(windows, cap)
+                parts = (windows,)
+        tops = block_tops(*parts, cap=cap)
         tops.flags.writeable = False
         self._tops[mode] = (b, cap, tops)
         return tops
@@ -127,24 +127,14 @@ def ranks(x):
     return Sample(x).ranks
 
 
-def disjoint_blocks(x, b):
-    """The floor(n/b) disjoint blocks of length ``b`` as rows of a view; the rest is dropped."""
-    return x[: x.size // b * b].reshape(-1, b)
-
-
-def block_tops(blocks, cap):
-    """The ``min(cap, b)`` largest entries of each row of ``blocks`` (rows of
-    b entries), descending: a block of b entries has no more exceedances.
-    So a table needs at most n*b entries, whatever the cap.  Each step
-    copies at most ``_CHUNK`` times the table's width in entries (one row
-    at least), so a strided view of sliding windows is never copied whole,
-    however long its windows.
+def block_tops(*parts, cap):
+    """The ``min(cap, w)`` largest entries of each row of ``parts`` joined
+    side by side (rows of w entries in all), descending: a block of w
+    entries has no more exceedances.  So a table needs at most n*w entries,
+    whatever the cap.  Each step copies at most ``_CHUNK`` times the
+    table's width in entries (one row at least), so a strided view of
+    sliding windows is never copied whole, however long its windows.
     """
-    return _joined_tops((blocks,), cap)
-
-
-def _joined_tops(parts, cap):
-    """:func:`block_tops` of the rows of ``parts`` joined side by side."""
     k = len(parts[0])
     joined = sum(part.shape[1] for part in parts)
     width = min(joined, cap)
@@ -172,7 +162,7 @@ def pad_counts(counts, width):
 def exceedance_histogram(tops, thresholds, radius=0):
     """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
     c = 0..w, where ``tops`` holds the w largest entries of every block
-    (:func:`block_tops`); counts are capped at w.
+    (:func:`block_tops`, or :meth:`Sample.tops`); counts are capped at w.
 
     With ``radius >= 1`` there is one threshold per block, row q belongs to
     block q, and it counts only the blocks i' with |q - i'| >= radius: the

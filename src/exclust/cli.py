@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import QuadratureSpec, gamma, recursion_matrix, sigma_db, sigma_sb, theta_asymp_var
+from .base import _finite
 from .cpmodel import CppModel, geometric_pi, iid_model, max_ar_family, pbar_theory
 from .errors import DegenerateEstimateError, NumericFailureError
 from .estimators import pbar_hat, pi_from_pbar, theta_hat
@@ -162,13 +163,17 @@ def _cmd_simulate(args):
 
 
 def _read_series(path):
+    """One finite value per line ('#' comments skipped); a bad one is reported as ``path:line: ...``."""
     values = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            values.append(float(line))
+            try:
+                values.append(_finite("value", float(line)))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return np.asarray(values)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _finite, _integral, check_block_size, check_m_max
+from .base import _finite, _integral, check_block_size, check_count, check_m_max
 from .blocks import Sample
 from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import geometric_pi
@@ -168,13 +168,9 @@ class ExperimentConfig:
             if len(pi) < self.m_max:
                 raise ValueError("truth_pi is shorter than m_max")
             return self.truth_theta, np.asarray(pi[: self.m_max])
-        if self.model_kind == "armax":
-            pi = geometric_pi(self.model_param)
-            return 1.0 - self.model_param, pi.weights[1 : self.m_max + 1].copy()
-        if self.model_kind == "iid_frechet":
-            pi = np.zeros(self.m_max)
-            pi[0] = 1.0
-            return 1.0, pi
+        if self.model_kind in ("armax", "iid_frechet"):  # iid_frechet is armax at alpha = 0
+            alpha = self.model_param if self.model_kind == "armax" else 0.0
+            return 1.0 - alpha, geometric_pi(alpha, self.m_max).weights[1:]
         key = (self.model_kind, self.model_param)
         if key in _FIXED_TRUTH and self.m_max <= 5:
             theta, pi = _FIXED_TRUTH[key]
@@ -232,14 +228,13 @@ def _run_rep(args):
 
 
 def run(config, workers=None):
-    """Run the experiment; the result does not depend on `workers`."""
-    if workers is None:
-        workers = os.cpu_count() or 1
+    """Run in ``min(workers, reps)`` processes, one per CPU by default; the result does not depend on it."""
+    workers = check_count("workers", (os.cpu_count() or 1) if workers is None else workers, 1)
     tasks = [(config, rep) for rep in range(config.reps)]
-    if workers <= 1:
+    if workers == 1:
         results = [_run_rep(t) for t in tasks]
     else:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, config.reps)) as pool:
             results = pool.map(_run_rep, tasks)
     # (est, b, m, reps): each cell's replications contiguous, reduced over the last axis
     stack = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))

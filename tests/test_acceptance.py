@@ -25,7 +25,6 @@ from exclust.cpmodel import (
     cpp_pmf,
     geometric_pi,
     iid_model,
-    pbar_integral_oracle,
     pbar_theory,
 )
 from exclust.estimators import PbarEstimate, pi_from_pbar, sliding_pair_naive, sliding_pair_counts
@@ -33,6 +32,7 @@ from exclust.experiments import ExperimentConfig, run, write_csv
 from exclust.simulate import ModelSpec, gen
 
 from conftest import MC_SEED
+from oracles import pbar_integral_oracle
 
 SQARCH_PI = (0.751, 0.168, 0.055, 0.014, 0.008)
 

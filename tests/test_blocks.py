@@ -11,8 +11,7 @@ from scipy.stats import rankdata
 
 from exclust import blocks
 from exclust.base import check_block_size
-from exclust.blocks import (Sample, block_tops, disjoint_blocks, exceedance_histogram, exceedance_totals, ranks,
-                            sliding_maxima)
+from exclust.blocks import Sample, block_tops, exceedance_histogram, exceedance_totals, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
 from exclust.estimators import pbar_hat
 from exclust.experiments import ExperimentConfig, _run_rep
@@ -63,7 +62,7 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
     # table keeps min(cap, b) columns and the counts are capped there
     x, b = case
     if data.draw(st.booleans()):
-        rows = disjoint_blocks(x, b)
+        rows = x[: x.size // b * b].reshape(-1, b)
     else:
         rows = np.lib.stride_tricks.sliding_window_view(x, b)
     k, width = len(rows), min(cap, b)
@@ -71,7 +70,7 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
     size = {"max_size": 6} if radius == 0 else {"min_size": k, "max_size": k}
     picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), **size))
     thresholds = np.array(picks, dtype=float)
-    got = exceedance_histogram(block_tops(rows, cap), thresholds, radius)
+    got = exceedance_histogram(block_tops(rows, cap=cap), thresholds, radius)
     assert got.shape == (thresholds.size, width + 1)
     for q, (t, row) in enumerate(zip(thresholds, got)):
         far = rows[np.abs(np.arange(k) - q) >= radius]
@@ -80,7 +79,7 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
 
 
 def test_exceedance_histogram_needs_one_threshold_per_block_with_a_radius():
-    tops = block_tops(disjoint_blocks(np.arange(12.0), 3), 2)
+    tops = block_tops(np.arange(12.0).reshape(4, 3), cap=2)
     for kernel in (exceedance_histogram, exceedance_totals):
         for radius in (1, 2):
             with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
@@ -95,7 +94,7 @@ def totals_case(draw):
     b = draw(st.integers(1, 6))
     entries = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(-10, 10)
     rows = draw(hnp.arrays(np.float64, (k, b), elements=entries))
-    tops = block_tops(rows, draw(st.integers(1, 7)))
+    tops = block_tops(rows, cap=draw(st.integers(1, 7)))
     radius = draw(st.integers(0, k))
     size = k if radius else draw(st.integers(0, 3 * k))
     pool = st.sampled_from(list(rows.ravel()) + [-np.inf, np.inf, np.nan])
@@ -117,7 +116,34 @@ def test_exceedance_totals_are_the_histogram_column_sums(case, chunk):
 
 
 def test_disjoint_blocks_drop_the_remainder():
-    np.testing.assert_array_equal(disjoint_blocks(np.arange(7.0), 3), [[0, 1, 2], [3, 4, 5]])
+    # n // b = 2 blocks of 7 values; the seventh is in none
+    np.testing.assert_array_equal(Sample(np.arange(7.0)).tops(3, "disjoint", 3), [[2, 1, 0], [5, 4, 3]])
+
+
+@st.composite
+def cut_rows(draw):
+    """Rows of disjoint or sliding blocks with ties, cut by columns into 1-3 parts."""
+    x, b = draw(series_and_block(max_n=60))
+    if draw(st.booleans()):
+        rows = x[: x.size // b * b].reshape(-1, b)
+    else:
+        rows = np.lib.stride_tricks.sliding_window_view(x, b)
+    cuts = draw(st.lists(st.integers(1, b - 1), max_size=2, unique=True))
+    return rows, np.split(rows, sorted(cuts), axis=1)
+
+
+@given(cut_rows(), st.integers(1, 8), st.sampled_from([1, 3, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_block_tops_of_parts_equal_the_tops_of_the_joined_rows(case, cap, chunk):
+    # the kept sliding table plus the columns the windows gained are such
+    # parts; the floats must be those of the rows joined, bit for bit
+    rows, parts = case
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        got = block_tops(*parts, cap=cap)
+        want = block_tops(np.hstack(parts), cap=cap)
+    assert got.shape == want.shape == (len(rows), min(cap, rows.shape[1]))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(want, -np.sort(-rows, axis=1)[:, :cap])
 
 
 def test_chunked_block_tops_change_no_estimate(monkeypatch):
@@ -176,13 +202,13 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
     with mock.patch.object(blocks, "_CHUNK", chunk):
         for b, mode, cap in requests:
             if mode == "disjoint":
-                rows = disjoint_blocks(x, b)
+                rows = x[: x.size // b * b].reshape(-1, b)
             else:
                 rows = np.lib.stride_tricks.sliding_window_view(x, b)
             got = s.tops(b, mode, cap)
             want = -np.sort(-rows, axis=1)[:, :cap]  # min(cap, b) columns
             assert got.shape == want.shape and np.array_equal(got, want)
-            assert np.array_equal(got, block_tops(rows, cap))
+            assert np.array_equal(got, block_tops(rows, cap=cap))
 
 
 def test_tops_are_read_only():
@@ -289,9 +315,9 @@ def test_one_table_build_per_layout_and_block_size():
     # the disjoint table db-z builds serves db-y, hsing and robert at the same
     # b, and the sliding one sb-z extends serves sb-y: 2 builds per b
     config = ExperimentConfig("armax", 0.5, reps=2)
-    with mock.patch.object(blocks, "_joined_tops", wraps=blocks._joined_tops) as joined:
+    with mock.patch.object(blocks, "block_tops", wraps=blocks.block_tops) as build:
         _run_rep((config, 0))
-    assert joined.call_count == 2 * len(config.block_grid) == 34
+    assert build.call_count == 2 * len(config.block_grid) == 34
 
 
 def test_check_block_size_bounds():

@@ -149,6 +149,22 @@ def test_usage_errors_exit_1(capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("bad, reason", [("abc", "could not convert string to float: 'abc'"),
+                                         ("nan", "value must be a finite real number, got nan"),
+                                         ("-inf", "value must be a finite real number, got -inf")])
+def test_estimate_names_the_line_of_a_bad_value(tmp_path, capsys, bad, reason):
+    # the error used to give the value alone; line 3 is the bad one after a comment
+    f = tmp_path / "x.csv"
+    f.write_text("# series\n1.0\n" + bad + "\n" + "2.0\n" * 20)
+    assert main(["estimate", "--in", str(f), "--b", "5"]) == 1
+    assert capsys.readouterr().err == f"error: {f}:3: {reason}\n"
+
+
+def test_worker_count_below_one_exits_1(tmp_path, capsys):
+    assert main(["table1", "--reps", "2", "--workers", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+
+
 def test_missing_input_exits_3(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["estimate", "--in", str(missing), "--b", "5"]) == 3

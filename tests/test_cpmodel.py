@@ -19,12 +19,13 @@ from exclust.cpmodel import (
     geometric_pi,
     iid_model,
     max_ar_family,
-    pbar_integral_oracle,
     pbar_theory,
     poisson_table,
 )
 from exclust.errors import UnsupportedModelError
 from exclust.estimators import theta_hat
+
+from oracles import pbar_integral_oracle
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 

@@ -183,6 +183,52 @@ def test_truth_armax_is_geometric():
     np.testing.assert_allclose(pi, [0.5, 0.25, 0.125, 0.0625, 0.03125])
 
 
+def test_armax_truth_reaches_any_m_max():
+    # the truth stopped at geometric_pi's 40-count support: m_max=45 ran every
+    # replication, then failed to broadcast (1,1,45) against (40,) in the fold
+    cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, m_max=45, block_grid=(6,), estimators=("sb-z",))
+    theta, pi = cfg.truth()
+    assert theta == 0.5 and pi.shape == (45,) and pi[44] == 0.5**45
+    rows = run(cfg, workers=1).rows
+    assert [r.m for r in rows] == list(range(1, 46))
+
+
+class _SerialPool:
+    """Records its size and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return list(map(fn, tasks))
+
+
+def test_run_starts_no_more_workers_than_replications(monkeypatch):
+    monkeypatch.setattr(ex.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 64)
+    for workers in (None, 2, 64):
+        run(TINY, workers=workers)
+    assert _SerialPool.sizes == [3, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "4", True])
+def test_run_refuses_a_worker_count_below_one_or_not_integral(monkeypatch, workers):
+    # 0 and -3 used to run serially without a word
+    monkeypatch.setattr(ex.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(ex, "_run_rep", lambda task: pytest.fail("a replication ran"))
+    with pytest.raises(ValueError, match="workers"):
+        run(TINY, workers=workers)
+
+
 def test_truth_fixed_lists():
     theta, pi = ExperimentConfig("sqarch", 0.5).truth()
     assert theta == 0.727
