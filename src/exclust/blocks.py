@@ -6,21 +6,20 @@ from block rows given in column parts.  It keeps the last table of each
 layout, so the estimators at one block size share it, and a run over a
 growing block-size grid extends the sliding table by the columns gained.
 
-Cluster sizes are counts of strict exceedances within blocks, and
-:func:`exceedance_histogram` is the one exact kernel that counts them: for
-many thresholds at once, the blocks by capped exceedance count, over all
-blocks, or per block over the blocks at least a radius away.
-:func:`exceedance_totals` gives its column sums without the per-row table,
-counted once per run of equal thresholds.  A tops table keeps at most as
-many columns as a block has entries, so the counts above that are zero;
-:func:`pad_counts` appends them.
+Cluster sizes are counts of strict exceedances within blocks.
+:func:`exceedance_histogram` counts the blocks by capped exceedance count
+at many thresholds at once.  :func:`exceedance_totals` sums those counts
+over thresholds, one per row, leaving out the blocks less than a radius
+from each row, and builds no per-row table.  A tops table keeps at most
+as many columns as a block has entries, so the counts above that are
+zero; :func:`pad_counts` appends them.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .base import check_block_size
+from .base import check_block_size, check_count
 
 __all__ = ["Sample", "sliding_maxima", "ranks", "block_tops", "exceedance_histogram", "exceedance_totals"]
 
@@ -84,9 +83,12 @@ class Sample:
         same b and cap.  A sliding table at a larger b and the same cap
         extends the kept one by the entries the windows gained, which is
         exact: a kept row short of cap columns holds its whole window.
+        b must be an integer with 2 <= b <= n/2, and cap an integer >= 1.
         """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        b = check_block_size(self.x.size, b)
+        cap = check_count("cap", cap, 1)
         last_b, last_cap, last = self._tops.get(mode, (None, None, None))
         if (last_b, last_cap) == (b, cap):
             return last
@@ -159,51 +161,39 @@ def pad_counts(counts, width):
     return np.concatenate((counts, np.zeros(counts.shape[:-1] + (short,), counts.dtype)), axis=-1)
 
 
-def exceedance_histogram(tops, thresholds, radius=0):
+def exceedance_histogram(tops, thresholds):
     """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
     c = 0..w, where ``tops`` holds the w largest entries of every block
     (:func:`block_tops`, or :meth:`Sample.tops`); counts are capped at w.
-
-    With ``radius >= 1`` there is one threshold per block, row q belongs to
-    block q, and it counts only the blocks i' with |q - i'| >= radius: the
-    2*radius - 1 near blocks are subtracted from the count over all blocks.
 
     A block's count is < c exactly when its c-th largest entry is <= the
     threshold, so each column is one ``searchsorted`` into a sorted
     order-statistic column.
     """
     k, cap = tops.shape
-    thresholds = _checked_thresholds(k, thresholds, radius)
     # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1
     below = np.zeros((len(thresholds), cap + 2), dtype=np.int64)
     below[:, -1] = k
     for j in range(cap):
         below[:, j + 1] = np.searchsorted(np.sort(tops[:, j]), thresholds, side="right")
-    hist = np.diff(below, axis=1)
-    del below  # not kept while the near blocks are counted
-    if not radius:
-        return hist
-    q = np.arange(k)
-    hist[:, 0] -= np.minimum(q + radius, k) - np.maximum(q - radius + 1, 0)
-    # near[q, c] = #near blocks whose capped count is >= c + 1
-    near = _near_counts(tops, thresholds, radius)
-    hist[:, :-1] += near
-    hist[:, 1:] -= near
-    return hist
+    return np.diff(below, axis=1)
 
 
 def exceedance_totals(tops, thresholds, radius=0):
-    """The column sums of ``exceedance_histogram(tops, thresholds, radius)``,
-    counted once per run of equal thresholds.
+    """Column c counts the ordered pairs of a row q and a block i with
+    |q - i| >= ``radius`` where block i has exactly c entries above
+    ``thresholds[q]``, c = 0..w, capped at w; radius 0 pairs every row with
+    every block, and a radius >= 1 needs one threshold per block.
 
-    The rows of a run have the same count over all blocks, so that
-    histogram is taken at the run starts only and weighted by the run
-    lengths.  Along a run, row q's near count is row q - 1's plus a step
-    (:func:`_steps`), so the near counts are summed from the steps,
-    ``_CHUNK`` rows at a time and in integers, and no per-row table is built.
+    The rows of a run of equal thresholds have the same count over all
+    blocks (:func:`exceedance_histogram`), taken at the run starts only and
+    weighted by the run lengths.  The near blocks are subtracted in closed
+    form and by :func:`_near_totals`; no per-row table is built.
     """
     k, cap = tops.shape
-    thresholds = _checked_thresholds(k, thresholds, radius)
+    thresholds = np.asarray(thresholds)
+    if radius and len(thresholds) != k:
+        raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
     starts = _run_starts(thresholds)
     runlen = np.diff(starts, append=len(thresholds))
     totals = runlen @ exceedance_histogram(tops, thresholds[starts])
@@ -219,9 +209,11 @@ def exceedance_totals(tops, thresholds, radius=0):
 
 
 def _near_totals(tops, thresholds, radius, starts, runlen):
-    """The column sums of :func:`_near_counts`, given the runs of equal
-    thresholds: each run start's full count times the run length, plus each
-    later row's step times the rows from it to the end of its run."""
+    """The near counts summed over rows: row q's count in column c - 1 is the
+    number of blocks i with |q - i| < radius whose c-th largest entry exceeds
+    ``thresholds[q]``.  Each run start's full count (:func:`_near_at`) is taken
+    times its run length, plus each later row's step (:func:`_steps`) times
+    the rows from it to the end of its run, ``_CHUNK`` rows at a time."""
     k = len(tops)
     padded = _padded(tops, radius)
     near = runlen @ _near_at(padded, thresholds, starts, radius)
@@ -231,13 +223,6 @@ def _near_totals(tops, thresholds, radius, starts, runlen):
         hi = min(lo + _CHUNK, k)
         near += rows_left[lo:hi] @ _steps(padded, thresholds, radius, lo, hi)
     return near
-
-
-def _checked_thresholds(k, thresholds, radius):
-    thresholds = np.asarray(thresholds)
-    if radius and len(thresholds) != k:
-        raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
-    return thresholds
 
 
 def _run_starts(thresholds):
@@ -257,7 +242,7 @@ def _padded(tops, radius):
 
 
 def _steps(padded, thresholds, radius, lo, hi):
-    """Rows lo .. hi - 1 of the +-1 steps of :func:`_near_counts`: row q's near
+    """Rows lo .. hi - 1 of the +-1 steps of the near counts: row q's near
     window gains block q + radius - 1 and loses block q - radius."""
     t = thresholds[lo:hi, None]
     width = 2 * radius - 1
@@ -265,7 +250,7 @@ def _steps(padded, thresholds, radius, lo, hi):
 
 
 def _near_at(padded, thresholds, rows, radius):
-    """Rows ``rows`` of :func:`_near_counts`, each near block compared in full
+    """The near counts of rows ``rows``, each near block compared in full
     (``_CHUNK`` near rows per step)."""
     width = 2 * radius - 1
     window = np.arange(1, width + 1)[:, None]
@@ -275,22 +260,4 @@ def _near_at(padded, thresholds, rows, radius):
         at = rows[lo : lo + per_step]
         np.add.reduce(padded.take(window + at, axis=0) > thresholds[at, None], axis=0,
                       dtype=np.int32, out=near[lo : lo + per_step])
-    return near
-
-
-def _near_counts(tops, thresholds, radius):
-    """Row q counts the blocks i' with |q - i'| < radius whose c-th largest
-    entry exceeds ``thresholds[q]``, in column c - 1.
-
-    Along a run of equal thresholds, row q's count is row q - 1's plus a
-    step (:func:`_steps`).  So the near blocks are compared in full only at
-    run starts (:func:`_near_at`), and the counts are carried through each
-    run by a cumulative sum of the steps.
-    """
-    k = len(tops)
-    padded = _padded(tops, radius)
-    near = np.cumsum(_steps(padded, thresholds, radius, 0, k), axis=0, dtype=np.int32)
-    starts = _run_starts(thresholds)
-    shift = near[starts] - _near_at(padded, thresholds, starts, radius)
-    near -= np.repeat(shift, np.diff(starts, append=k), axis=0)
     return near

@@ -15,13 +15,13 @@ Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
 its block tops from the sample.  F_n is monotone, so a y-scale level maps
 to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), and
 both scales read the same tops table of the values.  Both modes take their
-pair counts from :func:`~exclust.blocks.exceedance_totals`, the column sums
-of :func:`~exclust.blocks.exceedance_histogram`, which leaves out the near
-blocks of each block: itself (disjoint) or the windows that overlap it
-(sliding).  At fixed b, memory grows linearly in n and time about like
-n*log(n): sliding ``pbar_hat`` on an array (tops table included) takes
-7-14x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5 (three runs on
-a 2-vCPU host), and 140-210 ms at n = 2e5.
+pair counts from :func:`~exclust.blocks.exceedance_totals`: capped count
+totals over ordered pairs of a block's maximum and another block, leaving
+out the near blocks of each block: itself (disjoint) or the windows that
+overlap it (sliding).  At fixed b, memory grows linearly in n and time
+about like n*log(n): sliding ``pbar_hat`` on an array (tops table
+included) takes 7-14x per 10x of n at b = 6, 20 and 38, n from 2e3 to
+2e5 (three runs on a 2-vCPU host), and 140-210 ms at n = 2e5.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import exceedance_histogram, exceedance_totals, pad_counts, sample
+from .blocks import exceedance_totals, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -40,7 +40,6 @@ __all__ = [
     "PbarEstimate",
     "PiEstimate",
     "pbar_hat",
-    "sliding_pair_counts",
     "sliding_pair_naive",
     "pi_from_pbar",
     "theta_hat",
@@ -96,8 +95,15 @@ def _check_scale(scale):
         raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
 
 
-def _sliding_input(x, b, thresholds, m_max, scale):
-    """The sample, b, one checked threshold per window start, and m_max."""
+def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
+    """Reference O(n^2 * b) enumeration of the sliding-window pair counts.
+
+    For every window start i, row i counts the windows i' with |i - i'| >= b
+    whose number of entries strictly above ``thresholds[i]`` equals c, for
+    c = 0..m_max plus an overflow bucket (last column), on the raw windows
+    of the values or, on the y scale, of their ranks F_n(X_s).  At the
+    window maxima its column sums are the counts of sliding :func:`pbar_hat`.
+    """
     x = sample(x)
     b = check_block_size(x.x.size, b)
     thresholds = np.asarray(thresholds, dtype=float)
@@ -106,31 +112,8 @@ def _sliding_input(x, b, thresholds, m_max, scale):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
     m_max = check_m_max(m_max, x.x.size)
     _check_scale(scale)
-    return x, b, thresholds, m_max
-
-
-def sliding_pair_counts(x, b, thresholds, m_max, scale="z"):
-    """Histogram of per-window exceedance counts over all non-overlapping windows.
-
-    For every sliding-window start i, row i counts the windows i' with
-    |i - i'| >= b whose number of entries strictly above ``thresholds[i]``
-    equals c, for c = 0..m_max plus an overflow bucket (last column); on
-    the y scale the entries are the ranks F_n(X_s).  The output equals
-    :func:`sliding_pair_naive` exactly.
-    """
-    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max, scale)
-    if scale == "y":
-        thresholds = x.cdf_threshold(thresholds)
-    tops = x.tops(b, "sliding", m_max + 1)
-    return pad_counts(exceedance_histogram(tops, thresholds, b), m_max + 2)
-
-
-def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
-    """Reference O(n^2 * b) enumeration of the histogram of :func:`sliding_pair_counts`,
-    on the raw windows of the values or of their ranks."""
-    x, b, thresholds, m_max = _sliding_input(x, b, thresholds, m_max, scale)
     windows = np.lib.stride_tricks.sliding_window_view(x.x if scale == "z" else x.ranks, b)
-    P, cap = len(windows), m_max + 1
+    cap = m_max + 1
     out = np.zeros((P, cap + 1), dtype=np.int64)
     for i in range(P):
         c = np.minimum(np.count_nonzero(windows > thresholds[i], axis=1), cap)

@@ -27,7 +27,7 @@ from exclust.cpmodel import (
     iid_model,
     pbar_theory,
 )
-from exclust.estimators import PbarEstimate, pi_from_pbar, sliding_pair_naive, sliding_pair_counts
+from exclust.estimators import PbarEstimate, pbar_hat, pi_from_pbar, sliding_pair_naive
 from exclust.experiments import ExperimentConfig, run, write_csv
 from exclust.simulate import ModelSpec, gen
 
@@ -85,9 +85,9 @@ def test_criterion_3_sweep_matches_naive_enumeration():
             scale, thr = "z", sliding_maxima(x, b)
         else:
             scale, thr = "y", 1.0 + np.log(sliding_maxima(ranks(x), b))
-        fast = sliding_pair_counts(x, b, thr, m_max, scale=scale)
-        slow = sliding_pair_naive(x, b, thr, m_max, scale=scale)
-        assert np.array_equal(fast, slow)
+        fast = pbar_hat(x, b, "sliding", scale, m_max)
+        slow = sliding_pair_naive(x, b, thr, m_max, scale=scale).sum(axis=0)
+        assert np.array_equal(fast.counts, slow[1 : m_max + 1]) and fast.pair_count == slow.sum()
 
     for _ in range(200):
         n = int(rng.integers(4, 301))

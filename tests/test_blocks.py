@@ -57,61 +57,61 @@ def test_sliding_maxima_matches_naive(case):
 @given(series_and_block(), st.integers(1, 8), st.data())
 @settings(max_examples=150, deadline=None)
 def test_exceedance_histogram_matches_literal_counts(case, cap, data):
-    # over all blocks (radius 0), or per block over the blocks at least a
-    # radius away: itself left out (1), or the overlapping windows (r); a
-    # table keeps min(cap, b) columns and the counts are capped there
+    # over all blocks, at thresholds in any number; a table keeps
+    # min(cap, b) columns and the counts are capped there
     x, b = case
     if data.draw(st.booleans()):
         rows = x[: x.size // b * b].reshape(-1, b)
     else:
         rows = np.lib.stride_tricks.sliding_window_view(x, b)
-    k, width = len(rows), min(cap, b)
-    radius = data.draw(st.sampled_from([0, 1, data.draw(st.integers(2, k + 1))]))
-    size = {"max_size": 6} if radius == 0 else {"min_size": k, "max_size": k}
-    picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), **size))
+    width = min(cap, b)
+    picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), max_size=6))
     thresholds = np.array(picks, dtype=float)
-    got = exceedance_histogram(block_tops(rows, cap=cap), thresholds, radius)
+    got = exceedance_histogram(block_tops(rows, cap=cap), thresholds)
     assert got.shape == (thresholds.size, width + 1)
-    for q, (t, row) in enumerate(zip(thresholds, got)):
-        far = rows[np.abs(np.arange(k) - q) >= radius]
-        capped = np.minimum((far > t).sum(axis=1), width)
+    for t, row in zip(thresholds, got):
+        capped = np.minimum((rows > t).sum(axis=1), width)
         np.testing.assert_array_equal(row, np.bincount(capped, minlength=width + 1))
 
 
-def test_exceedance_histogram_needs_one_threshold_per_block_with_a_radius():
+def test_exceedance_totals_need_one_threshold_per_block_with_a_radius():
     tops = block_tops(np.arange(12.0).reshape(4, 3), cap=2)
-    for kernel in (exceedance_histogram, exceedance_totals):
-        for radius in (1, 2):
-            with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
-                kernel(tops, np.zeros(3), radius)
+    for radius in (1, 2):
+        with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
+            exceedance_totals(tops, np.zeros(3), radius)
 
 
 @st.composite
 def totals_case(draw):
-    """A tops table of k >= 1 blocks with ties, a radius (0, or 1 to k) and
+    """Rows of k >= 1 blocks with ties, a cap, a radius (0, or 1 to k) and
     thresholds in runs of equal values, drawn from the entries, +-inf and NaN."""
     k = draw(st.integers(1, 40))
     b = draw(st.integers(1, 6))
     entries = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(-10, 10)
     rows = draw(hnp.arrays(np.float64, (k, b), elements=entries))
-    tops = block_tops(rows, cap=draw(st.integers(1, 7)))
+    cap = draw(st.integers(1, 7))
     radius = draw(st.integers(0, k))
     size = k if radius else draw(st.integers(0, 3 * k))
     pool = st.sampled_from(list(rows.ravel()) + [-np.inf, np.inf, np.nan])
     runs = draw(st.lists(st.tuples(pool, st.integers(1, k)), min_size=1))
     thresholds = np.resize(np.concatenate([np.full(length, v) for v, length in runs]), size)
-    return tops, thresholds, radius
+    return rows, cap, thresholds, radius
 
 
 @given(totals_case(), st.sampled_from([1, 3, 4096]))
 @settings(max_examples=300, deadline=None)
-def test_exceedance_totals_are_the_histogram_column_sums(case, chunk):
+def test_exceedance_totals_match_literal_pair_counts(case, chunk):
     # counted per run of equal thresholds, with the near-count steps summed
-    # _CHUNK rows at a time
-    tops, thresholds, radius = case
+    # _CHUNK rows at a time; the literal count pairs row q with every block
+    # at least radius away (every block at radius 0) and caps at min(cap, b)
+    rows, cap, thresholds, radius = case
+    k, width = len(rows), min(cap, rows.shape[1])
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        got = exceedance_totals(tops, thresholds, radius)
-    want = exceedance_histogram(tops, thresholds, radius).sum(axis=0)
+        got = exceedance_totals(block_tops(rows, cap=cap), thresholds, radius)
+    want = np.zeros(width + 1, dtype=np.int64)
+    for q, t in enumerate(thresholds):
+        far = rows[np.abs(np.arange(k) - q) >= radius]
+        want += np.bincount(np.minimum((far > t).sum(axis=1), width), minlength=width + 1)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -309,6 +309,22 @@ def test_tops_rejects_unknown_mode_or_scale():
     with pytest.raises(ValueError, match="scale must be one of .* got 'w'"):
         pbar_hat(s, 5, mode="sliding", scale="w")
     assert s._tops == {}
+
+
+def test_tops_check_the_block_size_and_cap_by_name():
+    # b=0 raised ZeroDivisionError, b=5.0 a TypeError, b=60 gave an empty
+    # table, cap=0 a table of no columns and cap=-1 failed inside numpy
+    s = Sample(np.random.default_rng(3).normal(size=50))
+    for mode in ("disjoint", "sliding"):
+        for b in (0, 1, 26, 60, 2.5, float("nan")):
+            with pytest.raises(ValueError, match=f"block size b={b}"):
+                s.tops(b, mode, 3)
+        for cap in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match=f"cap={cap}|cap must be >= 1"):
+                s.tops(5, mode, cap)
+        assert s.tops(5.0, mode, 3.0) is s.tops(5, mode, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(s.x, 25)  # b = n/2 is the largest
+    assert np.array_equal(s.tops(25, "sliding", 3), block_tops(windows, cap=3))
 
 
 def test_one_table_build_per_layout_and_block_size():

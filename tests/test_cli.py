@@ -213,12 +213,117 @@ def test_estimate_exits_with_a_documented_code(tmp_path_factory, lines, b, m_max
         path.write_text("\n".join(lines) + "\n")
     argv = ["estimate", "--in", str(path), "--b", b, "--m-max", m_max, "--mode", mode,
             "--scale", scale] + ["--clip"] * clip
+    _assert_documented_exit(argv)
+
+
+def _assert_documented_exit(argv):
+    """Run ``main(argv)``: it must exit 0, 1, 2 or 3 without a traceback, and
+    write to stderr exactly when it fails.  Returns the code."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+    return code
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` three times as often as from ``invalid``."""
+    return st.sampled_from((valid, valid, valid, invalid)).flatmap(lambda strategy: strategy)
+
+
+_UNIT_TEXT = _mostly(st.floats(0.05, 0.95).map(repr),
+                     st.sampled_from(["0", "1", "-0.5", "1.5", "nan", "inf", "-1e-05", "x"]))
+_PARAM_FLAGS = {"armax": "--alpha", "sqarch": "--lambda", "ar_uniform": "--r"}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_simulate_exits_with_a_documented_code(tmp_path_factory, data):
+    # model parameters absent, out of range or not numbers, counts out of
+    # range or not integers, and an output path that cannot be written
+    model = data.draw(_mostly(st.sampled_from(["armax", "sqarch", "ar_uniform", "iid_frechet"]),
+                              st.just("bogus")))
+    flags = data.draw(_mostly(st.just([_PARAM_FLAGS.get(model)]),
+                              st.lists(st.sampled_from(list(_PARAM_FLAGS.values())), unique=True)))
+    argv = ["simulate", "--model", model]
+    for flag in filter(None, flags):
+        argv += [flag, data.draw(_mostly(st.sampled_from(["2", "4"]), st.sampled_from(["1", "2.5", "x"]))
+                                 if flag == "--r" else _UNIT_TEXT)]
+    for flag, valid, invalid in (("--n", st.integers(10, 300), ["9", "-1", "2.5", "x", "9" * 20]),
+                                 ("--burnin", st.integers(0, 50), ["-1", "x", "9" * 20]),
+                                 ("--seed", st.integers(0, 3), ["-1", str(2**64)])):
+        argv += [flag, data.draw(_mostly(valid.map(str), st.sampled_from(invalid)))]
+    tmp = tmp_path_factory.mktemp("simulate")
+    out = data.draw(_mostly(st.just(tmp / "x.csv"), st.sampled_from([tmp, tmp / "no" / "x.csv"])))
+    _assert_documented_exit(argv + ["--out", str(out)])
+
+
+@given(_mostly(st.sampled_from(["iid", "geometric"]), st.just("bogus")), _UNIT_TEXT,
+       _mostly(st.sampled_from(["db", "sb"]), st.just("")),
+       _mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "2.5", "x"])),
+       _mostly(st.integers(8, 32).map(str), st.sampled_from(["7", "0", "-1", "8.0", "x"])), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_variance_exits_with_a_documented_code(model, alpha, kind, m, nodes, no_refine):
+    # m and nodes stay small: larger ones need memory that nothing bounds yet
+    argv = ["variance", "--model", model, "--alpha", alpha, "--kind", kind, "--m", m,
+            "--nodes", nodes] + ["--no-refine"] * no_refine
+    _assert_documented_exit(argv)
+
+
+_MODEL_PARAMS = {"armax": "0.5", "sqarch": "0.5", "ar_uniform": "4", "iid_frechet": ""}
+
+
+@st.composite
+def config_lines(draw):
+    """The lines of an experiment config, mostly valid ones.  n and reps are
+    always set, to at most 200 and 3; the rest may be left out."""
+    kind = draw(_mostly(st.sampled_from(list(_MODEL_PARAMS)), st.just("bogus")))
+    lines = {
+        "model_kind": kind,
+        "model_param": draw(_mostly(st.just(_MODEL_PARAMS.get(kind, "")),
+                                    st.sampled_from(["0", "1.5", "4", "nan", "x"]))),
+        "n": draw(_mostly(st.integers(80, 200).map(str), st.sampled_from(["-1", "20", "2.5", "x"]))),
+        "reps": draw(_mostly(st.sampled_from(["2", "3"]), st.sampled_from(["0", "1", "x"]))),
+    }
+    optional = {
+        "block_grid": st.lists(_mostly(st.sampled_from(["4", "6", "8", "10", "12"]),
+                                       st.sampled_from(["3", "0", "-2", "150", "x"])),
+                               max_size=3, unique=True).map(", ".join),
+        "estimators": st.lists(st.sampled_from(["db-z", "sb-z", "db-y", "sb-y", "hsing", "ferro", "robert"]),
+                               max_size=3, unique=True).map(", ".join),
+        "m_max": _mostly(st.integers(1, 5).map(str), st.sampled_from(["0", "-1", "2.5", "300"])),
+        "master_seed": _mostly(st.integers(0, 5).map(str), st.sampled_from(["-1", str(2**64)])),
+        "truth_theta": st.sampled_from(["", "0.5", "nan"]),
+    }
+    for key in draw(st.lists(st.sampled_from(list(optional)), unique=True)):
+        lines[key] = draw(optional[key])
+    return "".join(f"{key} = {value}\n" for key, value in lines.items()) + draw(
+        _mostly(st.just(""), st.sampled_from(["unknown_key = 1\n", "n = 100\n", "no equals sign\n"])))
+
+
+@given(_mostly(config_lines(), st.none()))
+@settings(max_examples=60, deadline=None)
+def test_experiment_exits_with_a_documented_code(tmp_path_factory, text):
+    # config values out of range or of the wrong kind, unknown or repeated
+    # keys, malformed lines, and a config file that is not there (None)
+    tmp = tmp_path_factory.mktemp("experiment")
+    cfg = tmp / "exp.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    argv = ["experiment", "--config", str(cfg), "--out-dir", str(tmp / "out"), "--workers", "1"]
+    _assert_documented_exit(argv)
+
+
+@pytest.mark.parametrize("flags, out_is_a_file, want", [(["--reps", "1"], False, 1),
+                                                        (["--reps", "2", "--workers", "0"], False, 1),
+                                                        (["--reps", "2"], True, 3)])
+def test_table1_exits_with_a_documented_code(tmp_path, flags, out_is_a_file, want):
+    out = tmp_path / "table.csv" if out_is_a_file else tmp_path
+    if out_is_a_file:
+        out.write_text("")
+    assert _assert_documented_exit(["table1", "--seed", "5", "--out", str(out)] + flags) == want
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exclust import blocks
-from exclust.blocks import Sample, pad_counts, ranks, sliding_maxima
+from exclust.blocks import Sample, exceedance_totals, pad_counts, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
@@ -26,7 +26,6 @@ from exclust.estimators import (
     pbar_hat,
     pi_from_pbar,
     sliding_pair_naive,
-    sliding_pair_counts,
     theta_hat,
 )
 from exclust.simulate import ModelSpec, gen, substream_seed
@@ -201,18 +200,21 @@ def test_count_tables_capped_at_the_block_length_change_no_output(b):
         spec = CompetitorSpec("robert", b, m_max=m_max)
         assert np.array_equal(robert_pi(x, spec).values, literal_robert(x, spec))
 
+    def sliding_totals(m_max):
+        # the kernel of sliding pbar_hat at one fixed threshold, padded as it pads
+        got = pad_counts(exceedance_totals(Sample(x).tops(b, "sliding", m_max + 1), thr, b), m_max + 2)
+        assert np.array_equal(got, sliding_pair_naive(x, b, thr, m_max).sum(axis=0))
+        return got
+
     uncapped = list(outputs(b - 1))
-    counts = sliding_pair_counts(x, b, thr, b - 1)
-    assert np.array_equal(counts, sliding_pair_naive(x, b, thr, b - 1))
+    counts = sliding_totals(b - 1)
     for m_max in range(b, b + 4):
         # pbar counts and hsing values: index c - 1 holds count c, and no
         # block of b entries has a count above b
         for got, want in zip(outputs(m_max), uncapped, strict=True):
             assert got.shape == (m_max,) and not got[b:].any()
             assert np.array_equal(got[: b - 1], want)
-        got = sliding_pair_counts(x, b, thr, m_max)
-        assert np.array_equal(got, sliding_pair_naive(x, b, thr, m_max))
-        assert np.array_equal(got, pad_counts(counts, m_max + 2))
+        assert np.array_equal(sliding_totals(m_max), pad_counts(counts, m_max + 2))
 
 
 def test_count_cap_bounds_memory_by_the_block_length():
@@ -376,12 +378,16 @@ def sweep_case(draw):
 @given(sweep_case(), st.sampled_from([1, 5, 4096]))
 @settings(max_examples=200, deadline=None)
 def test_sweep_equals_naive(case, chunk):
-    # near blocks are compared in full only where the threshold changes,
-    # _CHUNK near rows per step
+    # the kernel of sliding pbar_hat on its table of the values, a y-scale
+    # level mapped to a value threshold: near blocks are compared in full
+    # only where the threshold changes, _CHUNK near rows per step
     x, b, scale, thr = case
+    s = Sample(x)
+    values = thr if scale == "z" else s.cdf_threshold(thr)
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        fast = sliding_pair_counts(x, b, thr, 3, scale=scale)
-    np.testing.assert_array_equal(fast, sliding_pair_naive(x, b, thr, 3, scale=scale))
+        fast = exceedance_totals(s.tops(b, "sliding", 4), values, b)
+    slow = sliding_pair_naive(x, b, thr, 3, scale=scale).sum(axis=0)
+    np.testing.assert_array_equal(pad_counts(fast, 5), slow)
 
 
 def test_sliding_pbar_memory_stays_below_the_old_peak():
@@ -415,30 +421,35 @@ def test_sliding_pbar_builds_no_per_row_table():
 def test_sweep_all_above_max():
     x = np.arange(12.0)
     thr = np.full(12 - 3 + 1, 100.0)
-    out = sliding_pair_counts(x, 3, thr, 4)
-    # every far window sits in the zero-exceedances bucket
-    assert np.all(out[:, 1:] == 0)
-    np.testing.assert_array_equal(out.sum(axis=1), out[:, 0])
+    out = exceedance_totals(Sample(x).tops(3, "sliding", 5), thr, 3)
+    # every far window sits in the zero-exceedances bucket: 10 windows, at
+    # least 3 apart in 56 ordered pairs
+    np.testing.assert_array_equal(out, [56, 0, 0, 0])
+    np.testing.assert_array_equal(pad_counts(out, 6), sliding_pair_naive(x, 3, thr, 4).sum(axis=0))
 
 
 def test_sweep_single_distinct_value():
     x = np.full(15, 2.0)
     thr = np.full(15 - 4 + 1, 2.0)
-    out = sliding_pair_counts(x, 4, thr, 3)
-    assert np.all(out[:, 1:] == 0)
+    out = exceedance_totals(Sample(x).tops(4, "sliding", 4), thr, 4)
+    assert out[0] == out.sum() > 0 and not out[1:].any()
+    np.testing.assert_array_equal(pad_counts(out, 5), sliding_pair_naive(x, 4, thr, 3).sum(axis=0))
 
 
 def test_sweep_rejects_m_max_below_one():
     # m_max=-1 used to return a one-column histogram, m_max=-3 to fail inside numpy
     x, b = np.arange(12.0), 3
     thr = sliding_maxima(x, b)
-    for sweep in (sliding_pair_counts, sliding_pair_naive):
-        for m_max in (0, -1, -3):
-            with pytest.raises(ValueError, match="m_max must be >= 1"):
-                sweep(x, b, thr, m_max)
-        # any scale but "z" used to be taken as the y scale
-        with pytest.raises(ValueError, match="scale must be one of"):
-            sweep(x, b, thr, 3, scale="w")
+    for m_max in (0, -1, -3):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            sliding_pair_naive(x, b, thr, m_max)
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            pbar_hat(x, b, m_max=m_max)
+    # any scale but "z" used to be taken as the y scale
+    with pytest.raises(ValueError, match="scale must be one of"):
+        sliding_pair_naive(x, b, thr, 3, scale="w")
+    with pytest.raises(ValueError, match="scale must be one of"):
+        pbar_hat(x, b, scale="w")
 
 
 def test_a_sample_gives_the_estimates_of_its_array():
@@ -452,8 +463,8 @@ def test_a_sample_gives_the_estimates_of_its_array():
     for scale in ("z", "y"):
         maxima = sliding_maxima(x if scale == "z" else ranks(x), b)
         thr = maxima if scale == "z" else 1.0 + np.log(maxima)
-        for sweep in (sliding_pair_counts, sliding_pair_naive):
-            assert np.array_equal(sweep(s, b, thr, 4, scale=scale), sweep(x, b, thr, 4, scale=scale))
+        assert np.array_equal(sliding_pair_naive(s, b, thr, 4, scale=scale),
+                              sliding_pair_naive(x, b, thr, 4, scale=scale))
     spec = CompetitorSpec("robert", b, m_max=4)
     assert np.array_equal(hsing_pi(s, b, 4).values, hsing_pi(x, b, 4).values)
     assert np.array_equal(ferro_pi(s, b, 4).values, ferro_pi(x, b, 4).values)
@@ -462,8 +473,8 @@ def test_a_sample_gives_the_estimates_of_its_array():
 
 
 def test_sweep_checks_threshold_length():
-    with pytest.raises(ValueError):
-        sliding_pair_counts(np.arange(10.0), 2, np.zeros(3), 2)
+    with pytest.raises(ValueError, match=r"one threshold per window start: expected 9, got \(3,\)"):
+        sliding_pair_naive(np.arange(10.0), 2, np.zeros(3), 2)
 
 
 def _pbar_estimate(values):

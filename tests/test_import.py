@@ -1,9 +1,16 @@
-"""What a bare ``import exclust`` loads, and that the package runs without scipy."""
+"""What a bare ``import exclust`` loads, that every public name resolves, and
+that the package runs without scipy."""
+import importlib
 import json
 import os
 import subprocess
+import pkgutil
 import sys
 from pathlib import Path
+
+import pytest
+
+import exclust
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -36,3 +43,18 @@ def test_runs_with_scipy_unimportable():
     table, crossover = out.rsplit("\n", 2)[:2]
     assert table + "\n" == (DATA / "variance_iid_sb_m3.txt").read_text()
     assert abs(float(crossover) - 0.7573) <= 1e-3
+
+
+_PUBLIC = ["exclust"] + [
+    name for name in (f"exclust.{info.name}" for info in pkgutil.iter_modules(exclust.__path__))
+    if hasattr(importlib.import_module(name), "__all__")
+]
+
+
+@pytest.mark.parametrize("module", _PUBLIC)
+def test_every_public_name_resolves(module):
+    # a name left in __all__ after its definition is gone breaks
+    # "from module import *" only, which nothing else runs
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert [name for name in importlib.import_module(module).__all__ if name not in namespace] == []
