@@ -187,8 +187,10 @@ def exceedance_totals(tops, thresholds, radius=0):
 
     The rows of a run of equal thresholds have the same count over all
     blocks (:func:`exceedance_histogram`), taken at the run starts only and
-    weighted by the run lengths.  The near blocks are subtracted in closed
-    form and by :func:`_near_totals`; no per-row table is built.
+    weighted by the run lengths, in sorted order of the thresholds: the
+    integer product ignores the row order, and sorted keys are searched in
+    cache order.  The near blocks are subtracted in closed form and by
+    :func:`_near_totals`, in time order; no per-row table is built.
     """
     k, cap = tops.shape
     thresholds = np.asarray(thresholds)
@@ -196,7 +198,8 @@ def exceedance_totals(tops, thresholds, radius=0):
         raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
     starts = _run_starts(thresholds)
     runlen = np.diff(starts, append=len(thresholds))
-    totals = runlen @ exceedance_histogram(tops, thresholds[starts])
+    order = np.argsort(thresholds[starts], kind="stable")
+    totals = runlen[order] @ exceedance_histogram(tops, thresholds[starts[order]])
     if not radius:
         return totals
     d = min(radius, k) - 1

@@ -34,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        try:  # argparse takes -1e-05 and -inf for option names (-5 and -.5 for values)
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a number, whose range the command checks
+
 
 def _formatter(prog):
     # pinned width so help output is terminal-independent

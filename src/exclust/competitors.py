@@ -118,6 +118,9 @@ def split_clusters(positions, n_clusters):
 def ferro_pi(x, b, m_max=5):
     """Intervals estimator: decluster the top N = 3 floor(n/b) exceedances.
 
+    The exceedances are the values above the N-th largest, found by
+    selection (O(n), no sort), plus the earliest of those equal to it.
+
     The intervals estimate of the extremal index from the inter-exceedance
     times T_i fixes the cluster count C = floor(theta~ * N); the exceedance
     sequence is then cut at its C - 1 largest gaps.
@@ -127,7 +130,10 @@ def ferro_pi(x, b, m_max=5):
     b = check_block_rule("ferro", n, b)
     num = 3 * (n // b)
     m_max = check_m_max(m_max, n)
-    pos = np.sort(np.argsort(-x, kind="stable")[:num])
+    v = np.partition(x, n - num)[n - num]  # the num-th largest value
+    above = x > v  # fewer than num; the earliest values equal to v fill up to num
+    above[np.flatnonzero(x == v)[: num - np.count_nonzero(above)]] = True
+    pos = np.flatnonzero(above)
     T = np.diff(pos).astype(float)
     if np.all(T == 1):
         raise DegenerateEstimateError("all exceedances are adjacent")

@@ -13,15 +13,16 @@ estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 
 Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
 its block tops from the sample.  F_n is monotone, so a y-scale level maps
-to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), and
-both scales read the same tops table of the values.  Both modes take their
-pair counts from :func:`~exclust.blocks.exceedance_totals`: capped count
-totals over ordered pairs of a block's maximum and another block, leaving
-out the near blocks of each block: itself (disjoint) or the windows that
-overlap it (sliding).  At fixed b, memory grows linearly in n and time
-about like n*log(n): sliding ``pbar_hat`` on an array (tops table
-included) takes 7-14x per 10x of n at b = 6, 20 and 38, n from 2e3 to
-2e5 (three runs on a 2-vCPU host), and 140-210 ms at n = 2e5.
+to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), once
+per run of equal block maxima, and both scales read the same tops table
+of the values.  Both modes take their pair counts from
+:func:`~exclust.blocks.exceedance_totals`: capped count totals over
+ordered pairs of a block's maximum and another block, leaving out the
+near blocks of each block: itself (disjoint) or the windows that overlap
+it (sliding).  At fixed b, memory grows linearly in n and time about like
+n*log(n): sliding ``pbar_hat`` on an array (tops table included) takes
+6-15x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5 (fastest of 15
+calls, 3 at 2e5, in two runs on a 2-vCPU host), and 105-150 ms at n = 2e5.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import exceedance_totals, pad_counts, sample
+from .blocks import _run_starts, exceedance_totals, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -123,7 +124,8 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
 
 
 def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
-    """Pair-averaged estimate of pbar(1..m_max) from one sample."""
+    """Pair-averaged estimate of pbar(1..m_max) from one sample; on the y scale
+    each run of equal block maxima is mapped to a value threshold once."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
     m_max = check_m_max(m_max, x.x.size)
@@ -133,7 +135,9 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     if scale == "y":
         # Y_i = -b*log(F_n(M_i)) turns the condition F_n(X_s) > 1 - Y_i/b into
         # F_n(X_s) > 1 + log(F_n(M_i)); F_n(M_i) >= 1/n keeps the log finite.
-        thr = x.cdf_threshold(1.0 + np.log(x.cdf(thr)))
+        starts = _run_starts(thr)
+        level = x.cdf_threshold(1.0 + np.log(x.cdf(thr[starts])))
+        thr = np.repeat(level, np.diff(starts, append=len(thr)))
     hist = exceedance_totals(tops, thr, 1 if mode == "disjoint" else b)
     hist = pad_counts(hist, m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding

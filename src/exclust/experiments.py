@@ -12,7 +12,6 @@ count.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -234,6 +233,7 @@ def run(config, workers=None):
     if workers == 1:
         results = [_run_rep(t) for t in tasks]
     else:
+        import multiprocessing  # here, not at module level: every start-up would pay for it
         with multiprocessing.Pool(min(workers, config.reps)) as pool:
             results = pool.map(_run_rep, tasks)
     # (est, b, m, reps): each cell's replications contiguous, reduced over the last axis

@@ -20,3 +20,15 @@ def pbar_integral_oracle(model, m_max, nodes_1d=1024):
         acc += wi * cpp_pmf(model, ui, m_max).weights
     acc[0] = 0.0
     return Pmf(acc, trunc_mass=max(0.0, 0.5 - acc.sum()))
+
+
+def ferro_positions(x, num):
+    """Positions of the num largest values of ``x``, equal values taken
+    earliest first: the stable argsort that ``ferro_pi`` replaced by selection."""
+    return np.sort(np.argsort(-np.asarray(x, dtype=float), kind="stable")[:num])
+
+
+def y_thresholds(sample, maxima):
+    """The y-scale value threshold of each block maximum, each one mapped on
+    its own: F_n^-1 of 1 + log F_n(M_i) (:meth:`~exclust.blocks.Sample.cdf_threshold`)."""
+    return sample.cdf_threshold(1.0 + np.log(sample.cdf(maxima)))

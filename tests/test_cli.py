@@ -149,6 +149,23 @@ def test_usage_errors_exit_1(capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["simulate", "--model", "armax", "--alpha", "-1e-05"], "armax needs alpha in [0, 1), got -1e-05"),
+    (["simulate", "--model", "armax", "--alpha", "-inf"], "armax needs alpha in [0, 1), got -inf"),
+    (["simulate", "--model", "sqarch", "--lambda", "-2e-3"], "sqarch needs lambda in (0, 1), got -0.002"),
+    (["variance", "--model", "geometric", "--kind", "db", "--alpha", "-1e-05"],
+     "alpha must lie in [0, 1), got -1e-05"),
+    (["variance", "--model", "geometric", "--kind", "sb", "--alpha", "-inf"],
+     "alpha must lie in [0, 1), got -inf"),
+])
+def test_negative_float_after_a_space_reaches_the_range_check(tmp_path, capsys, argv, reason):
+    # argparse took -1e-05 and -inf for option names: "expected one argument"
+    if argv[0] == "simulate":
+        argv = argv + ["--n", "50", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"  # one line, no traceback
+
+
 @pytest.mark.parametrize("bad, reason", [("abc", "could not convert string to float: 'abc'"),
                                          ("nan", "value must be a finite real number, got nan"),
                                          ("-inf", "value must be a finite real number, got -inf")])

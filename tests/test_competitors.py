@@ -17,6 +17,8 @@ from exclust.cpmodel import CppModel, cpp_pmf, geometric_pi
 from exclust.errors import DegenerateEstimateError
 from exclust.simulate import ModelSpec, gen, substream_seed
 
+from oracles import ferro_positions
+
 
 def literal_pi(sizes, n_clusters, m_max):
     """Fraction of clusters of each size m = 1..m_max, one count_nonzero per m."""
@@ -103,6 +105,31 @@ def test_ferro_matches_literal_size_counts(monkeypatch):
         if got is not None:
             assert np.array_equal(got, literal_pi(*clusterings[-1], m_max))
     assert len(clusterings) > 30
+
+
+def test_ferro_selects_the_stable_argsort_exceedances(monkeypatch):
+    # ferro_pi selects the num-th largest value instead of sorting; the
+    # equal values at the cut must still be taken earliest first
+    chosen = []
+
+    def recording_split(positions, n_clusters):
+        chosen.append(positions)
+        return split_clusters(positions, n_clusters)
+
+    monkeypatch.setattr(competitors, "split_clusters", recording_split)
+    rng = np.random.default_rng(53)
+    split_ties = 0
+    for _ in range(80):
+        x = _tied_sample(rng)
+        b = int(rng.integers(4, x.size // 4 + 1))
+        num = 3 * (x.size // b)
+        if _values_or_none(ferro_pi, x, b, 5) is None:
+            continue
+        want = ferro_positions(x, num)
+        assert np.array_equal(chosen[-1], want)
+        cut = x[want].min()
+        split_ties += np.count_nonzero(x == cut) > np.count_nonzero(x[want] == cut)
+    assert split_ties > 30  # the cut fell inside a run of equal values
 
 
 def test_hsing_and_ferro_reject_m_max_below_one():

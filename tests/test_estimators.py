@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exclust import blocks
-from exclust.blocks import Sample, exceedance_totals, pad_counts, ranks, sliding_maxima
+from exclust.blocks import Sample, exceedance_histogram, exceedance_totals, pad_counts, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
@@ -30,6 +30,7 @@ from exclust.estimators import (
 )
 from exclust.simulate import ModelSpec, gen, substream_seed
 
+from oracles import y_thresholds
 from test_competitors import literal_hsing, literal_robert
 
 
@@ -416,6 +417,41 @@ def test_sliding_pbar_builds_no_per_row_table():
         finally:
             tracemalloc.stop()
         assert peak < 2 * s.tops(20, "sliding", 6).nbytes
+
+
+def test_pbar_hat_searches_its_run_start_thresholds_in_sorted_order():
+    # the run-start keys are counted in any order (runlen @ hist), and
+    # sorted keys keep searchsorted in cache; time order missed it
+    keys = []
+
+    def recording_histogram(tops, thresholds):
+        keys.append(np.array(thresholds))
+        return exceedance_histogram(tops, thresholds)
+
+    x = gen(ModelSpec("armax", 3_000, 0.5, seed=6))
+    with mock.patch.object(blocks, "exceedance_histogram", recording_histogram):
+        for mode in ("disjoint", "sliding"):
+            for scale in ("z", "y"):
+                pbar_hat(x, 12, mode=mode, scale=scale)
+                assert len(keys) == 1 and np.all(np.diff(keys.pop()) >= 0)
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "sliding"])
+def test_y_scale_counts_equal_the_per_row_threshold_map(mode):
+    # pbar_hat maps each run of equal maxima once and repeats it; mapping
+    # every row on its own, as before, gives the same thresholds and counts
+    rng = np.random.default_rng(19)
+    for case in range(24):
+        n = int(rng.integers(40, 600))
+        x = rng.standard_normal(n) if case % 2 else np.round(rng.pareto(1.5, n), 1)
+        b = int(rng.integers(2, n // 2 + 1))
+        m_max = int(rng.integers(1, 8))
+        s = Sample(x)
+        tops = s.tops(b, mode, m_max + 1)
+        hist = exceedance_totals(tops, y_thresholds(s, tops[:, 0]), 1 if mode == "disjoint" else b)
+        hist = pad_counts(hist, m_max + 2)
+        est = pbar_hat(x, b, mode=mode, scale="y", m_max=m_max)
+        assert np.array_equal(est.counts, hist[1 : m_max + 1]) and est.pair_count == hist.sum()
 
 
 def test_sweep_all_above_max():

@@ -1,5 +1,6 @@
 """Monte Carlo harness: summaries, persistence, config parsing."""
 import dataclasses
+import multiprocessing
 import re
 import xml.etree.ElementTree as ET
 
@@ -212,7 +213,7 @@ class _SerialPool:
 
 
 def test_run_starts_no_more_workers_than_replications(monkeypatch):
-    monkeypatch.setattr(ex.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(ex.os, "cpu_count", lambda: 64)
     for workers in (None, 2, 64):
@@ -223,7 +224,7 @@ def test_run_starts_no_more_workers_than_replications(monkeypatch):
 @pytest.mark.parametrize("workers", [0, -3, 2.5, "4", True])
 def test_run_refuses_a_worker_count_below_one_or_not_integral(monkeypatch, workers):
     # 0 and -3 used to run serially without a word
-    monkeypatch.setattr(ex.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(ex, "_run_rep", lambda task: pytest.fail("a replication ran"))
     with pytest.raises(ValueError, match="workers"):
         run(TINY, workers=workers)

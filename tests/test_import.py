@@ -29,6 +29,13 @@ def test_import_loads_no_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+def test_import_loads_no_multiprocessing():
+    # only a run with more than one worker starts a pool; the import took
+    # 7-11 ms of every start-up
+    loaded = json.loads(_run("import json, sys, exclust; print(json.dumps(sorted(sys.modules)))"))
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
+
 def test_runs_with_scipy_unimportable():
     # sys.modules["scipy"] = None makes every scipy import raise ImportError
     out = _run(
