@@ -9,11 +9,12 @@ where K_j couples an exceedance-count indicator with its smoothed
 counterpart through the block's own threshold.  For disjoint blocks the
 threshold integrals reduce to one-dimensional quadratures after scaling
 one threshold by the other; for sliding blocks the window overlap adds an
-outer integral over the overlap fraction xi.  Its product rule (overlap)
-x (window ratio) x (threshold) writes each Poisson term of a private piece
-as exp(-xi lam) xi^k times the xi-free lam^k / k!, sums the overlap axis
-by one matrix product per threshold node, and contracts the xi-free law
-of the windows' shared piece once.
+outer integral over the overlap fraction xi.  Every factor of its
+integrand that depends on the window ratio s is a polynomial in
+c = theta s times the kernel exp(-c tau (1 + xi)), so the threshold and
+overlap axes are summed together, by one matrix product per chunk of
+threshold nodes against a few columns per cluster count, and the xi-free
+law of the windows' shared piece is contracted once.
 
 All integrals over (0, infinity) are mapped to (0, 1) through the
 substitution u = H(tau), and every sum over cluster counts is finite and
@@ -57,6 +58,13 @@ _COV_KINDS = ("sigma_db", "sigma_sb", "gamma_db", "gamma_sb")
 
 # input pmfs must carry essentially all their mass below the support cap
 _TRUNC_TOL = 1e-8
+
+# bytes of one chunk of threshold nodes in `_sigma_sb_entries`: its kernel
+# table exp(-c a) and the right factor Z of the GEMM
+_CHUNK_BYTES = 1 << 20
+
+# largest table a covariance pass may build (see `_table_bytes`)
+_TABLE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -110,16 +118,22 @@ def _require_family(model):
 def _refined(quad, evaluate):
     """Run `evaluate` at nodes_1d, optionally re-run at double resolution.
 
-    Raises if doubling moves any entry by at least the tolerance.
+    Raises if doubling moves any entry by at least the tolerance, naming
+    the node counts and the (j, j') counts, from 1, of the entry that moved
+    most.
     """
-    coarse = np.asarray(evaluate(quad.nodes_1d))
+    nodes = (quad.nodes_1d, 2 * quad.nodes_1d)
+    coarse = np.asarray(evaluate(nodes[0]))
     if not quad.refinement:
         return coarse
-    fine = np.asarray(evaluate(2 * quad.nodes_1d))
-    delta = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+    fine = np.asarray(evaluate(nodes[1]))
+    moved = np.abs(fine - coarse)
+    delta = float(moved.max()) if fine.size else 0.0
     if delta >= quad.tolerance:
+        entry = tuple(int(i) + 1 for i in np.unravel_index(moved.argmax(), moved.shape))
         raise NumericFailureError(
-            "quadrature did not stabilize under node doubling", delta=delta
+            "quadrature did not stabilize under node doubling",
+            delta=delta, nodes=nodes, entry=entry,
         )
     return fine
 
@@ -183,7 +197,8 @@ def _sigma_db_entries(model, m, nodes):
     ss = s[:, None, None]
     G = np.where(k > 0, binom * ss ** (k - 1) * (k - (kk + k + 1) * ss / (2.0 + ss))
                  / (2.0 + ss) ** (kk + k + 1), 0.0)
-    t_mix = np.einsum("t,tkj,tkl,lp->jp", w, BT[:, :, :, 0], G, M)[1:, 1:]
+    Bw = (w[:, None, None] * BT[:, :, :, 0]).reshape(-1, m + 1)
+    t_mix = (Bw.T @ G.reshape(-1, m + 1) @ M)[1:, 1:]
 
     # smooth-smooth: shared threshold, fully closed form
     C = np.where((kk > 0) & (k > 0), binom / 3.0 ** (kk + k + 1), 0.0)
@@ -192,11 +207,33 @@ def _sigma_db_entries(model, m, nodes):
     return t_ind + t_ind.T + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
 
 
+def _table_bytes(model, m, quad, kind):
+    """Bytes of the largest table one covariance pass builds, at the fine
+    nodes under refinement: the bivariate powers, S (m+1)^3 floats for S =
+    panels x nodes, and for sliding blocks also p_y, (m+1) nodes^2 floats,
+    and the kernel table of one threshold node, S nodes floats."""
+    nodes = quad.nodes_1d * (2 if quad.refinement else 1)
+    S = nodes * (len(model.pi2.breakpoints) + 1)
+    floats = S * (m + 1) ** 3
+    if kind == "sigma_sb":
+        floats = max(floats, (m + 1) * nodes**2, S * nodes)
+    return 8 * floats
+
+
 def _sigma(model, m, quad, entries, kind):
-    """The CovMatrix of ``kind`` from ``entries(model, m, nodes)``, refined."""
+    """The CovMatrix of ``kind`` from ``entries(model, m, nodes)``, refined.
+
+    A pass whose largest table would exceed `_TABLE_BYTES` is refused before
+    any table is built."""
     m = check_count("m", m, 1)
     quad = quad if quad is not None else QuadratureSpec()
     _require_family(model)
+    need = _table_bytes(model, m, quad, kind)
+    if need > _TABLE_BYTES:
+        raise ValueError(
+            f"m={m} with nodes_1d={quad.nodes_1d} needs a {need / 2**20:,.0f} MB "
+            f"table, above the {_TABLE_BYTES >> 20} MB limit; lower m or nodes_1d"
+        )
     return CovMatrix(m=m, entries=_refined(quad, lambda n: entries(model, m, n)), kind=kind)
 
 
@@ -218,21 +255,25 @@ def _sigma_sb_entries(model, m, nodes):
     the pieces on a (window ratio s) x (threshold u) grid and integrated
     against dH via u = H(tau).
 
-    The indicator moments sum over s, u, xi, the shared piece's cluster
-    count k and two count shifts.  On the private s*tau piece,
-    Pois_k(xi lam) = exp(-xi lam) xi^k lam^k / k! (lam = theta s tau), and
-    lam^k / k! does not depend on xi.  With S ratio and X overlap nodes,
-    each threshold node u builds its own (S, X) table exp(-xi lam), shared
-    piece table Y[xi, (d, k)] and xi-free weights, then sums the overlap
-    axis by one GEMM with xw xi^k Y and S*(2m+1)*(m+1)^2 weighted adds.
-    Doubling the nodes at m=3 made each u 2.1-2.6x dearer (iid, S = 64 to
-    128: 0.13-0.16 to 0.29-0.40 ms; geometric alpha=0.5, S = 816 to 1632:
-    0.62-0.75 to 1.5-2.0 ms; 2-vCPU host): the adds grow linearly, the
-    table and GEMM quadratically.  ``gd``, ``e1`` and ``p_y`` stay whole
-    grids, so the peak still grows about like the square of the nodes: the
-    einsums after the loop read them whole, and splitting those per u
-    would change their summation order.  `_shift_add` contracts the sums Q
-    with the bivariate powers BT once at the end.
+    Every s-dependent factor is a polynomial in c = theta s times the
+    kernel exp(-c a), a = tau (1 + xi).  With lam = c tau, the private
+    piece's Pois_k(xi lam) times its indicator weight Pois_k'(lam) gives
+    exp(-c a) c^k' (tau xi)^k' / k'!, and the derivative of the count pmf
+    at window length s tau is theta exp(-lam) sum_l B[l, d] lam^l with
+    B[l, d] = (M[l+1, d] - M[l, d]) / l! (M[m+1] = 0).  So all three
+    moments are s-only weights theta sw c^l times columns of one matrix
+    H = sum over chunks of u of exp(-outer(c, a)) @ Z, whose rows run over
+    (u, xi) and whose columns are (tau xi)^k' base (k' = 0..m), tau^l base
+    (l = 1..m) and tau^l xw v (l = 0..m; v = uw gd1 tau / theta).  Here
+    base = uw tau xw p_y[d] Pois_k(theta (1 - xi) tau) for the shared-piece
+    columns with d + k <= m only: the others meet only zeros of BT in
+    `_shift_add`.  Each chunk holds as many u nodes as fit
+    `_CHUNK_BYTES`, and at least one; only ``p_y`` is a whole grid.
+    `_shift_add` contracts the sums Q with the bivariate powers BT once at
+    the end.  At m=3 one call took 7.5 ms (iid, 64 nodes), 6.2 ms and
+    497 ms (geometric alpha=0.5, 24 and 128 nodes), against 11.0, 13.2 and
+    820 ms for the per-node loop with weighted adds that this replaced
+    (in-process minima of 9 calls, 2-vCPU host; ``BENCH_25.json``).
     """
     th = model.theta
     s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
@@ -245,8 +286,7 @@ def _sigma_sb_entries(model, m, nodes):
     pp = np.outer(pbar, pbar)
     BT = bivar_powers(model.pi2, s, m)
 
-    # derivative of the count pmf at window length s*tau resp. tau, count first
-    gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
+    # derivative of the count pmf at window length tau, count first
     gd1 = cpp_pmf_dtau(model, tau, m)[1:]
 
     # closed-form tail of the indicator-smooth mu-integral beyond mu = tau;
@@ -260,38 +300,48 @@ def _sigma_sb_entries(model, m, nodes):
 
     # count d on the xi*tau private piece, p_y[d, xi, u]
     p_y = np.einsum("kd,kxu->dxu", M, poisson_table(th * np.outer(xi, tau), m))
-    xpow = xiw[:, None] * xi[:, None] ** np.arange(m + 1)  # xw xi^k
 
-    # per u, one GEMM sums the overlap axis; the xi-free weights then sum u
-    Ra = np.zeros((s.size, m + 1, (m + 1) ** 2))
-    Rb = np.zeros((s.size, m, (m + 1) ** 2))
-    e1 = np.empty((s.size, u.size))
-    for iu in range(u.size):
-        lam = th * (s * tau[iu])
-        w = sw * uw[iu] * tau[iu]
-        # k clusters in the shared piece: Y[xi, (d, k)]
-        Y = p_y[:, None, :, iu] * poisson_table(th * ((1 - xi) * tau[iu]), m)
-        Y = Y.reshape(-1, xi.size).T
-        E = np.exp(-np.outer(lam, xi))
-        G = E @ (xpow[:, :, None] * Y[:, None, :]).reshape(xi.size, -1)
-        G = G.reshape(s.size, m + 1, -1)
-        # xi-free weights: indicator-indicator with the private piece's
-        # exp(-lam) lam^k / k!, and indicator-smooth below mu = tau
-        Ra += (poisson_table(lam, m) * (th * w)).T[:, :, None] * G
-        Rb += (w * gd[:, :, iu]).T[:, :, None] * G[:, None, 0]
-        e1[:, iu] = E @ xiw
-    Qa = np.einsum("ke,skf->esf", M, Ra)
-    Qb = Rb.transpose(1, 0, 2)
+    # shared-piece columns (d, k): count d on the private xi*tau piece, k
+    # clusters on the shared one
+    d, k = np.array([(a, b) for a in range(m + 1) for b in range(m + 1 - a)]).T
+    P, S, ell = d.size, s.size, np.arange(m + 1)
+    c = th * s
+    v = uw * gd1 * tau / th
+    H = np.zeros((S, (2 * m + 1) * P + (m + 1) * m))
+    step = max(1, _CHUNK_BYTES // (8 * xi.size * (S + H.shape[1])))
+    for lo in range(0, u.size, step):
+        t, at = tau[lo : lo + step], slice(lo, lo + step)
+        pk = poisson_table(th * np.outer(t, 1 - xi), m)
+        base = p_y[:, :, at].transpose(0, 2, 1)[d] * pk[k] * np.outer(uw[at] * t, xiw)
+        tl = (t[:, None] ** ell).T[:, None, :, None]
+        Z = np.concatenate([
+            (np.outer(t, xi) ** ell[:, None, None])[:, None] * base,  # indicator-indicator
+            tl[1:] * base,  # indicator-smooth below mu = tau; l = 0 is the block above
+            tl * (v[:, at, None] * xiw),  # smooth-smooth
+        ], axis=None).reshape(H.shape[1], -1)
+        H += np.exp(-np.outer(c, np.outer(t, 1 + xi))) @ Z.T
+
+    # s-only weights theta sw c^l; the indicator weight brings c^k' / k'!,
+    # the derivative its polynomial B[l, d] = (M[l+1, d] - M[l, d]) / l!
+    W = (th * sw)[:, None, None] * c[:, None, None] ** ell[:, None]
+    fact = np.cumprod(np.maximum(ell, 1)).astype(float)
+    B = (np.vstack([M[1:], np.zeros(m + 1)]) - M)[:, 1:] / fact[:, None]
+    Ha, Hb, He = np.split(H, [(m + 1) * P, (2 * m + 1) * P], axis=1)
+    Hb = np.concatenate([Ha[:, :P], Hb], axis=1)
+    Qa = np.zeros((m + 1, S, m + 1, m + 1))
+    Qa[:, :, d, k] = np.tensordot(M / fact[:, None], W * Ha.reshape(S, m + 1, P), (0, 1))
+    Qb = np.zeros((m, S, m + 1, m + 1))
+    Qb[:, :, d, k] = np.tensordot(B, W * Hb.reshape(S, m + 1, P), (0, 1))
 
     # indicator-smooth beyond mu = tau, and smooth-smooth through the
     # bivariate exponential survival of the two thresholds
-    inner2 = np.einsum("x,u,jxu,uv->jv", xiw, uw, p_y, tail)[1:, :]
-    ecc = np.einsum("asu,su->au", gd, sw[:, None] * e1) @ (uw * gd1 * tau / th).T
+    inner2 = (((xiw @ p_y) * uw) @ tail)[1:]
+    ecc = B.T @ (W * He.reshape(S, m + 1, m)).sum(0)
     acc = inner2 + inner2.T + ecc + ecc.T - 4.0 * xiw.sum() * pp
 
     # the shared piece's bivariate law does not depend on xi: contract once
-    Ja = _shift_add(Qa.reshape(m + 1, s.size, m + 1, m + 1), BT, m)
-    Jb = _shift_add(Qb.reshape(m, s.size, m + 1, m + 1), BT[..., :1], m)[:m, 1:]
+    Ja = _shift_add(Qa, BT, m)
+    Jb = _shift_add(Qb, BT[..., :1], m)[:m, 1:]
     acc += (Ja + Ja.T)[1:, 1:] + Jb + Jb.T
     return 2.0 * acc
 

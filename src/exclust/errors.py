@@ -19,13 +19,22 @@ class NumericFailureError(RuntimeError):
     """A numerical routine failed its accuracy contract.
 
     ``delta`` holds the observed refinement change that exceeded the
-    tolerance.
+    tolerance, ``nodes`` the (coarse, fine) node counts it compared and
+    ``entry`` the (j, j') counts of the entry that moved most (empty for a
+    scalar).
     """
 
-    def __init__(self, detail, delta=None):
-        super().__init__(detail if delta is None else f"{detail} (delta={delta:.3e})")
+    def __init__(self, detail, delta=None, nodes=None, entry=()):
+        where = [] if delta is None else [f"delta={delta:.3e}"]
+        if entry:
+            where.append(f"at (j, j') = {entry}")
+        if nodes is not None:
+            where.append(f"{nodes[0]} -> {nodes[1]} nodes")
+        super().__init__(f"{detail} ({', '.join(where)})" if where else detail)
         self.detail = detail
         self.delta = delta
+        self.nodes = nodes
+        self.entry = entry
 
 
 class FieldError(ValueError):

@@ -2,16 +2,17 @@
 
 Independent oracles guard the covariance integrals: a literal 2-d
 quadrature built only on the count pmfs, the sliding-blocks rule summed
-term by term with one (s, u, count, count) table per overlap node, and
-closed-form integrands derived by hand for the iid model at m=1.  The
-sliding-blocks evaluator is also held to its earlier per-overlap-node
-form, which built a Poisson table per xi and summed the threshold axis by
-matrix products.
+term by term with one (s, u, count, count) table per overlap node
+(``oracles.literal_sigma_sb``), and closed-form integrands derived by hand
+for the iid model at m=1.  The sliding-blocks evaluator is also held to
+its earlier per-overlap-node form (``oracles.per_xi_sigma_sb_entries``),
+which built a Poisson table per xi and summed the threshold axis by matrix
+products.
 
 The literal quadrature calls cpp_pmf, cpp2_pmf and cpp_pmf_dtau, which rest
 on the same cpmodel primitives (power tables, Poisson table) as sigma_db,
 so it checks the integration, not those primitives.  The primitives get
-their own oracles here: the term-by-term sliding rule builds its powers
+their own oracles: the term-by-term sliding rule builds its powers
 with np.convolve and scipy's convolve2d and its Poisson terms with scipy's
 pmf, and test_bivar_powers_match_convolve2d compares the bivariate power
 stack with the same convolve2d loop.
@@ -22,16 +23,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
-from scipy.signal import convolve2d
 from scipy.special import gammaincc
-from scipy.stats import poisson
 
+from exclust import asymptotics
 from exclust.asymptotics import (
     CovMatrix,
     QuadratureSpec,
-    _shift_add,
     _sigma_db_entries,
     _sigma_sb_entries,
+    _table_bytes,
     cpp_pmf_dtau,
     disjoint_process_var,
     gamma,
@@ -46,7 +46,6 @@ from exclust.asymptotics import (
 from exclust.cpmodel import (
     CppModel,
     bivar_powers,
-    conv_powers,
     cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
@@ -58,6 +57,7 @@ from exclust.cpmodel import (
     poisson_table,
 )
 from exclust.errors import NumericFailureError, UnsupportedModelError
+from oracles import _bivar_powers, literal_sigma_sb, per_xi_sigma_sb_entries
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 GEOM3 = CppModel(0.7, geometric_pi(0.3), max_ar_family(0.3))
@@ -104,24 +104,6 @@ def literal_sigma_db(model, m, nodes=48):
     return t_ind + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
 
 
-def _conv_powers(w, m):
-    """P[k] = k-fold convolution of w on 0..m, for k in 0..m."""
-    P = np.zeros((m + 1, m + 1))
-    P[0, 0] = 1.0
-    for kk in range(1, m + 1):
-        P[kk] = np.convolve(P[kk - 1], w[: m + 1])[: m + 1]
-    return P
-
-
-def _bivar_powers(table, m):
-    """P[k] = k-fold 2-d convolution of table on 0..m x 0..m, for k in 0..m."""
-    P = np.zeros((m + 1, m + 1, m + 1))
-    P[0, 0, 0] = 1.0
-    for kk in range(1, m + 1):
-        P[kk] = convolve2d(P[kk - 1], table)[: m + 1, : m + 1]
-    return P
-
-
 @pytest.mark.parametrize("m", [2, 3, 5])
 @pytest.mark.parametrize("model", [iid_model(), GEOM], ids=["iid", "geometric"])
 def test_bivar_powers_match_convolve2d(model, m):
@@ -130,126 +112,6 @@ def test_bivar_powers_match_convolve2d(model, m):
     for si, B in zip(sigma, got):
         ref = _bivar_powers(model.pi2.table(si, m), m)
         np.testing.assert_allclose(B, ref, rtol=0, atol=1e-15)
-
-
-def _shift_gather(pm, m):
-    """out[..., a, r] = pm[..., a - r] for a >= r, else 0."""
-    idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))
-    return pm[..., np.maximum(idx, 0)] * (idx >= 0)
-
-
-def literal_sigma_sb(model, m, nodes=32):
-    """The sliding-blocks rule of sigma_sb, summed term by term.
-
-    Same nodes and weights as the production evaluator, but every moment is
-    formed per overlap node xi from full (s, u, count, count) tables of the
-    pieces' joint count pmfs, with scipy's Poisson pmf and 2-d convolution.
-    """
-    th = model.theta
-    s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
-    u, uw = gauss_legendre_01(nodes)
-    xi, xiw = gauss_legendre_01(nodes)
-    tau = -np.log1p(-u) / th
-    k = np.arange(m + 1)
-
-    M = _conv_powers(model.pi.weights, m)
-    pbar = pbar_theory(model, m).weights[1:]
-    pp = np.outer(pbar, pbar)
-    BT = np.stack([_bivar_powers(model.pi2.table(si, m), m) for si in s])
-
-    lam_st = th * np.outer(s, tau)
-    pois_st = poisson.pmf(k, lam_st[..., None])
-    gd = th * np.einsum("sul,lv->suv", pois_st[..., :-1] - pois_st[..., 1:], M[1:, 1:])
-    pois_t = poisson.pmf(k, th * tau[:, None])
-    gd1 = th * np.einsum("ul,lv->uv", pois_t[..., :-1] - pois_t[..., 1:], M[1:, 1:])
-    tail = np.zeros((nodes, m))
-    z = 2.0 * th * tau
-    for ll in range(1, m + 1):
-        coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
-        tail += np.outer(coef, M[ll, 1 : m + 1])
-
-    acc = np.zeros((m, m))
-    for xv, xw in zip(xi, xiw):
-        pois_x = poisson.pmf(k, xv * lam_st[..., None])
-        pois_y = poisson.pmf(k, xv * th * tau[:, None])
-        pois_s = poisson.pmf(k, (1 - xv) * th * tau[:, None])
-
-        # indicator-indicator
-        p_x = np.einsum("suk,kl->sul", pois_x, M)
-        p_y = np.einsum("uk,kv->uv", pois_y, M)
-        p2 = np.einsum("uk,skrx->surx", pois_s, BT)
-        R = np.einsum("surx,upr->suxp", p2, _shift_gather(p_y, m))
-        J = np.einsum("sujx,suxp->sujp", _shift_gather(p_x, m), R)
-        wA = th * tau * np.exp(-lam_st)
-        JJ = J + J.transpose(0, 1, 3, 2)
-        a_term = np.einsum("s,u,su,sujp->jp", sw, uw, wA, JJ)[1:, 1:] - pp
-
-        # indicator-smooth
-        p20 = np.einsum("uk,sky->suy", pois_s, BT[:, :, :, 0])
-        ux = np.exp(-xv * lam_st)[..., None] * np.einsum(
-            "ul,sujl->suj", p_y, _shift_gather(p20, m)
-        )
-        inner1 = np.einsum("s,u,u,suv,suj->jv", sw, uw, tau, gd, ux)[1:, :]
-        inner2 = np.einsum("u,uj,uv->jv", uw, p_y, tail)[1:, :]
-        b_term = inner1 + inner2 - pp
-
-        # smooth-smooth
-        innerC = np.einsum("s,sua,su->ua", sw, gd, np.exp(-xv * lam_st))
-        ecc = np.einsum("u,ub,u,ua->ab", uw, gd1, tau / th, innerC)
-        c_term = ecc + ecc.T - pp
-
-        acc += xw * (a_term + b_term + b_term.T + c_term)
-    return 2.0 * acc
-
-
-def per_xi_sigma_sb_entries(model, m, nodes):
-    """The earlier form of `_sigma_sb_entries`: one loop step per overlap
-    node xi, with an (m+1, S, U) Poisson table of the private piece and two
-    GEMMs that sum the threshold axis."""
-    th = model.theta
-    s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
-    u, uw = gauss_legendre_01(nodes)
-    xi, xiw = gauss_legendre_01(nodes)
-    tau = -np.log1p(-u) / th
-
-    M = conv_powers(model.pi, m)
-    pbar = pbar_theory(model, m).weights[1:]
-    pp = np.outer(pbar, pbar)
-    BT = bivar_powers(model.pi2, s, m)
-
-    lam_st = th * np.outer(s, tau)
-    gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
-    gd1 = cpp_pmf_dtau(model, tau, m)[1:]
-
-    tail = np.zeros((nodes, m))
-    z = 2.0 * th * tau
-    for ll in range(1, m + 1):
-        coef = gammaincc(ll, z) / 2.0**ll - gammaincc(ll + 1, z) / 2.0 ** (ll + 1)
-        tail += np.outer(coef, M[ll, 1 : m + 1])
-
-    wA = (sw[:, None] * uw * th * tau * np.exp(-lam_st)).ravel()
-    wB = sw[:, None] * uw * tau * gd
-    Qa = np.zeros(((m + 1) * s.size, (m + 1) ** 2))
-    Qb = np.zeros((m * s.size, (m + 1) ** 2))
-    acc = np.zeros((m, m))
-    for xv, xw in zip(xi, xiw):
-        pois_x = poisson_table(xv * lam_st, m)
-        p_y = M.T @ poisson_table(xv * th * tau, m)
-        pois_s = poisson_table((1 - xv) * th * tau, m)
-        Y = (p_y[:, None] * pois_s).reshape(-1, u.size)
-        X = (M.T @ pois_x.reshape(m + 1, -1)) * wA
-        Qa += xw * (X.reshape(-1, u.size) @ Y.T)
-        Qb += xw * ((pois_x[0] * wB).reshape(-1, u.size) @ Y.T)
-        inner2 = np.einsum("u,ju,uv->jv", uw, p_y, tail)[1:, :]
-
-        innerC = np.einsum("s,asu,su->ua", sw, gd, pois_x[0])
-        ecc = np.einsum("u,bu,u,ua->ab", uw, gd1, tau / th, innerC)
-        acc += xw * (inner2 + inner2.T + ecc + ecc.T - 4.0 * pp)
-
-    Ja = _shift_add(Qa.reshape(m + 1, s.size, m + 1, m + 1), BT, m)
-    Jb = _shift_add(Qb.reshape(m, s.size, m + 1, m + 1), BT[..., :1], m)[:m, 1:]
-    acc += (Ja + Ja.T)[1:, 1:] + Jb + Jb.T
-    return 2.0 * acc
 
 
 def hand_sliding_integrand_iid(xv):
@@ -544,7 +406,7 @@ def test_sigma_db_entries_contract_the_bivariate_powers_once():
 
 
 @pytest.mark.parametrize("nodes", [8, 24])
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "model", [iid_model(), GEOM, GEOM3], ids=["iid", "geometric0.5", "geometric0.3"]
 )
@@ -553,6 +415,19 @@ def test_sigma_sb_entries_match_the_per_xi_loop(model, m, nodes):
     np.testing.assert_allclose(
         got, per_xi_sigma_sb_entries(model, m, nodes), rtol=0, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("model", [iid_model(), GEOM], ids=["iid", "geometric"])
+def test_sigma_sb_entries_do_not_depend_on_the_chunk_size(model, monkeypatch):
+    # a budget of one byte leaves one threshold node per chunk, a huge one
+    # puts all 24 nodes in one chunk
+    oracle = per_xi_sigma_sb_entries(model, 3, 24)
+    got = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(asymptotics, "_CHUNK_BYTES", budget)
+        got.append(_sigma_sb_entries(model, 3, 24))
+        np.testing.assert_allclose(got[-1], oracle, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got[0], got[1], rtol=0, atol=1e-15)
 
 
 def test_sigma_sb_entries_peak_memory_stays_below_the_per_xi_loop():
@@ -609,8 +484,45 @@ def test_refinement_returns_the_fine_grid():
 def test_refinement_failure_raises_with_delta():
     spec = QuadratureSpec(nodes_1d=8, refinement=True, tolerance=1e-12)
     with pytest.raises(NumericFailureError) as exc:
-        sigma_sb(iid_model(), 1, spec)
+        sigma_sb(iid_model(), 2, spec)
     assert exc.value.delta is not None and exc.value.delta > 0
+    # it names the node counts compared and the (j, j') entry that moved most
+    moved = np.abs(_sigma_sb_entries(iid_model(), 2, 16) - _sigma_sb_entries(iid_model(), 2, 8))
+    assert exc.value.delta == moved.max()
+    assert exc.value.nodes == (8, 16)
+    j, jp = exc.value.entry
+    assert moved[j - 1, jp - 1] == moved.max()
+    assert f"(j, j') = ({j}, {jp})" in str(exc.value) and "8 -> 16 nodes" in str(exc.value)
+
+
+@pytest.mark.parametrize("evaluate, model, m, nodes", [
+    (sigma_db, GEOM, 40, 64),
+    (sigma_sb, GEOM, 40, 64),
+    (sigma_sb, iid_model(), 5, 2048),
+    (sigma_sb, GEOM, 3, 1024),
+])
+def test_covariances_above_the_table_budget_are_refused_before_any_table(evaluate, model, m, nodes):
+    # geometric db at m=40 would need 2.4 GB of bivariate powers at 128 nodes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"m={m} with nodes_1d={nodes} needs"):
+            evaluate(model, m, QuadratureSpec(nodes_1d=nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("kind", ["sigma_db", "sigma_sb"])
+def test_default_specs_stay_far_below_the_table_budget(kind):
+    # the specs of tests/data/variance.txt, the default spec at m = 5, and
+    # the CLI property draws at their widest: alpha = 0.95 (448 knots) with
+    # m = 3 and 32 nodes
+    wide = CppModel(0.05, geometric_pi(0.95), max_ar_family(0.95))
+    for model, m, quad in [(iid_model(), 3, QuadratureSpec()), (GEOM, 3, QuadratureSpec()),
+                           (GEOM, 3, QuadratureSpec(nodes_1d=24)), (GEOM, 5, QuadratureSpec()),
+                           (wide, 3, QuadratureSpec(nodes_1d=32))]:
+        assert _table_bytes(model, m, quad, kind) < asymptotics._TABLE_BYTES / 10
 
 
 # ---------------------------------------------------------------------------

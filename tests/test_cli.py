@@ -80,7 +80,18 @@ def test_variance_unstable_quadrature_exits_2(capsys):
     code = main(["variance", "--model", "iid", "--kind", "sb", "--m", "1",
                  "--nodes", "8"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "(j, j') = (1, 1), 8 -> 16 nodes" in err
+
+
+def test_variance_above_the_table_budget_exits_1(capsys):
+    # 2.4 GB of bivariate powers at 128 nodes; refused before any is built
+    code = main(["variance", "--model", "geometric", "--alpha", "0.5", "--kind", "db",
+                 "--m", "40"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "m=40 with nodes_1d=64" in err and "MB limit" in err
 
 
 def test_simulate_deterministic(tmp_path):
@@ -283,7 +294,8 @@ def test_simulate_exits_with_a_documented_code(tmp_path_factory, data):
        _mostly(st.integers(8, 32).map(str), st.sampled_from(["7", "0", "-1", "8.0", "x"])), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_variance_exits_with_a_documented_code(model, alpha, kind, m, nodes, no_refine):
-    # m and nodes stay small: larger ones need memory that nothing bounds yet
+    # m and nodes stay small to keep the draws fast; the covariance table
+    # budget refuses larger ones by name
     argv = ["variance", "--model", model, "--alpha", alpha, "--kind", kind, "--m", m,
             "--nodes", nodes] + ["--no-refine"] * no_refine
     _assert_documented_exit(argv)
