@@ -12,9 +12,14 @@ one threshold by the other; for sliding blocks the window overlap adds an
 outer integral over the overlap fraction xi.  Every factor of its
 integrand that depends on the window ratio s is a polynomial in
 c = theta s times the kernel exp(-c tau (1 + xi)), so the threshold and
-overlap axes are summed together, by one matrix product per chunk of
-threshold nodes against a few columns per cluster count, and the xi-free
-law of the windows' shared piece is contracted once.
+overlap axes are summed together, by one matrix product per tile of
+window ratios and chunk of threshold nodes against a few columns per
+cluster count, and the xi-free law of the windows' shared piece is
+contracted once.  A tile holds at most `_TILE_ROWS` window ratios and a
+chunk as many threshold nodes as fit `_CHUNK_BYTES` next to one tile, in
+two buffers allocated once per call: at m=3 a geometric call at 128 nodes
+took half the time of one fresh table of all window ratios per node
+(``BENCH_26.json``).
 
 All integrals over (0, infinity) are mapped to (0, 1) through the
 substitution u = H(tau), and every sum over cluster counts is finite and
@@ -22,8 +27,9 @@ exact because k-fold convolutions of cluster laws vanish below k.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -60,10 +66,16 @@ _COV_KINDS = ("sigma_db", "sigma_sb", "gamma_db", "gamma_sb")
 _TRUNC_TOL = 1e-8
 
 # bytes of one chunk of threshold nodes in `_sigma_sb_entries`: its kernel
-# table exp(-c a) and the right factor Z of the GEMM
+# tile exp(-c a) and the right factor Z of the GEMM.  A chunk holds at least
+# one node, so the budget is exceeded where one node needs more, 8 X (rows +
+# cols) bytes for X overlap nodes: at m=3 (cols = 82), fine passes above
+# about 325 nodes for iid (rows = S = X) and 388 where rows = 256
 _CHUNK_BYTES = 1 << 20
 
-# largest table a covariance pass may build (see `_table_bytes`)
+# window-ratio rows of one kernel tile in `_sigma_sb_entries`
+_TILE_ROWS = 256
+
+# most table memory a covariance pass may hold (see `_table_bytes`)
 _TABLE_BYTES = 256 << 20
 
 
@@ -84,11 +96,19 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric limit covariance matrix for counts 1..m."""
+    """Symmetric limit covariance matrix for counts 1..m.
+
+    ``quadrature`` is what the quadrature of `sigma_db`/`sigma_sb` reached:
+    ``nodes``, the node counts run, and under refinement ``delta``, the
+    largest change on doubling, and ``entry``, the (j, j') counts of the
+    entry that moved most (both None without refinement).  It is None on
+    matrices built otherwise, and equality ignores it.
+    """
 
     m: int
     entries: np.ndarray
     kind: str
+    quadrature: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=float)
@@ -118,24 +138,22 @@ def _require_family(model):
 def _refined(quad, evaluate):
     """Run `evaluate` at nodes_1d, optionally re-run at double resolution.
 
-    Raises if doubling moves any entry by at least the tolerance, naming
-    the node counts and the (j, j') counts, from 1, of the entry that moved
-    most.
+    Returns the last run's value and what the quadrature reached: the node
+    counts run, and under refinement the largest change delta and the
+    (j, j') counts, from 1, of the entry that moved most (empty for a
+    scalar).  Raises, naming the same, if delta reaches the tolerance.
     """
-    nodes = (quad.nodes_1d, 2 * quad.nodes_1d)
-    coarse = np.asarray(evaluate(nodes[0]))
+    coarse = np.asarray(evaluate(quad.nodes_1d))
     if not quad.refinement:
-        return coarse
+        return coarse, {"nodes": (quad.nodes_1d,), "delta": None, "entry": None}
+    nodes = (quad.nodes_1d, 2 * quad.nodes_1d)
     fine = np.asarray(evaluate(nodes[1]))
     moved = np.abs(fine - coarse)
-    delta = float(moved.max()) if fine.size else 0.0
-    if delta >= quad.tolerance:
-        entry = tuple(int(i) + 1 for i in np.unravel_index(moved.argmax(), moved.shape))
-        raise NumericFailureError(
-            "quadrature did not stabilize under node doubling",
-            delta=delta, nodes=nodes, entry=entry,
-        )
-    return fine
+    entry = tuple(int(i) + 1 for i in np.unravel_index(moved.argmax(), moved.shape))
+    reached = {"nodes": nodes, "delta": float(moved.max()), "entry": entry}
+    if reached["delta"] >= quad.tolerance:
+        raise NumericFailureError("quadrature did not stabilize under node doubling", **reached)
+    return fine, reached
 
 
 def _shift_add(Q, BT, m):
@@ -207,34 +225,47 @@ def _sigma_db_entries(model, m, nodes):
     return t_ind + t_ind.T + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
 
 
+def _sb_chunk(S, nodes, m):
+    """Kernel tile rows, columns of Z and threshold nodes per chunk of
+    `_sigma_sb_entries` at S window ratios: as many nodes as fit
+    `_CHUNK_BYTES`, at least one and at most all."""
+    P = (m + 1) * (m + 2) // 2
+    rows, cols = min(S, _TILE_ROWS), (2 * m + 1) * P + (m + 1) * m
+    return rows, cols, min(nodes, max(1, _CHUNK_BYTES // (8 * nodes * (rows + cols))))
+
+
 def _table_bytes(model, m, quad, kind):
-    """Bytes of the largest table one covariance pass builds, at the fine
+    """Bytes of the tables one covariance pass holds at once, at the fine
     nodes under refinement: the bivariate powers, S (m+1)^3 floats for S =
-    panels x nodes, and for sliding blocks also p_y, (m+1) nodes^2 floats,
-    and the kernel table of one threshold node, S nodes floats."""
+    panels x nodes; for sliding blocks also p_y, (m+1) nodes^2 floats, and
+    then the larger of the Poisson table that p_y is contracted from, as
+    large again, and one chunk's kernel tile and Z, (rows + cols) nodes
+    floats per threshold node (`_sb_chunk`)."""
     nodes = quad.nodes_1d * (2 if quad.refinement else 1)
     S = nodes * (len(model.pi2.breakpoints) + 1)
     floats = S * (m + 1) ** 3
     if kind == "sigma_sb":
-        floats = max(floats, (m + 1) * nodes**2, S * nodes)
+        rows, cols, step = _sb_chunk(S, nodes, m)
+        floats += (m + 1) * nodes**2 + max((m + 1) * nodes**2, step * (rows + cols) * nodes)
     return 8 * floats
 
 
 def _sigma(model, m, quad, entries, kind):
     """The CovMatrix of ``kind`` from ``entries(model, m, nodes)``, refined.
 
-    A pass whose largest table would exceed `_TABLE_BYTES` is refused before
-    any table is built."""
+    A pass whose tables would exceed `_TABLE_BYTES` is refused before any
+    table is built.  The matrix carries what the quadrature reached."""
     m = check_count("m", m, 1)
     quad = quad if quad is not None else QuadratureSpec()
     _require_family(model)
     need = _table_bytes(model, m, quad, kind)
     if need > _TABLE_BYTES:
         raise ValueError(
-            f"m={m} with nodes_1d={quad.nodes_1d} needs a {need / 2**20:,.0f} MB "
-            f"table, above the {_TABLE_BYTES >> 20} MB limit; lower m or nodes_1d"
+            f"m={m} with nodes_1d={quad.nodes_1d} needs {need / 2**20:,.0f} MB "
+            f"of tables, above the {_TABLE_BYTES >> 20} MB limit; lower m or nodes_1d"
         )
-    return CovMatrix(m=m, entries=_refined(quad, lambda n: entries(model, m, n)), kind=kind)
+    ent, reached = _refined(quad, lambda n: entries(model, m, n))
+    return CovMatrix(m=m, entries=ent, kind=kind, quadrature=reached)
 
 
 def sigma_db(model, m, quad=None):
@@ -267,13 +298,19 @@ def _sigma_sb_entries(model, m, nodes):
     (l = 1..m) and tau^l xw v (l = 0..m; v = uw gd1 tau / theta).  Here
     base = uw tau xw p_y[d] Pois_k(theta (1 - xi) tau) for the shared-piece
     columns with d + k <= m only: the others meet only zeros of BT in
-    `_shift_add`.  Each chunk holds as many u nodes as fit
-    `_CHUNK_BYTES`, and at least one; only ``p_y`` is a whole grid.
+    `_shift_add`.  Each chunk of u nodes fills one kernel buffer of rows =
+    min(S, `_TILE_ROWS`) window ratios and one Z buffer, both allocated
+    once per call, and holds as many nodes as fit `_CHUNK_BYTES` with
+    them, and at least one (`_sb_chunk`); its GEMMs run tile by tile of
+    rows.  So for S <= 256 (the iid model up to 256 nodes) a chunk is one
+    GEMM, and for the geometric model's S = 34 x nodes each GEMM sums over
+    several u nodes instead of one.  Only ``p_y`` is a whole grid.
     `_shift_add` contracts the sums Q with the bivariate powers BT once at
-    the end.  At m=3 one call took 7.5 ms (iid, 64 nodes), 6.2 ms and
-    497 ms (geometric alpha=0.5, 24 and 128 nodes), against 11.0, 13.2 and
-    820 ms for the per-node loop with weighted adds that this replaced
-    (in-process minima of 9 calls, 2-vCPU host; ``BENCH_25.json``).
+    the end.  One call took 623 ms (geometric alpha=0.5, m=3, 128 nodes),
+    107 ms (the same at m=5, 48 nodes) and 210 ms (iid, m=3, 256 nodes),
+    against 1,323, 157 and 213 ms with one fresh kernel table of all S rows
+    per chunk (in-process minima of 9 calls, 2-vCPU host;
+    ``BENCH_26.json``).
     """
     th = model.theta
     s, sw = gauss_legendre_panels(nodes, model.pi2.breakpoints)
@@ -304,29 +341,41 @@ def _sigma_sb_entries(model, m, nodes):
     # shared-piece columns (d, k): count d on the private xi*tau piece, k
     # clusters on the shared one
     d, k = np.array([(a, b) for a in range(m + 1) for b in range(m + 1 - a)]).T
-    P, S, ell = d.size, s.size, np.arange(m + 1)
+    P, S, X, ell = d.size, s.size, xi.size, np.arange(m + 1)
     c = th * s
     v = uw * gd1 * tau / th
-    H = np.zeros((S, (2 * m + 1) * P + (m + 1) * m))
-    step = max(1, _CHUNK_BYTES // (8 * xi.size * (S + H.shape[1])))
+    rows, cols, step = _sb_chunk(S, nodes, m)
+    edges = [(m + 1) * P, (2 * m + 1) * P]
+    H = np.zeros((S, cols))
+    kbuf, zbuf = np.empty((rows, step * X)), np.empty((cols, step, X))
     for lo in range(0, u.size, step):
         t, at = tau[lo : lo + step], slice(lo, lo + step)
+        Z = zbuf[:, : t.size]
+        Za, Zb, Ze = np.split(Z, edges)
+        Za, Zb, Ze = Za.reshape(m + 1, P, -1, X), Zb.reshape(m, P, -1, X), Ze.reshape(m + 1, m, -1, X)
         pk = poisson_table(th * np.outer(t, 1 - xi), m)
-        base = p_y[:, :, at].transpose(0, 2, 1)[d] * pk[k] * np.outer(uw[at] * t, xiw)
+        # base = uw tau xw p_y[d] Pois_k, the l = 0 columns of Za
+        base = np.multiply(p_y[:, :, at].transpose(0, 2, 1)[d], pk[k], out=Za[0])
+        np.multiply(base, np.outer(uw[at] * t, xiw), out=base)
         tl = (t[:, None] ** ell).T[:, None, :, None]
-        Z = np.concatenate([
-            (np.outer(t, xi) ** ell[:, None, None])[:, None] * base,  # indicator-indicator
-            tl[1:] * base,  # indicator-smooth below mu = tau; l = 0 is the block above
-            tl * (v[:, at, None] * xiw),  # smooth-smooth
-        ], axis=None).reshape(H.shape[1], -1)
-        H += np.exp(-np.outer(c, np.outer(t, 1 + xi))) @ Z.T
+        # indicator-indicator
+        np.multiply((np.outer(t, xi) ** ell[1:, None, None])[:, None], base, out=Za[1:])
+        # indicator-smooth below mu = tau; l = 0 is Za[0]
+        np.multiply(tl[1:], base, out=Zb)
+        # smooth-smooth
+        np.multiply(tl, v[:, at, None] * xiw, out=Ze)
+        a, Zc = np.outer(t, 1 + xi).ravel(), Z.reshape(cols, -1).T
+        for r0 in range(0, S, rows):
+            E = kbuf[: min(rows, S - r0), : a.size]
+            np.exp(np.multiply.outer(-c[r0 : r0 + rows], a, out=E), out=E)
+            H[r0 : r0 + rows] += E @ Zc
 
     # s-only weights theta sw c^l; the indicator weight brings c^k' / k'!,
     # the derivative its polynomial B[l, d] = (M[l+1, d] - M[l, d]) / l!
     W = (th * sw)[:, None, None] * c[:, None, None] ** ell[:, None]
     fact = np.cumprod(np.maximum(ell, 1)).astype(float)
     B = (np.vstack([M[1:], np.zeros(m + 1)]) - M)[:, 1:] / fact[:, None]
-    Ha, Hb, He = np.split(H, [(m + 1) * P, (2 * m + 1) * P], axis=1)
+    Ha, Hb, He = np.split(H, edges, axis=1)
     Hb = np.concatenate([Ha[:, :P], Hb], axis=1)
     Qa = np.zeros((m + 1, S, m + 1, m + 1))
     Qa[:, :, d, k] = np.tensordot(M / fact[:, None], W * Ha.reshape(S, m + 1, P), (0, 1))
@@ -472,7 +521,7 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
         Q = (p_x * xiw) @ Y.T
         return _shift_add(Q.reshape(m + 1, 1, m + 1, m + 1), BT, m)[j, j_prime]
 
-    overlap = _refined(quad, evaluate)
+    overlap = _refined(quad, evaluate)[0]
     pj = cpp_pmf(model, tau, j)[j]
     pjp = cpp_pmf(model, tau_prime, j_prime)[j_prime]
     return float(2.0 * overlap - 2.0 * pj * pjp)

@@ -19,6 +19,9 @@ Three primitives carry the algebra: the power table pi^{*k}(v), its
 bivariate counterpart for pi2, and the Poisson table.  The count laws, pbar
 and the covariance integrands in ``asymptotics`` each contract a row of
 weights over k (Poisson, or 2^{-(k+1)} for pbar) with a power table.
+The bivariate powers are built with the window-ratio axis innermost, so
+each shifted add is one long vector loop rather than many loops of at
+most m+1 floats; the result keeps the ratio axis first.
 """
 
 from dataclasses import dataclass
@@ -150,17 +153,28 @@ def bivar_powers(family, sigma, m):
     """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x) for k, r, x in 0..m.
 
     As in :func:`conv_powers`, power k adds power k-1 shifted by each cell
-    (r, x) of J and scaled by its mass, cut at m.  Memory is O(result): B
-    and the pi2 tables, with no operator over pairs of cells.
+    (r, x) of J and scaled by its mass, cut at m.  The adds run on two
+    (m+1, m+1, sigma) slabs, powers k-1 and k, with the sigma axis
+    innermost, so every add is one long vector loop; each finished slab is
+    copied into B[:, k].  Memory is O(result): B, the pi2 tables and the two
+    slabs, with no operator over pairs of cells.  At m=5 on 128 nodes in
+    each of the 34 panels of the geometric alpha=0.5 family a call took
+    23 ms, against 89 ms with sigma outermost (in-process minima of 9
+    calls, 2-vCPU host; ``BENCH_26.json``).
     """
     m = check_count("m", m, 0)
-    T = family.table(sigma, m)[..., None, None]
-    B = np.zeros((len(T), m + 1, m + 1, m + 1))
+    T = np.moveaxis(family.table(sigma, m), 0, -1).copy()
+    B = np.zeros((T.shape[-1], m + 1, m + 1, m + 1))
     B[:, 0, 0, 0] = 1.0
+    cur, prev = np.zeros((2, m + 1, m + 1, T.shape[-1]))
+    prev[0, 0] = 1.0
     cells = [(r, x) for r in range(1, m + 1) for x in range(r + 1)]
     for k in range(1, m + 1):
+        cur.fill(0.0)
         for r, x in cells:
-            B[:, k, r:, x:] += T[:, r, x] * B[:, k - 1, : m + 1 - r, : m + 1 - x]
+            cur[r:, x:] += T[r, x] * prev[: m + 1 - r, : m + 1 - x]
+        B[:, k] = np.moveaxis(cur, -1, 0)
+        cur, prev = prev, cur
     return B
 
 

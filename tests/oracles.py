@@ -65,6 +65,20 @@ def _bivar_powers(table, m):
     return P
 
 
+def sigma_outer_bivar_powers(family, sigma, m):
+    """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x), by the shifted adds of
+    ``bivar_powers`` with the sigma axis outermost: the loop that the
+    node-innermost slabs replaced, in the same order of adds."""
+    T = family.table(sigma, m)[..., None, None]
+    B = np.zeros((len(T), m + 1, m + 1, m + 1))
+    B[:, 0, 0, 0] = 1.0
+    cells = [(r, x) for r in range(1, m + 1) for x in range(r + 1)]
+    for k in range(1, m + 1):
+        for r, x in cells:
+            B[:, k, r:, x:] += T[:, r, x] * B[:, k - 1, : m + 1 - r, : m + 1 - x]
+    return B
+
+
 def _shift_gather(pm, m):
     """out[..., a, r] = pm[..., a - r] for a >= r, else 0."""
     idx = np.subtract.outer(np.arange(m + 1), np.arange(m + 1))

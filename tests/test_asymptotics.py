@@ -420,14 +420,21 @@ def test_sigma_sb_entries_match_the_per_xi_loop(model, m, nodes):
 @pytest.mark.parametrize("model", [iid_model(), GEOM], ids=["iid", "geometric"])
 def test_sigma_sb_entries_do_not_depend_on_the_chunk_size(model, monkeypatch):
     # a budget of one byte leaves one threshold node per chunk, a huge one
-    # puts all 24 nodes in one chunk
+    # puts all 24 nodes in one chunk; a tile of one row runs one GEMM per
+    # window ratio, a huge one all of them (816 for the geometric model) in
+    # one
     oracle = per_xi_sigma_sb_entries(model, 3, 24)
+    budgets = (1, asymptotics._CHUNK_BYTES, 1 << 40)
+    tiles = (1, asymptotics._TILE_ROWS, 1 << 20)
     got = []
-    for budget in (1, 1 << 40):
+    for budget in budgets:
         monkeypatch.setattr(asymptotics, "_CHUNK_BYTES", budget)
-        got.append(_sigma_sb_entries(model, 3, 24))
-        np.testing.assert_allclose(got[-1], oracle, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(got[0], got[1], rtol=0, atol=1e-15)
+        for rows in tiles:
+            monkeypatch.setattr(asymptotics, "_TILE_ROWS", rows)
+            got.append(_sigma_sb_entries(model, 3, 24))
+            np.testing.assert_allclose(got[-1], oracle, rtol=0, atol=1e-15)
+    for other in got[1:]:
+        np.testing.assert_allclose(other, got[0], rtol=0, atol=1e-15)
 
 
 def test_sigma_sb_entries_peak_memory_stays_below_the_per_xi_loop():
@@ -493,6 +500,24 @@ def test_refinement_failure_raises_with_delta():
     j, jp = exc.value.entry
     assert moved[j - 1, jp - 1] == moved.max()
     assert f"(j, j') = ({j}, {jp})" in str(exc.value) and "8 -> 16 nodes" in str(exc.value)
+
+
+@pytest.mark.parametrize("evaluate, entries", [(sigma_db, _sigma_db_entries),
+                                               (sigma_sb, _sigma_sb_entries)])
+def test_covariances_carry_what_the_refinement_reached(evaluate, entries):
+    cov = evaluate(GEOM, 3, QuadratureSpec(nodes_1d=8, tolerance=1.0))
+    moved = np.abs(entries(GEOM, 3, 16) - entries(GEOM, 3, 8))
+    assert cov.quadrature["nodes"] == (8, 16)
+    assert cov.quadrature["delta"] == moved.max() > 0
+    j, jp = cov.quadrature["entry"]
+    assert moved[j - 1, jp - 1] == moved.max()
+    np.testing.assert_array_equal(cov.entries, entries(GEOM, 3, 16))
+    # without refinement only the one node count is known
+    once = evaluate(GEOM, 3, QuadratureSpec(nodes_1d=8, refinement=False))
+    assert once.quadrature == {"nodes": (8,), "delta": None, "entry": None}
+    # the field stays out of equality, and gamma's matrices have none
+    assert once == CovMatrix(3, once.entries, once.kind)
+    assert gamma(once, np.eye(3)).quadrature is None
 
 
 @pytest.mark.parametrize("evaluate, model, m, nodes", [

@@ -25,7 +25,7 @@ from exclust.cpmodel import (
 from exclust.errors import UnsupportedModelError
 from exclust.estimators import theta_hat
 
-from oracles import pbar_integral_oracle
+from oracles import pbar_integral_oracle, sigma_outer_bivar_powers
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 
@@ -240,6 +240,17 @@ def test_bivar_powers_need_no_memory_beyond_their_result(m):
         tracemalloc.stop()
     assert B.shape == (sigma.size, m + 1, m + 1, m + 1)
     assert peak <= 2 * B.nbytes, peak / B.nbytes
+
+
+@pytest.mark.parametrize("nodes", [24, 128])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("family", [iid_model().pi2, max_ar_family(0.5), max_ar_family(0.3)],
+                         ids=["iid", "geometric0.5", "geometric0.3"])
+def test_bivar_powers_equal_the_sigma_outermost_loop(family, m, nodes):
+    # the same adds in the same order, so the same floats
+    sigma, _ = gauss_legendre_panels(nodes, family.breakpoints)
+    B = bivar_powers(family, sigma, m)
+    assert np.array_equal(B, sigma_outer_bivar_powers(family, sigma, m))
 
 
 def test_pbar_unreachable_support():
