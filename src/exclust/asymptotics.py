@@ -62,9 +62,6 @@ __all__ = [
 
 _COV_KINDS = ("sigma_db", "sigma_sb", "gamma_db", "gamma_sb")
 
-# input pmfs must carry essentially all their mass below the support cap
-_TRUNC_TOL = 1e-8
-
 # bytes of one chunk of threshold nodes in `_sigma_sb_entries`: its kernel
 # tile exp(-c a) and the right factor Z of the GEMM.  A chunk holds at least
 # one node, so the budget is exceeded where one node needs more, 8 X (rows +
@@ -124,14 +121,10 @@ class CovMatrix:
 
 
 def _require_family(model):
+    """Refuse a model without pi2; `conv_powers` checks how far pi may be read."""
     if model.pi2 is None:
         raise UnsupportedModelError(
             "the covariance integrals need the bivariate cluster family pi2"
-        )
-    if model.pi.trunc_mass > _TRUNC_TOL:
-        raise ValueError(
-            f"cluster size pmf truncates {model.pi.trunc_mass:g} mass; "
-            "extend its support before evaluating covariances"
         )
 
 
@@ -499,7 +492,7 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
     Two unit-length windows at lag xi are split into private and shared
     pieces; the joint count pmf is integrated over xi in (0, 1).
     """
-    if not 0 <= tau <= tau_prime:
+    if not 0 <= _finite("tau", tau) <= _finite("tau_prime", tau_prime):
         raise ValueError(f"need 0 <= tau <= tau_prime, got ({tau}, {tau_prime})")
     j, j_prime = check_count("j", j, 0), check_count("j_prime", j_prime, 0)
     quad = quad if quad is not None else QuadratureSpec()

@@ -109,7 +109,7 @@ def _build_parser():
         default="iid",
         help="limit model (geometric uses the max-autoregressive cluster family)",
     )
-    p.add_argument("--alpha", type=float, default=0.5, help="geometric parameter")
+    p.add_argument("--alpha", type=float, default=0.5, help="geometric parameter in [0, 1)")
     p.add_argument(
         "--kind", choices=["db", "sb"], required=True, help="block scheme of the limit"
     )

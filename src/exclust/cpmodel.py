@@ -12,8 +12,8 @@ their bivariate extension p2 for two nested time windows, and the mixture
             = sum_{j=1..m} 2^{-(j+1)} pi^{*j}(m)
 
 that the block estimators target.  Everything is exact finite arithmetic on
-truncated supports; truncation mass is tracked so downstream quadrature can
-assert it is negligible.
+the counts 0..m read; :func:`conv_powers`, the one reader of pi's weights,
+refuses an m past the support of a pmf that truncates mass.
 
 Three primitives carry the algebra: the power table pi^{*k}(v), its
 bivariate counterpart for pi2, and the Poisson table.  The count laws, pbar
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .base import check_count
+from .base import _finite, check_count
 from .errors import UnsupportedModelError
 
 __all__ = [
@@ -60,8 +60,8 @@ class Pmf:
     """Weights on the integers 0..support_max with tracked truncated tail mass.
 
     ``weights[v]`` is the mass at value ``v``; a distribution on {1, 2, ...}
-    simply stores 0 at index 0.  ``trunc_mass`` is the probability known to
-    lie beyond ``support_max`` (or lost to upstream truncation).
+    simply stores 0 at index 0.  ``trunc_mass`` is the mass known to lie past
+    ``support_max``; where it is positive, :func:`conv_powers` reads no further.
     """
 
     weights: np.ndarray
@@ -72,10 +72,12 @@ class Pmf:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("pmf weights must be a non-empty 1-d array")
-        if np.any(w < -1e-15):
-            raise ValueError("pmf weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= -1e-15)):
+            raise ValueError("pmf weights must be finite and non-negative")
         if w.sum() > 1.0 + 1e-12:
             raise ValueError(f"pmf weights sum to {w.sum()} > 1")
+        if not _finite("trunc_mass", self.trunc_mass) >= 0:
+            raise ValueError(f"trunc_mass must be >= 0, got {self.trunc_mass}")
 
     @property
     def support_max(self):
@@ -135,10 +137,13 @@ class CppModel:
 def conv_powers(pi, m):
     """P[k, v] = pi^{*k}(v) for k, v in 0..m.
 
-    Mass only moves upward (pi(0) = 0), so truncating every power at m
-    stays exact.
+    Mass only moves upward (pi(0) = 0), so truncating every power at m stays
+    exact; an m past the support of a pmf that truncates mass is refused.
     """
     m = check_count("m", m, 0)
+    if m > pi.support_max and pi.trunc_mass > 0:
+        raise ValueError(f"m={m} reads past the support 0..{pi.support_max} of a pmf "
+                         f"that truncates {pi.trunc_mass:g} mass")
     head = pi.weights[: m + 1]
     w = np.zeros(m + 1)
     w[: head.size] = head
@@ -194,7 +199,7 @@ def cpp_pmf(model, tau, m_max):
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     m_max = check_count("m_max", m_max, 0)
-    w = poisson_table(model.theta * tau, m_max) @ conv_powers(model.pi, m_max)
+    w = poisson_table(model.theta * _finite("tau", tau), m_max) @ conv_powers(model.pi, m_max)
     return Pmf(w, trunc_mass=max(0.0, 1.0 - w.sum()))
 
 
@@ -291,7 +296,7 @@ def cpp2_pmf(model, tau1, tau2, i_max):
         raise UnsupportedModelError(
             "model has no bivariate cluster family pi2; supply one to evaluate joint laws"
         )
-    if not (tau1 >= tau2 >= 0.0) or tau1 <= 0.0:
+    if not (_finite("tau1", tau1) >= _finite("tau2", tau2) >= 0.0) or tau1 <= 0.0:
         raise ValueError(f"need tau1 >= tau2 >= 0 and tau1 > 0, got ({tau1}, {tau2})")
     i_max = check_count("i_max", i_max, 0)
     pois = poisson_table(model.theta * tau1, i_max)

@@ -45,7 +45,9 @@ from exclust.asymptotics import (
 )
 from exclust.cpmodel import (
     CppModel,
+    Pmf,
     bivar_powers,
+    conv_powers,
     cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
@@ -178,11 +180,36 @@ def test_models_without_family_are_rejected():
         sigma_sb(bare, 1, FAST)
 
 
+SHORT = CppModel(0.1, geometric_pi(0.9, m_max=5), max_ar_family(0.9))  # 0.59 of the mass cut off
+
+
 def test_truncated_pi_is_rejected():
-    short = geometric_pi(0.9, m_max=5)  # 0.59 of the mass cut off
-    model = CppModel(0.1, short, max_ar_family(0.9))
-    with pytest.raises(ValueError):
-        sigma_db(model, 1, FAST)
+    # pi is unknown past 5: m = 6 is refused by name, m <= 5 reads exactly
+    with pytest.raises(ValueError, match="m=6 reads past the support 0..5"):
+        sigma_db(SHORT, 6, FAST)
+
+
+@pytest.mark.parametrize("read", [
+    lambda m: conv_powers(SHORT.pi, m), lambda m: cpp_pmf(SHORT, 1.0, m),
+    lambda m: pbar_theory(SHORT, m), lambda m: cpp_pmf_dtau(SHORT, 1.0, m),
+    lambda m: disjoint_process_var(SHORT, 1.0, m), lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m, FAST),
+], ids=["conv_powers", "cpp_pmf", "pbar_theory", "cpp_pmf_dtau", "disjoint_process_var",
+        "sliding_process_cov"])
+def test_reads_past_a_truncated_support_are_refused_by_m(read):
+    # reading the unknown pi(6) = 0.059 as 0 gave wrong laws without a word
+    read(5)
+    with pytest.raises(ValueError, match="m=6 reads past the support 0..5 of a pmf that truncates 0.59"):
+        read(6)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_reads_within_a_truncated_support_equal_the_full_support(m):
+    # only counts 0..m are read, so the 5-point geometric pmf gives the floats
+    # of the 41-point one
+    full = CppModel(0.1, geometric_pi(0.9), SHORT.pi2)
+    for entries in (_sigma_db_entries, _sigma_sb_entries):
+        assert np.array_equal(entries(SHORT, m, 16), entries(full, m, 16))
+    assert np.array_equal(pbar_theory(SHORT, m).weights, pbar_theory(full, m).weights)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +751,23 @@ def test_process_variances_at_count_zero():
     assert disjoint_process_var(GEOM, 0.0, 0) == 0.0
     assert disjoint_process_var(GEOM, 0.0, 2) == 0.0
     assert abs(sliding_process_cov(model, 0.0, 1.0, 0, 1, FAST)) < 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Pmf(np.array([np.nan, 0.5])), "pmf weights must be finite"),
+    (lambda: Pmf(np.array([0.0, np.inf])), "pmf weights must be finite"),
+    (lambda: Pmf(np.array([0.0, 1.0]), trunc_mass=np.nan), "trunc_mass must be a finite"),
+    (lambda: Pmf(np.array([0.0, 0.5]), trunc_mass=-0.5), "trunc_mass must be >= 0"),
+    (lambda: cpp_pmf(iid_model(), np.inf, 3), "tau must be a finite"),
+    (lambda: cpp2_pmf(iid_model(), np.inf, 1.0, 2), "tau1 must be a finite"),
+    (lambda: disjoint_process_var(iid_model(), np.inf, 1), "tau must be a finite"),
+    (lambda: sliding_process_cov(iid_model(), 1.0, np.inf, 1, 1), "tau_prime must be a finite"),
+], ids=["nan-weight", "inf-weight", "nan-tail", "negative-tail", "cpp_pmf", "cpp2_pmf",
+        "disjoint_process_var", "sliding_process_cov"])
+def test_non_finite_inputs_are_refused_by_name(call, message):
+    # each was accepted; the four laws and variances came back as NaN
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sliding_process_cov_iid_constants():

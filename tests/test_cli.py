@@ -71,9 +71,20 @@ VARIANCE_GOLDEN = _variance_golden()
 
 @pytest.mark.parametrize("spec", list(VARIANCE_GOLDEN))
 def test_variance_output_golden(capsys, spec):
-    # iid and geometric alpha=0.5, db and sb, at m=3: every line to 10 digits
+    # iid and geometric alpha=0.5, db and sb, at m=3, and two of the alphas
+    # whose pmf truncates mass past the counts read: every line to 10 digits
     assert main(["variance"] + spec.split()) == 0
     assert capsys.readouterr().out.splitlines() == VARIANCE_GOLDEN[spec]
+
+
+@pytest.mark.parametrize("kind", ["db", "sb"])
+@pytest.mark.parametrize("alpha", ["0.7", "0.9"])
+def test_variance_reads_a_truncated_geometric_pmf_within_its_support(capsys, alpha, kind):
+    # geometric_pi(alpha) cuts alpha^40 of the mass beyond 40, which m = 3
+    # never reads; a tail tolerance of 1e-8 refused every alpha above 0.631
+    assert main(["variance", "--model", "geometric", "--alpha", alpha, "--kind", kind,
+                 "--m", "3", "--nodes", "16"]) == 0
+    assert capsys.readouterr().out.startswith("matrix,j,jp,value\n")
 
 
 def test_variance_unstable_quadrature_exits_2(capsys):

@@ -168,9 +168,10 @@ def test_cpp_pmf_rejects_negative_tau():
         cpp_pmf(iid_model(), math.nan, 3)
 
 
-@pytest.mark.parametrize("model", [iid_model(), GEOM])
+@pytest.mark.parametrize("model", [iid_model(), CppModel(0.5, geometric_pi(0.5, 90), GEOM.pi2)])
 def test_cpp_pmf_normalizes(model):
-    # the count tail beyond m_max is real mass, so the cap grows with tau
+    # the count tail beyond m_max is real mass, so the cap grows with tau; the
+    # geometric pmf is known out to the largest cap, as reads stop at pi's support
     for tau, m_max in ((0.1, 35), (1.0, 50), (5.0, 90)):
         p = cpp_pmf(model, tau, m_max)
         assert p.weights.sum() <= 1.0 + 1e-12

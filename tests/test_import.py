@@ -1,8 +1,9 @@
-"""What a bare ``import exclust`` loads, that every public name resolves, and
-that the package runs without scipy."""
+"""What a bare ``import exclust`` loads, that every public name resolves,
+that the package runs without scipy, and that the README's examples run."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import pkgutil
 import sys
@@ -14,6 +15,7 @@ import exclust
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(code):
@@ -65,3 +67,12 @@ def test_every_public_name_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert [name for name in importlib.import_module(module).__all__ if name not in namespace] == []
+
+
+def test_readme_python_examples_run(capsys):
+    # the quick start drifts from the API unless something runs it
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
