@@ -405,6 +405,7 @@ def recursion_matrix(pi, pbar, m):
     matrix.
     """
     m = check_count("m", m, 1)
+    pi, pbar = pi.head(m), pbar.head(m)
     A = np.zeros((m, m))
     for j in range(1, m + 1):
         row = np.zeros(m)
@@ -433,9 +434,12 @@ def gamma(sigma, A):
 
 def theta_asymp_var(gamma_cov, pi, m=None):
     """Limit variance {sum j pi(j)}^{-4} (1..m) Gamma (1..m)^T of theta-hat."""
+    if gamma_cov.kind not in ("gamma_db", "gamma_sb"):
+        raise ValueError(f"theta_asymp_var needs a gamma_db or gamma_sb input, got {gamma_cov.kind}")
     m = gamma_cov.m if m is None else _integral("m", m)
     if not 1 <= m <= gamma_cov.m:
         raise ValueError(f"m must lie in 1..{gamma_cov.m}, got {m}")
+    pi = pi.head(m)
     denom = float(sum(j * pi[j] for j in range(1, m + 1)))
     if denom <= 0:
         raise ValueError("sum of j*pi(j) vanishes; theta variance undefined")
@@ -481,7 +485,7 @@ def disjoint_process_var(model, tau, j):
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     j = check_count("j", j, 0)
-    p = cpp_pmf(model, tau, j)[j]
+    p = float(cpp_pmf(model, tau, j).weights[j])
     return p * (1.0 - p)
 
 
@@ -515,6 +519,6 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
         return _shift_add(Q.reshape(m + 1, 1, m + 1, m + 1), BT, m)[j, j_prime]
 
     overlap = _refined(quad, evaluate)[0]
-    pj = cpp_pmf(model, tau, j)[j]
-    pjp = cpp_pmf(model, tau_prime, j_prime)[j_prime]
+    pj = cpp_pmf(model, tau, j).weights[j]
+    pjp = cpp_pmf(model, tau_prime, j_prime).weights[j_prime]
     return float(2.0 * overlap - 2.0 * pj * pjp)

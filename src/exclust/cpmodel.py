@@ -12,7 +12,7 @@ their bivariate extension p2 for two nested time windows, and the mixture
             = sum_{j=1..m} 2^{-(j+1)} pi^{*j}(m)
 
 that the block estimators target.  Everything is exact finite arithmetic on
-the counts 0..m read; :func:`conv_powers`, the one reader of pi's weights,
+the counts 0..m read; :meth:`Pmf.head`, the one read of a pmf on 0..m,
 refuses an m past the support of a pmf that truncates mass.
 
 Three primitives carry the algebra: the power table pi^{*k}(v), its
@@ -61,7 +61,7 @@ class Pmf:
 
     ``weights[v]`` is the mass at value ``v``; a distribution on {1, 2, ...}
     simply stores 0 at index 0.  ``trunc_mass`` is the mass known to lie past
-    ``support_max``; where it is positive, :func:`conv_powers` reads no further.
+    ``support_max``; where it is positive, :meth:`head` reads no further.
     """
 
     weights: np.ndarray
@@ -83,10 +83,14 @@ class Pmf:
     def support_max(self):
         return self.weights.size - 1
 
-    def __getitem__(self, m):
-        if 0 <= m <= self.support_max:
-            return float(self.weights[m])
-        return 0.0
+    def head(self, m):
+        """A copy of the weights on 0..m, zero past a support that truncates
+        nothing; an m past the support of a pmf that truncates mass is refused."""
+        m = check_count("m", m, 0)
+        if m > self.support_max and self.trunc_mass > 0:
+            raise ValueError(f"m={m} reads past the support 0..{self.support_max} of a pmf "
+                             f"that truncates {self.trunc_mass:g} mass")
+        return np.pad(self.weights[: m + 1], (0, max(0, m - self.support_max)))
 
 
 @dataclass(frozen=True)
@@ -130,23 +134,18 @@ class CppModel:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         # the power tables stop at k <= m, which needs clusters of size >= 1
-        if self.pi[0] != 0.0:
-            raise ValueError(f"cluster sizes start at 1, but pi(0) = {self.pi[0]}")
+        if self.pi.weights[0] != 0.0:
+            raise ValueError(f"cluster sizes start at 1, but pi(0) = {self.pi.weights[0]}")
 
 
 def conv_powers(pi, m):
     """P[k, v] = pi^{*k}(v) for k, v in 0..m.
 
     Mass only moves upward (pi(0) = 0), so truncating every power at m stays
-    exact; an m past the support of a pmf that truncates mass is refused.
+    exact; :meth:`Pmf.head` refuses an m past a support that truncates mass.
     """
     m = check_count("m", m, 0)
-    if m > pi.support_max and pi.trunc_mass > 0:
-        raise ValueError(f"m={m} reads past the support 0..{pi.support_max} of a pmf "
-                         f"that truncates {pi.trunc_mass:g} mass")
-    head = pi.weights[: m + 1]
-    w = np.zeros(m + 1)
-    w[: head.size] = head
+    w = pi.head(m)
     P = np.zeros((m + 1, m + 1))
     P[0, 0] = 1.0
     for k in range(1, m + 1):
@@ -360,6 +359,7 @@ def geometric_pi(alpha, m_max=SUPPORT_CAP):
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    m_max = check_count("m_max", m_max, 0)
     m = np.arange(m_max + 1, dtype=float)
     w = np.zeros(m_max + 1)
     w[1:] = (1.0 - alpha) * alpha ** (m[1:] - 1.0)

@@ -181,6 +181,7 @@ def test_models_without_family_are_rejected():
 
 
 SHORT = CppModel(0.1, geometric_pi(0.9, m_max=5), max_ar_family(0.9))  # 0.59 of the mass cut off
+FULL = CppModel(0.1, geometric_pi(0.9), SHORT.pi2)
 
 
 def test_truncated_pi_is_rejected():
@@ -189,16 +190,21 @@ def test_truncated_pi_is_rejected():
         sigma_db(SHORT, 6, FAST)
 
 
-@pytest.mark.parametrize("read", [
-    lambda m: conv_powers(SHORT.pi, m), lambda m: cpp_pmf(SHORT, 1.0, m),
-    lambda m: pbar_theory(SHORT, m), lambda m: cpp_pmf_dtau(SHORT, 1.0, m),
-    lambda m: disjoint_process_var(SHORT, 1.0, m), lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m, FAST),
+@pytest.mark.parametrize("read, cut", [
+    (lambda m: conv_powers(SHORT.pi, m), "0.59"), (lambda m: cpp_pmf(SHORT, 1.0, m), "0.59"),
+    (lambda m: pbar_theory(SHORT, m), "0.59"), (lambda m: cpp_pmf_dtau(SHORT, 1.0, m), "0.59"),
+    (lambda m: disjoint_process_var(SHORT, 1.0, m), "0.59"),
+    (lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m, FAST), "0.59"),
+    (lambda m: recursion_matrix(SHORT.pi, pbar_theory(FULL, m), m), "0.59"),
+    # pbar(1..5) of the full law leaves 0.387 of pbar's mass 1/2 past 5
+    (lambda m: recursion_matrix(FULL.pi, pbar_theory(FULL, 5), m), "0.38689"),
+    (lambda m: theta_asymp_var(CovMatrix(m, np.eye(m), "gamma_db"), SHORT.pi), "0.59"),
 ], ids=["conv_powers", "cpp_pmf", "pbar_theory", "cpp_pmf_dtau", "disjoint_process_var",
-        "sliding_process_cov"])
-def test_reads_past_a_truncated_support_are_refused_by_m(read):
-    # reading the unknown pi(6) = 0.059 as 0 gave wrong laws without a word
+        "sliding_process_cov", "recursion_matrix-pi", "recursion_matrix-pbar", "theta_asymp_var"])
+def test_reads_past_a_truncated_support_are_refused_by_m(read, cut):
+    # reading the unknown pi(6) = 0.059, or pbar(6), as 0 gave wrong numbers without a word
     read(5)
-    with pytest.raises(ValueError, match="m=6 reads past the support 0..5 of a pmf that truncates 0.59"):
+    with pytest.raises(ValueError, match=f"m=6 reads past the support 0..5 of a pmf that truncates {cut}"):
         read(6)
 
 
@@ -610,7 +616,7 @@ def test_recursion_matrix_matches_recursive_evaluation():
     rng = np.random.default_rng(17)
     for _ in range(20):
         s = rng.normal(size=5)
-        np.testing.assert_allclose(A @ s, _recursive_v(pi, pbar, s), atol=1e-12)
+        np.testing.assert_allclose(A @ s, _recursive_v(pi.weights, pbar.weights, s), atol=1e-12)
 
 
 def test_recursion_matrix_is_jacobian_of_pi_from_pbar():
@@ -655,6 +661,13 @@ def test_gamma_rejects_gamma_input(iid_covs):
     A = np.eye(1) * 4
     with pytest.raises(ValueError):
         gamma(gamma(db1, A), A)
+
+
+def test_theta_asymp_var_rejects_sigma_input(iid_covs):
+    # a sigma matrix used to give a number (0.0463 at m=1) without a word
+    db1, _ = iid_covs[1]
+    with pytest.raises(ValueError, match=r"^theta_asymp_var needs a gamma_db or gamma_sb input, got sigma_db$"):
+        theta_asymp_var(db1, geometric_pi(0.0))
 
 
 def test_gamma_is_psd(iid_covs):

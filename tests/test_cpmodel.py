@@ -65,14 +65,20 @@ def test_pmf_validation():
         Pmf(np.array([0.0, 0.8, 0.9]))
 
 
-def test_pmf_indexing():
+def test_pmf_head():
     p = Pmf(np.array([0.0, 0.25, 0.75]))
     assert p.support_max == 2
-    assert p[1] == 0.25
-    assert p[2] == 0.75
-    assert p[0] == 0.0
-    assert p[3] == 0.0  # beyond the stored support
-    assert p[-1] == 0.0
+    assert p.head(1).tolist() == [0.0, 0.25]
+    assert p.head(2).tolist() == [0.0, 0.25, 0.75]
+    assert p.head(4).tolist() == [0.0, 0.25, 0.75, 0.0, 0.0]  # nothing is truncated
+    p.head(2)[1] = 1.0  # a copy
+    assert p.weights[1] == 0.25
+    short = Pmf(np.array([0.0, 0.25, 0.5]), trunc_mass=0.25)
+    assert short.head(2).tolist() == [0.0, 0.25, 0.5]
+    with pytest.raises(ValueError, match=r"^m=3 reads past the support 0\.\.2 of a pmf that truncates 0\.25 mass$"):
+        short.head(3)
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+        p.head(-1)
 
 
 def test_conv_powers_point_mass_is_identity():
@@ -121,14 +127,14 @@ def test_cpp_pmf_iid_closed_forms():
     model = iid_model()
     for tau in (0.4, 1.0, 2.5):
         p = cpp_pmf(model, tau, 4)
-        np.testing.assert_allclose(p[0], np.exp(-tau), rtol=1e-14)
-        np.testing.assert_allclose(p[1], tau * np.exp(-tau), rtol=1e-14)
-        np.testing.assert_allclose(p[2], tau**2 / 2 * np.exp(-tau), rtol=1e-14)
+        np.testing.assert_allclose(p.weights[0], np.exp(-tau), rtol=1e-14)
+        np.testing.assert_allclose(p.weights[1], tau * np.exp(-tau), rtol=1e-14)
+        np.testing.assert_allclose(p.weights[2], tau**2 / 2 * np.exp(-tau), rtol=1e-14)
 
 
 def test_cpp_pmf_at_zero_is_point_mass():
     p = cpp_pmf(GEOM, 0.0, 5)
-    assert p[0] == 1.0
+    assert p.weights[0] == 1.0
     assert np.all(p.weights[1:] == 0.0)
 
 
@@ -151,8 +157,12 @@ def test_count_cap_zero():
     (lambda: poisson_table(1.0, 2.5), r"^k_max=2\.5 is not an integer$"),
     (lambda: poisson_table(1.0, -1), r"^k_max must be >= 0, got -1$"),
     (lambda: bivar_powers(GEOM.pi2, [0.5], 2.5), r"^m=2\.5 is not an integer$"),
+    (lambda: geometric_pi(0.5, 2.5), r"^m_max=2\.5 is not an integer$"),
+    (lambda: geometric_pi(0.5, True), r"^m_max=True is not an integer$"),
+    (lambda: geometric_pi(0.5, -1), r"^m_max must be >= 0, got -1$"),
 ], ids=["pbar_theory", "cpp_pmf", "cpp_pmf-bool", "cpp_pmf-negative", "cpp2_pmf",
-        "conv_powers", "conv_powers-bool", "poisson_table", "poisson_table-negative", "bivar_powers"])
+        "conv_powers", "conv_powers-bool", "poisson_table", "poisson_table-negative", "bivar_powers",
+        "geometric_pi", "geometric_pi-bool", "geometric_pi-negative"])
 def test_non_integer_counts_are_refused_by_name(call, message):
     # each used to fail inside numpy with a TypeError or an IndexError, and
     # conv_powers(pi, True) returned a 2x2 table
@@ -180,7 +190,7 @@ def test_cpp_pmf_normalizes(model):
 
 def test_cpp_pmf_zero_class_decreasing_in_tau():
     taus = np.linspace(0.05, 6.0, 40)
-    p0 = [cpp_pmf(GEOM, t, 1)[0] for t in taus]
+    p0 = [cpp_pmf(GEOM, t, 1).weights[0] for t in taus]
     assert np.all(np.diff(p0) < 0)
 
 
@@ -198,7 +208,7 @@ def test_cpp_pmf_matches_simulation():
     for m in range(4):
         phat = np.mean(total == m)
         se = np.sqrt(phat * (1 - phat) / n)
-        assert abs(phat - p[m]) <= 3 * se
+        assert abs(phat - p.weights[m]) <= 3 * se
 
 
 def test_pbar_theory_iid():
@@ -209,8 +219,8 @@ def test_pbar_theory_iid():
 
 def test_pbar_theory_geometric_hand():
     p = pbar_theory(GEOM, 2)
-    np.testing.assert_allclose(p[1], 1 / 8, rtol=1e-14)
-    np.testing.assert_allclose(p[2], 3 / 32, rtol=1e-14)
+    np.testing.assert_allclose(p.weights[1], 1 / 8, rtol=1e-14)
+    np.testing.assert_allclose(p.weights[2], 3 / 32, rtol=1e-14)
 
 
 @pytest.mark.parametrize("model", [iid_model(), GEOM])
@@ -257,8 +267,8 @@ def test_bivar_powers_equal_the_sigma_outermost_loop(family, m, nodes):
 def test_pbar_unreachable_support():
     # point mass at 2: convolution powers live on even integers only
     delta2 = CppModel(0.5, Pmf(np.array([0.0, 0.0, 1.0])))
-    assert pbar_theory(delta2, 3)[3] == 0.0
-    assert pbar_integral_oracle(delta2, 3)[3] < 1e-10
+    assert pbar_theory(delta2, 3).weights[3] == 0.0
+    assert pbar_integral_oracle(delta2, 3).weights[3] < 1e-10
 
 
 def test_cpp2_pmf_iid_closed_forms():
@@ -275,7 +285,7 @@ def test_cpp2_pmf_equal_levels_collapse_to_diagonal():
     tab = cpp2_pmf(model, 1.2, 1.2, 4)
     p = cpp_pmf(model, 1.2, 4)
     for i in range(5):
-        np.testing.assert_allclose(tab[i, i], p[i], rtol=1e-12)
+        np.testing.assert_allclose(tab[i, i], p.weights[i], rtol=1e-12)
     off = tab - np.diag(np.diag(tab))
     assert np.all(np.abs(off) < 1e-15)
 
@@ -288,9 +298,9 @@ def test_cpp2_pmf_marginals(model):
     p1 = cpp_pmf(model, tau1, i_max)
     p2 = cpp_pmf(model, tau2, i_max)
     for i in range(6):
-        np.testing.assert_allclose(tab[i, :].sum(), p1[i], atol=1e-10)
+        np.testing.assert_allclose(tab[i, :].sum(), p1.weights[i], atol=1e-10)
     for j in range(6):
-        np.testing.assert_allclose(tab[:, j].sum(), p2[j], atol=1e-10)
+        np.testing.assert_allclose(tab[:, j].sum(), p2.weights[j], atol=1e-10)
 
 
 def test_cpp2_pmf_requires_family():
@@ -321,14 +331,14 @@ def test_max_ar_family_marginals(sigma):
     fam = max_ar_family(alpha)
     for i in range(1, 8):
         row = sum(fam.evaluator(sigma, i, j) for j in range(i + 1))
-        np.testing.assert_allclose(row, pi[i], atol=1e-13)
+        np.testing.assert_allclose(row, pi.weights[i], atol=1e-13)
     # thinned second marginal: a cluster survives with probability sigma
     # and the surviving size is again pi
     zero = sum(fam.evaluator(sigma, i, 0) for i in range(1, 200))
     np.testing.assert_allclose(zero, 1.0 - sigma, atol=1e-12)
     for j in range(1, 6):
         col = sum(fam.evaluator(sigma, i, j) for i in range(j, 200))
-        np.testing.assert_allclose(col, sigma * pi[j], atol=1e-12)
+        np.testing.assert_allclose(col, sigma * pi.weights[j], atol=1e-12)
 
 
 def test_max_ar_family_hand_values():
@@ -350,9 +360,9 @@ def test_max_ar_family_hand_values():
 def test_max_ar_family_endpoints():
     pi = geometric_pi(0.4)
     fam = max_ar_family(0.4)
-    assert fam.evaluator(1.0, 3, 3) == pytest.approx(pi[3])
+    assert fam.evaluator(1.0, 3, 3) == pytest.approx(pi.weights[3])
     assert fam.evaluator(1.0, 3, 1) == 0.0
-    assert fam.evaluator(0.0, 3, 0) == pytest.approx(pi[3])
+    assert fam.evaluator(0.0, 3, 0) == pytest.approx(pi.weights[3])
     assert fam.evaluator(0.0, 3, 2) == 0.0
 
 
@@ -419,7 +429,7 @@ def test_geometric_pi_values():
 
 def test_geometric_pi_alpha_zero_is_point_mass():
     pi = geometric_pi(0.0)
-    assert pi[1] == 1.0
+    assert pi.weights[1] == 1.0
     assert pi.weights[2:].sum() == 0.0
 
 

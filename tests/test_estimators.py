@@ -337,7 +337,7 @@ def test_sliding_mean_approaches_theory():
     # ARMAX(0.5): pbar(1) = 1/8 for the geometric cluster law
     target = pbar_theory(
         CppModel(0.5, geometric_pi(0.5)), 1
-    )[1]
+    ).weights[1]
     vals = []
     for rep in range(100):
         x = gen(ModelSpec("armax", 2000, 0.5, seed=substream_seed(321, rep)))
