@@ -456,19 +456,21 @@ def mu2_robert(tau):
     multilevel-threshold estimator at block-scale tau."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    tau = _finite("tau", tau)
     return float(np.exp(tau) * (tau + (1.0 - tau) ** 2 - np.exp(-tau)))
 
 
-def robert_crossover(variance, bracket=(1e-8, 50.0)):
+def robert_crossover(variance):
     """Block-scale tau at which mu2_robert first exceeds `variance`.
 
-    mu2_robert is strictly increasing, so the crossing is unique, and a
-    bisection halves the bracket until it is at most 1e-12 wide (46 steps
-    from the default bracket) or no float lies between its ends.
+    mu2_robert is strictly increasing, so the crossing is unique.  It is
+    searched for between tau = 1e-8 and 50, where mu2_robert reads 0 and
+    about 1.3e25, and a bisection halves that bracket until it is at most
+    1e-12 wide (46 steps) or no float lies between its ends.
     """
-    lo, hi = bracket
+    lo, hi = 1e-8, 50.0
     if not mu2_robert(lo) < variance < mu2_robert(hi):
-        raise ValueError(f"variance {variance:g} is not bracketed by {bracket}")
+        raise ValueError(f"variance {variance:g} is not bracketed by ({lo}, {hi})")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

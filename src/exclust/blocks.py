@@ -9,10 +9,11 @@ growing block-size grid extends the sliding table by the columns gained.
 Cluster sizes are counts of strict exceedances within blocks.
 :func:`exceedance_histogram` counts the blocks by capped exceedance count
 at many thresholds at once.  :func:`exceedance_totals` sums those counts
-over thresholds, one per row, leaving out the blocks less than a radius
-from each row, and builds no per-row table.  A tops table keeps at most
-as many columns as a block has entries, so the counts above that are
-zero; :func:`pad_counts` appends them.
+over thresholds, one per block, leaving out the blocks less than a radius
+>= 1 from each (the block itself, or the windows that overlap it), and
+builds no per-row table.  A tops table keeps at most as many columns as a
+block has entries, so the counts above that are zero; :func:`pad_counts`
+appends them.
 """
 
 from functools import cached_property
@@ -179,11 +180,12 @@ def exceedance_histogram(tops, thresholds):
     return np.diff(below, axis=1)
 
 
-def exceedance_totals(tops, thresholds, radius=0):
+def exceedance_totals(tops, thresholds, radius):
     """Column c counts the ordered pairs of a row q and a block i with
     |q - i| >= ``radius`` where block i has exactly c entries above
-    ``thresholds[q]``, c = 0..w, capped at w; radius 0 pairs every row with
-    every block, and a radius >= 1 needs one threshold per block.
+    ``thresholds[q]``, c = 0..w, capped at w.  There is one threshold per
+    block, and the radius is an integer >= 1: 1 leaves out the block itself
+    (disjoint blocks), b the windows of length b that overlap it (sliding).
 
     The rows of a run of equal thresholds have the same count over all
     blocks (:func:`exceedance_histogram`), taken at the run starts only and
@@ -194,14 +196,13 @@ def exceedance_totals(tops, thresholds, radius=0):
     """
     k, cap = tops.shape
     thresholds = np.asarray(thresholds)
-    if radius and len(thresholds) != k:
+    radius = check_count("radius", radius, 1)
+    if len(thresholds) != k:
         raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
     starts = _run_starts(thresholds)
     runlen = np.diff(starts, append=len(thresholds))
     order = np.argsort(thresholds[starts], kind="stable")
     totals = runlen[order] @ exceedance_histogram(tops, thresholds[starts[order]])
-    if not radius:
-        return totals
     d = min(radius, k) - 1
     totals[0] -= k + d * (2 * k - d - 1)  # ordered block pairs less than radius apart
     # near[c] = #(row, near block) pairs whose block's capped count is >= c + 1

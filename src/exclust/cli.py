@@ -231,7 +231,7 @@ def _cmd_experiment(args):
     csv_path = f"{args.out_dir}/results.csv"
     svg_path = f"{args.out_dir}/mse.svg"
     write_csv(table, csv_path)
-    render_svg(table, "mse", svg_path)
+    render_svg(table, svg_path)
     print(csv_path)
     print(svg_path)
     return 0
@@ -245,12 +245,13 @@ _TABLE1_MODELS = (
 
 
 def _cmd_table1(args):
+    # every config is checked before the output directory is made
+    configs = [ExperimentConfig(kind, param, reps=args.reps, master_seed=args.seed)
+               for kind, param in _TABLE1_MODELS]
     os.makedirs(args.out, exist_ok=True)
     lines = ["model,estimator,b,min_mse_1e3"]
-    for kind, param in _TABLE1_MODELS:
-        config = ExperimentConfig(
-            kind, param, reps=args.reps, master_seed=args.seed
-        )
+    for config in configs:
+        kind = config.model_kind
         table = run(config, workers=args.workers)
         write_csv(table, f"{args.out}/{kind}.csv")
         for est in config.estimators:

@@ -28,12 +28,15 @@ __all__ = [
     "check_block_rule",
 ]
 
-_KINDS = ("hsing", "ferro", "robert")
+_KINDS = ("robert",)
 
 
 @dataclass(frozen=True)
 class CompetitorSpec:
-    """Configuration of a benchmark estimator."""
+    """Configuration of the multilevel blocks estimator :func:`robert_pi`,
+    the one benchmark estimator with tuning parameters beyond b and m_max:
+    its threshold scales run over a grid of ``robert_grid`` points in
+    [``robert_sigma``, ``robert_phi``].  ``kind`` must be "robert"."""
 
     kind: str
     b: int
@@ -193,8 +196,6 @@ def robert_pi(x, spec):
     the grid.  Grid points with a degenerate zero-count fraction are
     skipped.
     """
-    if spec.kind != "robert":
-        raise ValueError(f"spec.kind must be 'robert', got {spec.kind!r}")
     x = sample(x)
     n = x.x.size
     b = check_block_rule("robert", n, spec.b)

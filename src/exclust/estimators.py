@@ -28,7 +28,6 @@ pair statistics are integer counts, divided once at the end.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,10 +62,6 @@ class PbarEstimate:
     mode: str
     scale: str
 
-    @property
-    def m_max(self):
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class PiEstimate:
@@ -81,11 +76,6 @@ class PiEstimate:
     method: str
     b: int
     clipped: bool = False
-    pbar: Optional[PbarEstimate] = None
-
-    @property
-    def m_max(self):
-        return self.values.size
 
 
 _SCALES = ("z", "y")
@@ -163,7 +153,7 @@ def pi_from_pbar(pbar, clip=False):
     if clip:
         pi = np.maximum(pi, 0.0)
     method = f"{pbar.mode}-{pbar.scale}"
-    return PiEstimate(values=pi, method=method, b=pbar.b, clipped=clip, pbar=pbar)
+    return PiEstimate(values=pi, method=method, b=pbar.b, clipped=clip)
 
 
 def theta_hat(pi, m=None):
@@ -194,9 +184,10 @@ def _mean_cluster_size(pi):
 class ClusterSizeEstimator:
     """Fit-style front end bundling pbar_hat, the pi recursion and theta_hat.
 
-    Parameters mirror :func:`pbar_hat` plus the clipping flag, and are read
-    and set scikit-learn style by name.  After ``fit(x)`` the instance
-    carries ``pbar_`` (:class:`PbarEstimate`), ``pi_`` (:class:`PiEstimate`),
+    The constructor takes the arguments of :func:`pbar_hat` but the sample,
+    plus the clipping flag of :func:`pi_from_pbar`, and keeps them as
+    attributes of the same names.  After ``fit(x)`` the instance carries
+    ``pbar_`` (:class:`PbarEstimate`), ``pi_`` (:class:`PiEstimate`),
     ``theta_`` (float, or NaN when the denominator is degenerate) and
     ``theta_denominator_``.
     """
@@ -207,17 +198,6 @@ class ClusterSizeEstimator:
         self.scale = scale
         self.m_max = m_max
         self.clip = clip
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in ("b", "mode", "scale", "m_max", "clip")}
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, x):
         self.pbar_ = pbar_hat(x, self.b, mode=self.mode, scale=self.scale, m_max=self.m_max)

@@ -57,11 +57,11 @@ ESTIMATORS = tuple(_TABLE)
 
 DEFAULT_GRID = tuple(range(6, 40, 2))
 
-# limit values of (theta, pi(1..5)) for the fixed reference parameters;
-# armax truths come from geometric_pi for any alpha
+# limit values of pi(1..5) for the fixed reference parameters; armax
+# truths come from geometric_pi for any alpha
 _FIXED_TRUTH = {
-    ("sqarch", 0.5): (0.727, (0.751, 0.168, 0.055, 0.014, 0.008)),
-    ("ar_uniform", 4): (0.75, (0.75, 0.1875, 0.0469, 0.0117, 0.0029)),
+    ("sqarch", 0.5): (0.751, 0.168, 0.055, 0.014, 0.008),
+    ("ar_uniform", 4): (0.75, 0.1875, 0.0469, 0.0117, 0.0029),
 }
 
 
@@ -109,7 +109,6 @@ class ExperimentConfig:
     m_max: int = 5
     master_seed: int = 0
     burnin: int = 1000
-    truth_theta: float | None = None
     truth_pi: tuple | None = None
 
     def __post_init__(self):
@@ -149,11 +148,6 @@ class ExperimentConfig:
             for est in self.estimators:
                 for b in grid:
                     check_block_rule(est, self.n, b)
-        with _field("truth_theta"):
-            if self.truth_theta is not None:
-                object.__setattr__(self, "truth_theta", _finite("truth_theta", self.truth_theta))
-            elif self.truth_pi is not None:
-                raise ValueError("truth_pi requires truth_theta")
         with _field("truth_pi"):
             if self.truth_pi is not None:
                 pi = _sequence("truth_pi", self.truth_pi)
@@ -161,22 +155,19 @@ class ExperimentConfig:
             self.truth()  # so a model without limit values fails before the first replication
 
     def truth(self):
-        """(theta, pi(1..m_max)) the summaries are centered on."""
+        """pi(1..m_max), which the summaries are centered on."""
         if self.truth_pi is not None:
             pi = self.truth_pi
             if len(pi) < self.m_max:
                 raise ValueError("truth_pi is shorter than m_max")
-            return self.truth_theta, np.asarray(pi[: self.m_max])
+            return np.asarray(pi[: self.m_max])
         if self.model_kind in ("armax", "iid_frechet"):  # iid_frechet is armax at alpha = 0
             alpha = self.model_param if self.model_kind == "armax" else 0.0
-            return 1.0 - alpha, geometric_pi(alpha, self.m_max).weights[1:]
+            return geometric_pi(alpha, self.m_max).weights[1:]
         key = (self.model_kind, self.model_param)
         if key in _FIXED_TRUTH and self.m_max <= 5:
-            theta, pi = _FIXED_TRUTH[key]
-            return theta, np.asarray(pi[: self.m_max])
-        raise ValueError(
-            f"no stored limit values for {key}; supply truth_theta and truth_pi"
-        )
+            return np.asarray(_FIXED_TRUTH[key][: self.m_max])
+        raise ValueError(f"no stored limit values for {key}; supply truth_pi")
 
 
 @dataclass(frozen=True)
@@ -238,7 +229,7 @@ def run(config, workers=None):
             results = pool.map(_run_rep, tasks)
     # (est, b, m, reps): each cell's replications contiguous, reduced over the last axis
     stack = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))
-    _, truth_pi = config.truth()
+    truth_pi = config.truth()
     n_missing = np.count_nonzero(np.isnan(stack), axis=-1)
     bias = np.mean(stack, axis=-1) - truth_pi
     variance = np.var(stack, axis=-1)
@@ -288,12 +279,10 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def render_svg(table, metric, destination):
-    """Line chart of metric x 1000 against block size, one panel per m."""
+def render_svg(table, destination):
+    """Line chart of MSE x 1000 against block size, one panel per m."""
     if not table.rows:
         raise ValueError("summary table is empty; nothing to render")
-    if metric not in ("bias", "variance", "mse"):
-        raise ValueError(f"metric must be bias, variance or mse, got {metric!r}")
     ms = sorted({r.m for r in table.rows})
     ests = [e for e in ESTIMATORS if any(r.estimator == e for r in table.rows)]
     bs = sorted({r.b for r in table.rows})
@@ -303,7 +292,7 @@ def render_svg(table, metric, destination):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{height}" viewBox="0 0 {_SVG_W} {height}">',
         f'<text x="{_MARGIN}" y="20" font-family="sans-serif" font-size="14">'
-        f"{metric} x 1000 by block size</text>",
+        "mse x 1000 by block size</text>",
     ]
     for i, est in enumerate(ests):
         x0 = _MARGIN + 90 * i
@@ -322,11 +311,7 @@ def render_svg(table, metric, destination):
     for panel, m in enumerate(ms):
         top = _MARGIN + panel * _PANEL_H
         plot_h = _PANEL_H - 60
-        vals = [
-            1e3 * getattr(r, metric)
-            for r in table.rows
-            if r.m == m and not np.isnan(getattr(r, metric))
-        ]
+        vals = [1e3 * r.mse for r in table.rows if r.m == m and not np.isnan(r.mse)]
         lo = min(vals + [0.0]) if vals else 0.0
         hi = max(vals + [1e-12]) if vals else 1.0
         span = hi - lo or 1.0
@@ -355,10 +340,9 @@ def render_svg(table, metric, destination):
             )
         for est in ests:
             pts = [
-                (r.b, 1e3 * getattr(r, metric))
+                (r.b, 1e3 * r.mse)
                 for r in table.rows
-                if r.estimator == est and r.m == m
-                and not np.isnan(getattr(r, metric))
+                if r.estimator == est and r.m == m and not np.isnan(r.mse)
             ]
             if not pts:
                 continue
@@ -398,7 +382,7 @@ _PARSERS = {
     "block_grid": lambda v: tuple(_parse(int, t) for t in _items(v)),
     "truth_pi": lambda v: tuple(_parse(float, t) for t in _items(v)) if v else None,
     **dict.fromkeys(("n", "reps", "m_max", "master_seed", "burnin"), lambda v: _parse(int, v)),
-    **dict.fromkeys(("model_param", "truth_theta"), lambda v: _parse(float, v) if v else None),
+    "model_param": lambda v: _parse(float, v) if v else None,
 }
 
 

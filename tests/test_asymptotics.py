@@ -775,10 +775,12 @@ def test_process_variances_at_count_zero():
     (lambda: cpp2_pmf(iid_model(), np.inf, 1.0, 2), "tau1 must be a finite"),
     (lambda: disjoint_process_var(iid_model(), np.inf, 1), "tau must be a finite"),
     (lambda: sliding_process_cov(iid_model(), 1.0, np.inf, 1, 1), "tau_prime must be a finite"),
+    (lambda: mu2_robert(np.inf), "tau must be a finite"),
 ], ids=["nan-weight", "inf-weight", "nan-tail", "negative-tail", "cpp_pmf", "cpp2_pmf",
-        "disjoint_process_var", "sliding_process_cov"])
+        "disjoint_process_var", "sliding_process_cov", "mu2_robert"])
 def test_non_finite_inputs_are_refused_by_name(call, message):
-    # each was accepted; the four laws and variances came back as NaN
+    # each was accepted; the four laws and variances came back as NaN, and
+    # mu2_robert(inf) as inf
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -81,20 +81,31 @@ def test_exceedance_totals_need_one_threshold_per_block_with_a_radius():
             exceedance_totals(tops, np.zeros(3), radius)
 
 
+def test_exceedance_totals_refuse_a_radius_below_one_by_name():
+    # radius 0 paired every row with every block; a negative radius failed
+    # on an array shape, and 1.5 with a TypeError
+    tops = block_tops(np.arange(12.0).reshape(4, 3), cap=2)
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match=f"radius must be >= 1, got {radius}"):
+            exceedance_totals(tops, np.zeros(4), radius)
+    with pytest.raises(ValueError, match=r"radius=1\.5 is not an integer"):
+        exceedance_totals(tops, np.zeros(4), 1.5)
+
+
 @st.composite
 def totals_case(draw):
-    """Rows of k >= 1 blocks with ties, a cap, a radius (0, or 1 to k) and
-    thresholds in runs of equal values, drawn from the entries, +-inf and NaN."""
+    """Rows of k >= 1 blocks with ties, a cap, a radius from 1 to k and one
+    threshold per block in runs of equal values, drawn from the entries,
+    +-inf and NaN."""
     k = draw(st.integers(1, 40))
     b = draw(st.integers(1, 6))
     entries = st.integers(0, 4).map(float) if draw(st.booleans()) else st.floats(-10, 10)
     rows = draw(hnp.arrays(np.float64, (k, b), elements=entries))
     cap = draw(st.integers(1, 7))
-    radius = draw(st.integers(0, k))
-    size = k if radius else draw(st.integers(0, 3 * k))
+    radius = draw(st.integers(1, k))
     pool = st.sampled_from(list(rows.ravel()) + [-np.inf, np.inf, np.nan])
     runs = draw(st.lists(st.tuples(pool, st.integers(1, k)), min_size=1))
-    thresholds = np.resize(np.concatenate([np.full(length, v) for v, length in runs]), size)
+    thresholds = np.resize(np.concatenate([np.full(length, v) for v, length in runs]), k)
     return rows, cap, thresholds, radius
 
 
@@ -103,7 +114,7 @@ def totals_case(draw):
 def test_exceedance_totals_match_literal_pair_counts(case, chunk):
     # counted per run of equal thresholds, with the near-count steps summed
     # _CHUNK rows at a time; the literal count pairs row q with every block
-    # at least radius away (every block at radius 0) and caps at min(cap, b)
+    # at least radius away and caps at min(cap, b)
     rows, cap, thresholds, radius = case
     k, width = len(rows), min(cap, rows.shape[1])
     with mock.patch.object(blocks, "_CHUNK", chunk):

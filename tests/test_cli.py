@@ -20,6 +20,13 @@ def test_help_golden(capsys):
     assert capsys.readouterr().out == DATA.joinpath("help.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "variance", "experiment", "table1"])
+def test_subcommand_help_golden(capsys, command):
+    # every flag of every subcommand, with its choices, default use and help
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == DATA.joinpath(f"help_{command}.txt").read_text()
+
+
 def test_subcommand_help_lists_flags(capsys):
     assert main(["estimate", "--help"]) == 0
     out = capsys.readouterr().out
@@ -335,7 +342,7 @@ def config_lines(draw):
                                max_size=3, unique=True).map(", ".join),
         "m_max": _mostly(st.integers(1, 5).map(str), st.sampled_from(["0", "-1", "2.5", "300"])),
         "master_seed": _mostly(st.integers(0, 5).map(str), st.sampled_from(["-1", str(2**64)])),
-        "truth_theta": st.sampled_from(["", "0.5", "nan"]),
+        "truth_pi": st.sampled_from(["", "0.5", "nan"]),
     }
     for key in draw(st.lists(st.sampled_from(list(optional)), unique=True)):
         lines[key] = draw(optional[key])
@@ -364,6 +371,15 @@ def test_table1_exits_with_a_documented_code(tmp_path, flags, out_is_a_file, wan
     if out_is_a_file:
         out.write_text("")
     assert _assert_documented_exit(["table1", "--seed", "5", "--out", str(out)] + flags) == want
+
+
+@pytest.mark.parametrize("flags", [["--reps", "1"], ["--seed", "-1"]])
+def test_table1_refused_by_its_configs_creates_no_directory(tmp_path, capsys, flags):
+    # the output directory used to be made before the configs were checked
+    out = tmp_path / "out"
+    assert main(["table1", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_experiment_subcommand(tmp_path, capsys):

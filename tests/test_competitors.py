@@ -145,6 +145,10 @@ def test_competitor_spec_validation():
     CompetitorSpec("robert", 20)
     with pytest.raises(ValueError):
         CompetitorSpec("runs", 20)
+    # hsing_pi and ferro_pi take no spec; robert_pi refused these only when called
+    for kind in ("hsing", "ferro"):
+        with pytest.raises(ValueError, match=r"kind must be one of \('robert',\), got '"):
+            CompetitorSpec(kind, 20)
     with pytest.raises(ValueError):
         CompetitorSpec("robert", 20, robert_sigma=1.4)
     with pytest.raises(ValueError):

@@ -622,13 +622,7 @@ def test_cluster_size_estimator_fit():
 
 def test_cluster_size_estimator_params():
     est = ClusterSizeEstimator(b=10, mode="disjoint", scale="y", m_max=3, clip=True)
-    assert est.get_params() == {
-        "b": 10, "mode": "disjoint", "scale": "y", "m_max": 3, "clip": True,
-    }
-    est.set_params(b=14, scale="z")
-    assert est.b == 14 and est.scale == "z"
-    with pytest.raises(ValueError):
-        est.set_params(bandwidth=3)
+    assert (est.b, est.mode, est.scale, est.m_max, est.clip) == (10, "disjoint", "y", 3, True)
 
 
 def test_cluster_size_estimator_unfitted():

@@ -97,7 +97,7 @@ def test_config_refuses_a_scalar_or_string_for_a_list_by_name():
     with pytest.raises(ValueError, match=r"estimators must be a sequence, got 'sb-z'"):
         ExperimentConfig("armax", 0.5, estimators="sb-z")
     with pytest.raises(ValueError, match=r"truth_pi must be a sequence, got 0\.5"):
-        ExperimentConfig("armax", 0.5, truth_theta=0.5, truth_pi=0.5)
+        ExperimentConfig("armax", 0.5, truth_pi=0.5)
 
 
 def test_config_names_the_field_of_a_bad_value():
@@ -154,7 +154,7 @@ _VALUES = st.one_of(
 )
 _VALID = dict(model_kind="armax", model_param=0.5, n=200, reps=2, block_grid=(4,),
               estimators=("sb-z",), m_max=2, master_seed=0, burnin=10,
-              truth_theta=0.5, truth_pi=(0.005,) * 200)  # as long as any m_max <= n
+              truth_pi=(0.005,) * 200)  # as long as any m_max <= n
 
 
 @given(st.sampled_from(sorted(_VALID)), _VALUES)
@@ -163,8 +163,8 @@ def test_config_returns_or_names_the_drawn_field(field, value):
     # ints, floats, NaN, +-inf, bools, NumPy scalars, strings, complex values,
     # None, scalars where lists belong and lists where scalars belong; a
     # string or complex model_param, truth_pi=[None] and unknown estimators
-    # of mixed types (sorted for the message) raised TypeError, n=10**400
-    # OverflowError, and truth_theta="x" was accepted
+    # of mixed types (sorted for the message) raised TypeError, and n=10**400
+    # OverflowError
     try:
         ExperimentConfig(**{**_VALID, field: value})
     except FieldError as err:
@@ -179,8 +179,7 @@ def test_config_without_limit_values_fails_before_the_first_replication(monkeypa
 
 
 def test_truth_armax_is_geometric():
-    theta, pi = ExperimentConfig("armax", 0.5).truth()
-    assert theta == 0.5
+    pi = ExperimentConfig("armax", 0.5).truth()
     np.testing.assert_allclose(pi, [0.5, 0.25, 0.125, 0.0625, 0.03125])
 
 
@@ -188,8 +187,8 @@ def test_armax_truth_reaches_any_m_max():
     # the truth stopped at geometric_pi's 40-count support: m_max=45 ran every
     # replication, then failed to broadcast (1,1,45) against (40,) in the fold
     cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, m_max=45, block_grid=(6,), estimators=("sb-z",))
-    theta, pi = cfg.truth()
-    assert theta == 0.5 and pi.shape == (45,) and pi[44] == 0.5**45
+    pi = cfg.truth()
+    assert pi.shape == (45,) and pi[44] == 0.5**45
     rows = run(cfg, workers=1).rows
     assert [r.m for r in rows] == list(range(1, 46))
 
@@ -231,34 +230,25 @@ def test_run_refuses_a_worker_count_below_one_or_not_integral(monkeypatch, worke
 
 
 def test_truth_fixed_lists():
-    theta, pi = ExperimentConfig("sqarch", 0.5).truth()
-    assert theta == 0.727
+    pi = ExperimentConfig("sqarch", 0.5).truth()
     np.testing.assert_allclose(pi, [0.751, 0.168, 0.055, 0.014, 0.008])
-    theta, pi = ExperimentConfig("ar_uniform", 4).truth()
-    assert theta == 0.75
+    pi = ExperimentConfig("ar_uniform", 4).truth()
     np.testing.assert_allclose(pi, [0.75, 0.1875, 0.0469, 0.0117, 0.0029])
 
 
 def test_truth_iid():
-    theta, pi = ExperimentConfig("iid_frechet").truth()
-    assert theta == 1.0
+    pi = ExperimentConfig("iid_frechet").truth()
     np.testing.assert_allclose(pi, [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_truth_override():
-    cfg = ExperimentConfig(
-        "sqarch", 0.3, truth_theta=0.8, truth_pi=(0.8, 0.1, 0.05, 0.03, 0.02)
-    )
-    theta, pi = cfg.truth()
-    assert theta == 0.8
+    pi = ExperimentConfig("sqarch", 0.3, truth_pi=(0.8, 0.1, 0.05, 0.03, 0.02)).truth()
     np.testing.assert_allclose(pi, [0.8, 0.1, 0.05, 0.03, 0.02])
 
 
 def test_truth_unknown_parameter_requires_override():
     with pytest.raises(ValueError):
         ExperimentConfig("sqarch", 0.3).truth()
-    with pytest.raises(ValueError):
-        ExperimentConfig("sqarch", 0.3, truth_pi=(1.0,) * 5).truth()
 
 
 def test_table_shape(tiny_table):
@@ -380,17 +370,12 @@ def test_write_csv_rejects_empty(tmp_path):
 
 def test_render_svg(tiny_table, tmp_path):
     out = tmp_path / "plot.svg"
-    render_svg(tiny_table, "mse", out)
+    render_svg(tiny_table, out)
     root = ET.parse(out).getroot()
     assert root.tag.endswith("svg")
     again = tmp_path / "again.svg"
-    render_svg(tiny_table, "mse", again)
+    render_svg(tiny_table, again)
     assert out.read_bytes() == again.read_bytes()
-
-
-def test_render_svg_rejects_unknown_metric(tiny_table, tmp_path):
-    with pytest.raises(ValueError):
-        render_svg(tiny_table, "rmse", tmp_path / "x.svg")
 
 
 def test_read_config_full(tmp_path):
@@ -417,10 +402,14 @@ def test_read_config_truth_override(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(
         "model_kind = sqarch\nmodel_param = 0.3\n"
-        "truth_theta = 0.8\ntruth_pi = 0.8, 0.1, 0.05, 0.03, 0.02\n"
+        "truth_pi = 0.8, 0.1, 0.05, 0.03, 0.02\n"
     )
-    theta, pi = read_config(cfg_file).truth()
-    assert theta == 0.8
+    pi = read_config(cfg_file).truth()
+    np.testing.assert_allclose(pi, [0.8, 0.1, 0.05, 0.03, 0.02])
+    # theta is not a config key: the summaries center on pi alone
+    cfg_file.write_text("model_kind = sqarch\nmodel_param = 0.3\ntruth_theta = 0.8\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg_file))}:3: unknown key 'truth_theta'$"):
+        read_config(cfg_file)
 
 
 def test_read_config_refuses_a_repeated_key(tmp_path):
