@@ -28,7 +28,7 @@ exact because k-fold convolutions of cluster laws vanish below k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 from typing import Optional
 
 import numpy as np
@@ -451,12 +451,19 @@ def theta_asymp_var(gamma_cov, pi, m=None):
 # comparators
 # ---------------------------------------------------------------------------
 
+# (n-1)^2 / n!, n = 21 down to 2; a later term is below 1e-24 of the sum at tau < 0.5
+_MU2_SERIES = [(n - 1) ** 2 / factorial(n) for n in range(21, 1, -1)]
+
+
 def mu2_robert(tau):
-    """Closed-form variance e^tau (tau + (1-tau)^2 - e^{-tau}) of the
-    multilevel-threshold estimator at block-scale tau."""
+    """Variance e^tau (tau + (1-tau)^2 - e^{-tau}) of the multilevel-threshold
+    estimator at block-scale tau; below tau = 0.5, where that form cancels
+    (0.0 at 1e-8), the all-positive series sum_{n>=2} (n-1)^2 tau^n / n!."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     tau = _finite("tau", tau)
+    if tau < 0.5:
+        return float(np.polyval(_MU2_SERIES, tau)) * tau * tau
     return float(np.exp(tau) * (tau + (1.0 - tau) ** 2 - np.exp(-tau)))
 
 
@@ -464,8 +471,8 @@ def robert_crossover(variance):
     """Block-scale tau at which mu2_robert first exceeds `variance`.
 
     mu2_robert is strictly increasing, so the crossing is unique.  It is
-    searched for between tau = 1e-8 and 50, where mu2_robert reads 0 and
-    about 1.3e25, and a bisection halves that bracket until it is at most
+    searched for between tau = 1e-8 and 50, where mu2_robert reads 5e-17
+    and about 1.3e25, and a bisection halves that bracket until it is at most
     1e-12 wide (46 steps) or no float lies between its ends.
     """
     lo, hi = 1e-8, 50.0
@@ -491,17 +498,17 @@ def disjoint_process_var(model, tau, j):
     return p * (1.0 - p)
 
 
-def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
+def sliding_process_cov(model, tau, tau_prime, j, j_prime):
     """Limit covariance of the sliding-blocks empirical process at
     ((tau, j), (tau_prime, j_prime)), for 0 <= tau <= tau_prime.
 
     Two unit-length windows at lag xi are split into private and shared
-    pieces; the joint count pmf is integrated over xi in (0, 1).
+    pieces; the joint count pmf is integrated over xi in (0, 1) at the
+    default :class:`QuadratureSpec`, refined once as :func:`sigma_sb` is.
     """
     if not 0 <= _finite("tau", tau) <= _finite("tau_prime", tau_prime):
         raise ValueError(f"need 0 <= tau <= tau_prime, got ({tau}, {tau_prime})")
     j, j_prime = check_count("j", j, 0), check_count("j_prime", j_prime, 0)
-    quad = quad if quad is not None else QuadratureSpec()
     _require_family(model)
     if tau_prime == 0:
         return 0.0
@@ -520,7 +527,7 @@ def sliding_process_cov(model, tau, tau_prime, j, j_prime, quad=None):
         Q = (p_x * xiw) @ Y.T
         return _shift_add(Q.reshape(m + 1, 1, m + 1, m + 1), BT, m)[j, j_prime]
 
-    overlap = _refined(quad, evaluate)[0]
+    overlap = _refined(QuadratureSpec(), evaluate)[0]
     pj = cpp_pmf(model, tau, j).weights[j]
     pjp = cpp_pmf(model, tau_prime, j_prime).weights[j_prime]
     return float(2.0 * overlap - 2.0 * pj * pjp)

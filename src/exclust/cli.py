@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import QuadratureSpec, gamma, recursion_matrix, sigma_db, sigma_sb, theta_asymp_var
-from .base import _finite
+from .base import _finite, check_count
 from .cpmodel import CppModel, geometric_pi, iid_model, max_ar_family, pbar_theory
 from .errors import DegenerateEstimateError, NumericFailureError
 from .estimators import pbar_hat, pi_from_pbar, theta_hat
@@ -245,9 +245,11 @@ _TABLE1_MODELS = (
 
 
 def _cmd_table1(args):
-    # every config is checked before the output directory is made
+    # every config and the worker count are checked before the output directory is made
     configs = [ExperimentConfig(kind, param, reps=args.reps, master_seed=args.seed)
                for kind, param in _TABLE1_MODELS]
+    if args.workers is not None:
+        check_count("workers", args.workers, 1)
     os.makedirs(args.out, exist_ok=True)
     lines = ["model,estimator,b,min_mse_1e3"]
     for config in configs:

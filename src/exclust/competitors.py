@@ -99,7 +99,7 @@ def hsing_pi(x, b, m_max=5):
     occupied = n // b - hist[0]
     if occupied == 0:
         raise DegenerateEstimateError("no block contains an exceedance")
-    return PiEstimate(values=hist[1 : m_max + 1] / occupied, method="hsing", b=b)
+    return PiEstimate(values=hist[1 : m_max + 1] / occupied)
 
 
 def split_clusters(positions, n_clusters):
@@ -150,7 +150,7 @@ def ferro_pi(x, b, m_max=5):
     if n_clusters < 1:
         raise DegenerateEstimateError("cluster count fell below one", value=theta)
     hist = np.bincount(split_clusters(pos, n_clusters), minlength=m_max + 1)
-    return PiEstimate(values=hist[1 : m_max + 1] / n_clusters, method="ferro", b=b)
+    return PiEstimate(values=hist[1 : m_max + 1] / n_clusters)
 
 
 def cpp_invert(p_values, tau):
@@ -216,4 +216,4 @@ def robert_pi(x, spec):
         used += 1
     if used == 0:
         raise DegenerateEstimateError("every grid threshold was degenerate")
-    return PiEstimate(values=acc / used, method="robert", b=b)
+    return PiEstimate(values=acc / used)

@@ -52,30 +52,24 @@ class PbarEstimate:
 
     ``values[m-1]`` estimates pbar(m); ``counts[m-1]`` is the number of
     ordered block pairs whose exceedance count equalled m, and ``pair_count``
-    the divisor (k(k-1) for disjoint mode, |D_n| for sliding mode).
+    the divisor (k(k-1) for disjoint mode, |D_n| for sliding mode).  The
+    inputs b, mode and scale are not echoed: the caller passed them.
     """
 
     values: np.ndarray
     counts: np.ndarray
     pair_count: int
-    b: int
-    mode: str
-    scale: str
 
 
 @dataclass(frozen=True)
 class PiEstimate:
     """Estimated cluster size distribution pi(1..m_max).
 
-    ``values`` are the raw recursion outputs unless ``clipped`` is set; raw
-    values may fall outside [0, 1].  ``method`` identifies the producing
-    estimator ("sliding-z", "hsing", ...).
+    ``values[m-1]`` estimates pi(m).  Raw recursion outputs may fall outside
+    [0, 1]; :func:`pi_from_pbar` floors them at zero only when asked.
     """
 
     values: np.ndarray
-    method: str
-    b: int
-    clipped: bool = False
 
 
 _SCALES = ("z", "y")
@@ -134,8 +128,7 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
 
     counts = hist[1 : m_max + 1].astype(np.int64)
     values = counts / pair_count
-    return PbarEstimate(values=values, counts=counts, pair_count=pair_count,
-                        b=b, mode=mode, scale=scale)
+    return PbarEstimate(values=values, counts=counts, pair_count=pair_count)
 
 
 def pi_from_pbar(pbar, clip=False):
@@ -152,8 +145,7 @@ def pi_from_pbar(pbar, clip=False):
         pi[m - 1] = 4.0 * p[m - 1] - 2.0 * s
     if clip:
         pi = np.maximum(pi, 0.0)
-    method = f"{pbar.mode}-{pbar.scale}"
-    return PiEstimate(values=pi, method=method, b=pbar.b, clipped=clip)
+    return PiEstimate(values=pi)
 
 
 def theta_hat(pi, m=None):
@@ -184,31 +176,26 @@ def _mean_cluster_size(pi):
 class ClusterSizeEstimator:
     """Fit-style front end bundling pbar_hat, the pi recursion and theta_hat.
 
-    The constructor takes the arguments of :func:`pbar_hat` but the sample,
-    plus the clipping flag of :func:`pi_from_pbar`, and keeps them as
-    attributes of the same names.  After ``fit(x)`` the instance carries
-    ``pbar_`` (:class:`PbarEstimate`), ``pi_`` (:class:`PiEstimate`),
-    ``theta_`` (float, or NaN when the denominator is degenerate) and
-    ``theta_denominator_``.
+    The constructor takes the arguments of :func:`pbar_hat` but the sample
+    and keeps them as attributes of the same names.  After ``fit(x)`` the
+    instance carries ``pbar_`` (:class:`PbarEstimate`), ``pi_`` (raw
+    :class:`PiEstimate`; :func:`pi_from_pbar` clips on request) and
+    ``theta_`` (float, or NaN when the denominator is degenerate).
     """
 
-    def __init__(self, b, mode="sliding", scale="z", m_max=5, clip=False):
+    def __init__(self, b, mode="sliding", scale="z", m_max=5):
         self.b = b
         self.mode = mode
         self.scale = scale
         self.m_max = m_max
-        self.clip = clip
 
     def fit(self, x):
         self.pbar_ = pbar_hat(x, self.b, mode=self.mode, scale=self.scale, m_max=self.m_max)
-        self.pi_ = pi_from_pbar(self.pbar_, clip=self.clip)
+        self.pi_ = pi_from_pbar(self.pbar_)
         try:
-            self.theta_denominator_ = _mean_cluster_size(self.pi_.values)
-        except DegenerateEstimateError as err:
-            self.theta_denominator_ = err.value
+            self.theta_ = 1.0 / _mean_cluster_size(self.pi_.values)
+        except DegenerateEstimateError:
             self.theta_ = float("nan")
-        else:
-            self.theta_ = 1.0 / self.theta_denominator_
         return self
 
     def theta(self, m=None):

@@ -188,7 +188,6 @@ class SummaryRow:
 @dataclass(frozen=True)
 class SummaryTable:
     rows: tuple
-    reps: int
 
     def min_mse(self, estimator, m):
         """Row with the smallest MSE over the block grid for (estimator, m)."""
@@ -249,7 +248,7 @@ def run(config, workers=None):
                 cell = ie, ib, m - 1
                 rows.append(SummaryRow(est, b, m, float(bias[cell]), float(variance[cell]),
                                        float(mse[cell]), int(n_missing[cell])))
-    return SummaryTable(rows=tuple(rows), reps=config.reps)
+    return SummaryTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

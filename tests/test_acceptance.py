@@ -45,8 +45,7 @@ def _geometric_model():
 
 def _wrap_pbar(values):
     values = np.asarray(values, dtype=float)
-    return PbarEstimate(values=values, counts=np.zeros(values.size, dtype=np.int64),
-                        pair_count=1, b=10, mode="sliding", scale="z")
+    return PbarEstimate(values=values, counts=np.zeros(values.size, dtype=np.int64), pair_count=1)
 
 
 def test_criterion_1_closed_form_constants(iid_covs):

@@ -17,7 +17,9 @@ with np.convolve and scipy's convolve2d and its Poisson terms with scipy's
 pmf, and test_bivar_powers_match_convolve2d compares the bivariate power
 stack with the same convolve2d loop.
 """
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -194,7 +196,7 @@ def test_truncated_pi_is_rejected():
     (lambda m: conv_powers(SHORT.pi, m), "0.59"), (lambda m: cpp_pmf(SHORT, 1.0, m), "0.59"),
     (lambda m: pbar_theory(SHORT, m), "0.59"), (lambda m: cpp_pmf_dtau(SHORT, 1.0, m), "0.59"),
     (lambda m: disjoint_process_var(SHORT, 1.0, m), "0.59"),
-    (lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m, FAST), "0.59"),
+    (lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m), "0.59"),
     (lambda m: recursion_matrix(SHORT.pi, pbar_theory(FULL, m), m), "0.59"),
     # pbar(1..5) of the full law leaves 0.387 of pbar's mass 1/2 past 5
     (lambda m: recursion_matrix(FULL.pi, pbar_theory(FULL, 5), m), "0.38689"),
@@ -625,7 +627,6 @@ def test_recursion_matrix_is_jacobian_of_pi_from_pbar():
     class Holder:
         def __init__(self, values):
             self.values = values
-            self.mode, self.scale, self.b = "sliding", "z", 2
 
     pbar = pbar_theory(GEOM, 4)
     A = recursion_matrix(geometric_pi(0.5), pbar, 4)
@@ -721,6 +722,17 @@ def test_mu2_robert_closed_form():
         mu2_robert(float("nan"))
 
 
+def test_mu2_robert_below_the_cut_matches_a_decimal_oracle():
+    # e^tau (1 - tau + tau^2) - 1 to 60 digits; the closed form read 0.0 at
+    # tau = 1e-8, where the value is 5e-17, by cancellation
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for tau in np.geomspace(1e-12, 0.5, 241)[:-1].tolist():
+            t = Decimal(tau)
+            want = float(t.exp() * (1 - t + t * t) - 1)
+            assert abs(mu2_robert(tau) - want) <= 2 * math.ulp(want), tau
+
+
 def test_mu2_robert_strictly_increasing():
     grid = np.linspace(0.1, 3.0, 60)
     vals = [mu2_robert(t) for t in grid]
@@ -763,7 +775,7 @@ def test_process_variances_at_count_zero():
     # at tau = 0 the count is 0 almost surely
     assert disjoint_process_var(GEOM, 0.0, 0) == 0.0
     assert disjoint_process_var(GEOM, 0.0, 2) == 0.0
-    assert abs(sliding_process_cov(model, 0.0, 1.0, 0, 1, FAST)) < 1e-15
+    assert abs(sliding_process_cov(model, 0.0, 1.0, 0, 1)) < 1e-15
 
 
 @pytest.mark.parametrize("call, message", [
@@ -802,8 +814,8 @@ def test_sliding_process_cov_beats_disjoint_at_tau_one():
 
 
 def test_sliding_process_cov_symmetric_at_equal_levels():
-    a = sliding_process_cov(GEOM, 1.0, 1.0, 1, 2, FAST)
-    b = sliding_process_cov(GEOM, 1.0, 1.0, 2, 1, FAST)
+    a = sliding_process_cov(GEOM, 1.0, 1.0, 1, 2)
+    b = sliding_process_cov(GEOM, 1.0, 1.0, 2, 1)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, exit codes, golden help."""
 import contextlib
 import io
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exclust.cli import main
@@ -380,6 +381,64 @@ def test_table1_refused_by_its_configs_creates_no_directory(tmp_path, capsys, fl
     assert main(["table1", "--out", str(out)] + flags) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+_WORKERS = _mostly(st.just("1"), st.sampled_from(["0", "-1", "x"]))
+
+
+@st.composite
+def invocations(draw):
+    """An argv of any subcommand, drawn from the strategies above with paths
+    relative to the working directory, and the input files it reads."""
+    command = draw(st.sampled_from(["simulate", "estimate", "variance", "experiment", "table1"]))
+    files = {}
+    if command == "simulate":
+        model = draw(_mostly(st.sampled_from(list(_MODEL_PARAMS)), st.just("bogus")))
+        flag = _PARAM_FLAGS.get(model)
+        argv = ["simulate", "--model", model, "--n", draw(_mostly(st.just("100"), st.just("9")))]
+        argv += [flag, draw(_UNIT_TEXT if flag != "--r" else st.sampled_from(["4", "1"]))] if flag else []
+        argv += ["--out", draw(_mostly(st.just("x.csv"), st.just("no/x.csv")))]
+    elif command == "estimate":
+        lines = draw(_SERIES)
+        if lines is not None:
+            files["x.csv"] = "\n".join(lines) + "\n"
+        argv = ["estimate", "--in", "x.csv", "--b", draw(_COUNT_TEXT), "--m-max", draw(_COUNT_TEXT),
+                "--scale", draw(st.sampled_from(["z", "y", "w"]))]
+    elif command == "variance":
+        argv = ["variance", "--model", draw(st.sampled_from(["iid", "geometric"])), "--alpha", draw(_UNIT_TEXT),
+                "--kind", draw(st.sampled_from(["db", "sb"])), "--m", draw(_mostly(st.just("1"), st.just("0"))),
+                "--nodes", draw(_mostly(st.just("16"), st.just("7"))), "--no-refine"]
+    elif command == "experiment":
+        text = draw(_mostly(config_lines(), st.none()))
+        if text is not None:
+            files["exp.cfg"] = text
+        argv = ["experiment", "--config", "exp.cfg", "--out-dir", "out/a", "--workers", draw(_WORKERS)]
+    else:
+        argv = ["table1", "--reps", draw(_mostly(st.just("2"), st.sampled_from(["1", "x"]))),
+                "--seed", draw(_mostly(st.just("5"), st.just("-1"))), "--out", "out", "--workers", draw(_WORKERS)]
+    return argv, files
+
+
+def _listing():
+    return sorted(str(path) for path in Path().rglob("*"))
+
+
+@given(invocations())
+@example((["table1", "--reps", "2", "--seed", "5", "--out", "out", "--workers", "0"], {}))
+@settings(max_examples=60, deadline=None)
+def test_a_refused_invocation_writes_nothing(tmp_path_factory, invocation):
+    # table1 made its --out directory before it checked --workers
+    argv, files = invocation
+    cwd, home = tmp_path_factory.mktemp("cwd"), os.getcwd()
+    os.chdir(cwd)
+    try:
+        for name, text in files.items():
+            Path(name).write_text(text)
+        before = _listing()
+        if _assert_documented_exit(argv) == 1:
+            assert _listing() == before
+    finally:
+        os.chdir(home)
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -171,7 +171,6 @@ def test_hsing_hand_example():
     # s_n = 4, threshold = 15th ascending value; only the last block exceeds
     est = hsing_pi(np.arange(1.0, 21.0), 5)
     np.testing.assert_array_equal(est.values, [0.0, 0.0, 0.0, 0.0, 1.0])
-    assert est.method == "hsing"
 
 
 def test_hsing_isolated_exceedances():

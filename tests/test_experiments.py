@@ -252,7 +252,6 @@ def test_truth_unknown_parameter_requires_override():
 
 
 def test_table_shape(tiny_table):
-    assert tiny_table.reps == 3
     assert len(tiny_table.rows) == 3 * 2 * 5  # estimators x blocks x m
     keys = {(r.estimator, r.b, r.m) for r in tiny_table.rows}
     assert len(keys) == len(tiny_table.rows)
@@ -363,7 +362,7 @@ def test_write_csv_golden(tiny_table, tmp_path):
 
 
 def test_write_csv_rejects_empty(tmp_path):
-    empty = ex.SummaryTable(rows=(), reps=0)
+    empty = ex.SummaryTable(rows=())
     with pytest.raises(ValueError):
         write_csv(empty, tmp_path / "x.csv")
 
