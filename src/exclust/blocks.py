@@ -10,10 +10,13 @@ Cluster sizes are counts of strict exceedances within blocks.
 :func:`exceedance_histogram` counts the blocks by capped exceedance count
 at many thresholds at once.  :func:`exceedance_totals` sums those counts
 over thresholds, one per block, leaving out the blocks less than a radius
->= 1 from each (the block itself, or the windows that overlap it), and
-builds no per-row table.  A tops table keeps at most as many columns as a
-block has entries, so the counts above that are zero; :func:`pad_counts`
-appends them.
+>= 1 from each (the block itself, or the windows that overlap it).  Both
+search one sorted column of the table at a time.  The totals are counted
+on the tops table itself: besides it, a call holds that column, O(runs)
+integers for the runs of equal thresholds and O(``_CHUNK`` * w) entries
+per step, and builds no padded copy, per-row or per-run table.  A tops
+table keeps at most as many columns as a block has entries, so the counts
+above that are zero; :func:`pad_counts` appends them.
 """
 
 from functools import cached_property
@@ -74,7 +77,7 @@ class Sample:
             j += (j + 1) / n <= levels
             j -= j / n > levels
             j = np.maximum(np.fmin(j, n), 0).astype(np.intp)  # fmin sends NaN to n
-            return np.nextafter(np.append(self.sorted, np.inf)[j], -np.inf)
+            return np.nextafter(np.where(j < n, self.sorted[np.minimum(j, n - 1)], np.inf), -np.inf)
 
     def tops(self, b, mode, cap):
         """:func:`block_tops` of the floor(n/b) disjoint blocks of length b or of
@@ -166,18 +169,23 @@ def exceedance_histogram(tops, thresholds):
     """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
     c = 0..w, where ``tops`` holds the w largest entries of every block
     (:func:`block_tops`, or :meth:`Sample.tops`); counts are capped at w.
-
-    A block's count is < c exactly when its c-th largest entry is <= the
-    threshold, so each column is one ``searchsorted`` into a sorted
-    order-statistic column.
     """
     k, cap = tops.shape
     # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1
     below = np.zeros((len(thresholds), cap + 2), dtype=np.int64)
     below[:, -1] = k
-    for j in range(cap):
-        below[:, j + 1] = np.searchsorted(np.sort(tops[:, j]), thresholds, side="right")
+    for j, column in enumerate(_below(tops, thresholds)):
+        below[:, j + 1] = column
     return np.diff(below, axis=1)
+
+
+def _below(tops, thresholds):
+    """Yield, for c = 1..w, the number of blocks whose capped count at each
+    threshold is < c.  A block's count is < c exactly when its c-th largest
+    entry is <= the threshold, so each is one ``searchsorted`` into one
+    sorted order-statistic column, the only column held at a time."""
+    for j in range(tops.shape[1]):
+        yield np.searchsorted(np.sort(tops[:, j]), thresholds, side="right")
 
 
 def exceedance_totals(tops, thresholds, radius):
@@ -188,80 +196,100 @@ def exceedance_totals(tops, thresholds, radius):
     (disjoint blocks), b the windows of length b that overlap it (sliding).
 
     The rows of a run of equal thresholds have the same count over all
-    blocks (:func:`exceedance_histogram`), taken at the run starts only and
-    weighted by the run lengths, in sorted order of the thresholds: the
-    integer product ignores the row order, and sorted keys are searched in
-    cache order.  The near blocks are subtracted in closed form and by
-    :func:`_near_totals`, in time order; no per-row table is built.
+    blocks, taken at the run starts only: each sorted column is searched by
+    the run-start thresholds in sorted order (sorted keys are searched in
+    cache order) and summed against the run lengths as it goes, into w + 2
+    integers.  The near blocks are subtracted in closed form and by
+    :func:`_near_totals`, in time order, on ``tops`` itself.  Besides
+    ``tops``, a call holds one sorted column, O(runs) integers and
+    O(``_CHUNK`` * w) entries per step; no per-row or per-run table is built.
     """
     k, cap = tops.shape
     thresholds = np.asarray(thresholds)
     radius = check_count("radius", radius, 1)
     if len(thresholds) != k:
         raise ValueError(f"need one threshold per block: expected {k}, got {len(thresholds)}")
-    starts = _run_starts(thresholds)
-    runlen = np.diff(starts, append=len(thresholds))
+    bounds = _run_bounds(thresholds)
+    starts, runlen = bounds[:-1], np.diff(bounds)
     order = np.argsort(thresholds[starts], kind="stable")
-    totals = runlen[order] @ exceedance_histogram(tops, thresholds[starts[order]])
+    weights = runlen[order]
+    # below[c] = #(row, block) pairs whose block's capped count is < c, c = 0..cap+1
+    below = np.zeros(cap + 2, dtype=np.int64)
+    below[-1] = k * k
+    for j, column in enumerate(_below(tops, thresholds[starts[order]])):
+        below[j + 1] = weights @ column
+    totals = np.diff(below)
     d = min(radius, k) - 1
     totals[0] -= k + d * (2 * k - d - 1)  # ordered block pairs less than radius apart
     # near[c] = #(row, near block) pairs whose block's capped count is >= c + 1
-    near = _near_totals(tops, thresholds, radius, starts, runlen)
+    near = _near_totals(tops, thresholds, radius, bounds, runlen)
     totals[:-1] += near
     totals[1:] -= near
     return totals
 
 
-def _near_totals(tops, thresholds, radius, starts, runlen):
+def _near_totals(tops, thresholds, radius, bounds, runlen):
     """The near counts summed over rows: row q's count in column c - 1 is the
     number of blocks i with |q - i| < radius whose c-th largest entry exceeds
-    ``thresholds[q]``.  Each run start's full count (:func:`_near_at`) is taken
-    times its run length, plus each later row's step (:func:`_steps`) times
+    ``thresholds[q]``.  Each run start's full count is taken times its run
+    length (:func:`_near_at`), plus each later row's step (:func:`_steps`) times
     the rows from it to the end of its run, ``_CHUNK`` rows at a time."""
     k = len(tops)
-    padded = _padded(tops, radius)
-    near = runlen @ _near_at(padded, thresholds, starts, radius)
-    rows_left = np.repeat(starts + runlen, runlen) - np.arange(k)
-    rows_left[starts] = 0  # a start's count is in already
+    starts = bounds[:-1]
+    near = _near_at(tops, thresholds, starts, runlen, radius)
     for lo in range(0, k, _CHUNK):
         hi = min(lo + _CHUNK, k)
-        near += rows_left[lo:hi] @ _steps(padded, thresholds, radius, lo, hi)
+        a, c = starts.searchsorted((lo, hi))
+        at = starts[a:c] - lo  # the run starts in lo .. hi - 1, from lo
+        pieces = np.diff(np.concatenate(([0], at, [hi - lo])))
+        # a piece's rows end their run at the next bound, the rows before the first start at bounds[a]
+        rows_left = np.repeat(bounds[a : c + 1], pieces) - np.arange(lo, hi)
+        rows_left[at] = 0  # a start's count is in already
+        near += rows_left @ _steps(tops, thresholds, radius, lo, hi)
     return near
 
 
-def _run_starts(thresholds):
-    """The indices at which a run of equal thresholds begins."""
-    new = np.ones(len(thresholds), dtype=bool)
-    np.not_equal(thresholds[1:], thresholds[:-1], out=new[1:])
+def _run_bounds(thresholds):
+    """The indices at which a run of equal thresholds begins, then their
+    number: run r holds rows ``bounds[r]`` .. ``bounds[r + 1] - 1``."""
+    new = np.ones(len(thresholds) + 1, dtype=bool)
+    np.not_equal(thresholds[1:], thresholds[:-1], out=new[1:-1])
     return np.flatnonzero(new)
 
 
-def _padded(tops, radius):
-    """``tops`` between radius rows of -inf above and radius - 1 below: block
-    j at row j + radius, so rows q + 1 .. q + 2*radius - 1 are q's near blocks."""
-    k, cap = tops.shape
-    padded = np.full((k + 2 * radius - 1, cap), -np.inf)
-    padded[radius : radius + k] = tops
-    return padded
-
-
-def _steps(padded, thresholds, radius, lo, hi):
+def _steps(tops, thresholds, radius, lo, hi):
     """Rows lo .. hi - 1 of the +-1 steps of the near counts: row q's near
-    window gains block q + radius - 1 and loses block q - radius."""
+    window gains block q + radius - 1 while q + radius <= k, and loses block
+    q - radius from q = radius on; the slices clip at the ends."""
     t = thresholds[lo:hi, None]
-    width = 2 * radius - 1
-    return (padded[lo + width : hi + width] > t).view(np.int8) - (padded[lo:hi] > t).view(np.int8)
+    steps = np.zeros((hi - lo, tops.shape[1]), dtype=np.int8)
+    gained = tops[lo + radius - 1 : hi + radius - 1]
+    steps[: len(gained)] += gained > t[: len(gained)]
+    lost = tops[max(lo - radius, 0) : max(hi - radius, 0)]
+    steps[len(t) - len(lost) :] -= lost > t[len(t) - len(lost) :]
+    return steps
 
 
-def _near_at(padded, thresholds, rows, radius):
-    """The near counts of rows ``rows``, each near block compared in full
-    (``_CHUNK`` near rows per step)."""
-    width = 2 * radius - 1
-    window = np.arange(1, width + 1)[:, None]
-    per_step = max(1, _CHUNK // width)
-    near = np.empty((rows.size, padded.shape[1]), dtype=np.int32)
+def _near_at(tops, thresholds, rows, weights, radius):
+    """The near counts of the ascending rows ``rows`` summed against
+    ``weights``, each near block compared in full (``_CHUNK`` near rows per
+    step).  Near indices past an end are clipped to the end block; the extra
+    reads of the rows less than radius - 1 from an end are then taken back,
+    from those rows only."""
+    k = len(tops)
+    offsets = np.arange(1 - radius, radius)[:, None]
+    per_step = max(1, _CHUNK // len(offsets))
+    t = thresholds[rows, None]
+    near = np.zeros(tops.shape[1], dtype=np.int64)
     for lo in range(0, rows.size, per_step):
         at = rows[lo : lo + per_step]
-        np.add.reduce(padded.take(window + at, axis=0) > thresholds[at, None], axis=0,
-                      dtype=np.int32, out=near[lo : lo + per_step])
+        counts = np.add.reduce(tops.take(offsets + at, axis=0, mode="clip") > t[lo : lo + per_step], axis=0,
+                               dtype=np.int32)
+        near += weights[lo : lo + per_step] @ counts
+    # row q reads block 0 for max(radius - 1 - q, 0) indices and block k - 1 for max(q + radius - k, 0)
+    head, tail = np.searchsorted(rows, (radius - 1, k - radius + 1))
+    if head:
+        near -= (weights[:head] * (radius - 1 - rows[:head])) @ (tops[0] > t[:head])
+    if tail < rows.size:
+        near -= (weights[tail:] * (rows[tail:] + radius - k)) @ (tops[k - 1] > t[tail:])
     return near

@@ -225,9 +225,13 @@ def _cmd_variance(args):
 
 
 def _cmd_experiment(args):
+    # the config and the worker count are checked, and the output directory
+    # made, before the Monte Carlo run
     config = read_config(args.config)
-    table = run(config, workers=args.workers)
+    if args.workers is not None:
+        check_count("workers", args.workers, 1)
     os.makedirs(args.out_dir, exist_ok=True)
+    table = run(config, workers=args.workers)
     csv_path = f"{args.out_dir}/results.csv"
     svg_path = f"{args.out_dir}/mse.svg"
     write_csv(table, csv_path)

@@ -19,10 +19,14 @@ of the values.  Both modes take their pair counts from
 :func:`~exclust.blocks.exceedance_totals`: capped count totals over
 ordered pairs of a block's maximum and another block, leaving out the
 near blocks of each block: itself (disjoint) or the windows that overlap
-it (sliding).  At fixed b, memory grows linearly in n and time about like
-n*log(n): sliding ``pbar_hat`` on an array (tops table included) takes
-6-15x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5 (fastest of 15
-calls, 3 at 2e5, in two runs on a 2-vCPU host), and 105-150 ms at n = 2e5.
+it (sliding).  A sliding call on an array peaks at 1.33x (z) and 1.71x (y)
+the bytes of its tops table, which holds n - b + 1 rows of min(m_max + 1,
+b) values (tracemalloc, armax, b = 20, m_max = 5, n from 5e4 to 1e6; the
+y scale adds the sorted series and one threshold per block).  Time grows
+about like n*log(n): sliding ``pbar_hat`` on an array (tops table
+included) takes 6-15x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5
+(fastest of 15 calls, 3 at 2e5, in two runs on a 2-vCPU host), and
+105-150 ms at n = 2e5.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import _run_starts, exceedance_totals, pad_counts, sample
+from .blocks import _run_bounds, exceedance_totals, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -119,9 +123,9 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     if scale == "y":
         # Y_i = -b*log(F_n(M_i)) turns the condition F_n(X_s) > 1 - Y_i/b into
         # F_n(X_s) > 1 + log(F_n(M_i)); F_n(M_i) >= 1/n keeps the log finite.
-        starts = _run_starts(thr)
-        level = x.cdf_threshold(1.0 + np.log(x.cdf(thr[starts])))
-        thr = np.repeat(level, np.diff(starts, append=len(thr)))
+        bounds = _run_bounds(thr)
+        level = x.cdf_threshold(1.0 + np.log(x.cdf(thr[bounds[:-1]])))
+        thr = np.repeat(level, np.diff(bounds))
     hist = exceedance_totals(tops, thr, 1 if mode == "disjoint" else b)
     hist = pad_counts(hist, m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exclust import cli
 from exclust.cli import main
 from exclust.estimators import pbar_hat, pi_from_pbar, theta_hat
 from exclust.simulate import ModelSpec, gen
@@ -467,6 +468,22 @@ def test_experiment_creates_missing_out_dir(tmp_path, capsys):
                  "--workers", "1"]) == 0
     capsys.readouterr()
     assert (dest / "results.csv").exists()
+
+
+def test_experiment_refuses_an_out_dir_that_is_a_file_before_the_run(tmp_path, monkeypatch, capsys):
+    # the directory was made only after the whole Monte Carlo run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model_kind = iid_frechet\nn = 100\nreps = 2\nblock_grid = 6\n")
+    out = tmp_path / "results.csv"
+    out.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run() was called")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(out), "--workers", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == ""
 
 
 def test_table1_subcommand(tmp_path, capsys):

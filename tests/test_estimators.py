@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exclust import blocks
-from exclust.blocks import Sample, exceedance_histogram, exceedance_totals, pad_counts, ranks, sliding_maxima
+from exclust.blocks import Sample, exceedance_totals, pad_counts, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
@@ -418,16 +418,17 @@ def test_sliding_pbar_builds_no_per_row_table():
 
 
 def test_pbar_hat_searches_its_run_start_thresholds_in_sorted_order():
-    # the run-start keys are counted in any order (runlen @ hist), and
-    # sorted keys keep searchsorted in cache; time order missed it
+    # the run-start keys are counted in any order (summed against the run
+    # lengths), and sorted keys keep searchsorted in cache; time order missed it
     keys = []
+    below = blocks._below
 
-    def recording_histogram(tops, thresholds):
+    def recording_below(tops, thresholds):
         keys.append(np.array(thresholds))
-        return exceedance_histogram(tops, thresholds)
+        return below(tops, thresholds)
 
     x = gen(ModelSpec("armax", 3_000, 0.5, seed=6))
-    with mock.patch.object(blocks, "exceedance_histogram", recording_histogram):
+    with mock.patch.object(blocks, "_below", recording_below):
         for mode in ("disjoint", "sliding"):
             for scale in ("z", "y"):
                 pbar_hat(x, 12, mode=mode, scale=scale)
