@@ -9,6 +9,7 @@ a :class:`~exclust.blocks.Sample`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,30 @@ def ferro_pi(x, b, m_max=5):
     return PiEstimate(values=hist[1 : m_max + 1] / n_clusters)
 
 
+def _invert_rows(P):
+    """:func:`cpp_invert` on every row p(0..m) of ``P`` at once, each with
+    0 < p(0) < 1: returns lam = theta*tau and pi(0..m), one per row."""
+    G, L = P.shape
+    lam = np.array([-math.log(p0) for p0 in P[:, 0].tolist()])  # np.log may differ in the last bit
+    ratio = P / P[:, :1]
+    facts = [None, lam]  # facts[j] = lam^j / j!, one step at a time
+    for j in range(2, L):
+        facts.append(facts[-1] * (lam / j))
+    pw = np.zeros((L, G, L))  # pw[j, :, i] = pi^{*j}(i)
+    pi = pw[1]
+    for i in range(1, L):
+        rev = np.ascontiguousarray(pi[:, i::-1])
+        tail = np.zeros(G)
+        for j in range(2, i + 1):
+            if i < L - 1 or L >= 12:
+                pw[j, :, i] = np.vecdot(pw[j - 1, :, : i + 1], rev)
+            else:  # the full overlap, numpy's own ascending sum
+                pw[j, :, i] = np.add.accumulate(pw[j - 1] * rev, axis=1)[:, -1]
+            tail += facts[j] * pw[j, :, i]
+        pi[:, i] = (ratio[:, i] - tail) / lam
+    return lam, pi
+
+
 def cpp_invert(p_values, tau):
     """Invert count probabilities p^(tau)(0..m) to (theta, pi(1..m)).
 
@@ -160,30 +185,29 @@ def cpp_invert(p_values, tau):
     p^(tau)(m) = e^{-theta tau} sum_{j<=m} (theta tau)^j / j! pi^{*j}(m)
     for pi(m) recursively; the j >= 2 convolutions only involve
     pi(1..m-1).  Exact inverse of the forward law for proper inputs.
+    So entry i of a power is fixed once pi(1..i-1) is: a table of the powers
+    is filled one entry at a time, one dot each, m(m-1)/2 dots batched over
+    the rows of :func:`robert_pi`'s grid.  Each dot gives the floats of
+    ``np.correlate`` (the loop of one call per power, kept in the tests) by
+    a rule that belongs to numpy and its BLAS: BLAS ``ddot`` over pi(i..0)
+    copied contiguous (a reversed view takes numpy's plain loop), except
+    that numpy sums a full overlap of fewer than 12 entries itself, in
+    ascending order.  Refuses p(0) outside (0, 1), a p(1..m) that is
+    negative or not finite, and a tau that is not a positive finite real
+    number, by name.
     """
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise ValueError("p_values must contain p(0)..p(m) with m >= 1")
     if not 0.0 < p[0] < 1.0:
         raise ValueError(f"p(0) must lie strictly in (0, 1), got {p[0]}")
-    if not tau > 0:
+    if not (np.isfinite(p[1:]).all() and (p[1:] >= 0.0).all()):
+        raise ValueError(f"p(1..m) must be finite and non-negative, got {p[1:]}")
+    if isinstance(tau, numbers.Real) and not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    lam = -math.log(p[0])
-    m_top = p.size - 1
-    ratio = (p / p[0]).tolist()
-    pi = np.zeros(m_top + 1)
-    rev = pi[::-1]  # a view, so it follows pi as pi is filled
-    for m in range(1, m_top + 1):
-        tail = 0.0
-        cur = pi
-        fact = lam
-        for j in range(2, m + 1):
-            # np.convolve(cur, pi) without its argument checks: the same C call
-            cur = np.correlate(cur, rev, "full")[: m_top + 1]
-            fact *= lam / j
-            tail += fact * cur.item(m)
-        pi[m] = (ratio[m] - tail) / lam
-    return lam / tau, pi[1:]
+    tau = _finite("tau", tau)
+    lam, pi = _invert_rows(p[None, :])
+    return float(lam[0]) / tau, pi[0, 1:]
 
 
 def robert_pi(x, spec):
@@ -194,7 +218,8 @@ def robert_pi(x, spec):
     expected exceedances per block); the empirical count fractions are
     inverted through the compound-Poisson law and the results averaged over
     the grid.  Grid points with a degenerate zero-count fraction are
-    skipped.
+    skipped.  The kept rows are inverted in one power table (see
+    :func:`cpp_invert` for its dot rule) and summed in grid order.
     """
     x = sample(x)
     n = x.x.size
@@ -203,17 +228,13 @@ def robert_pi(x, spec):
     k = n // b
     taus = np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid)
     rank = np.ceil(k * taus).astype(np.int64)
-    taus, rank = taus[rank <= n], rank[rank <= n]
-    thresholds = x.sorted[n - rank]  # the rank-th largest values
+    thresholds = x.sorted[n - rank[rank <= n]]  # the rank-th largest values
     tops = x.tops(b, "disjoint", spec.m_max + 1)
     phats = pad_counts(exceedance_histogram(tops, thresholds), spec.m_max + 1)[:, : spec.m_max + 1] / k
-    acc = np.zeros(spec.m_max)
-    used = 0
-    for tau, phat in zip(taus, phats):
-        if phat[0] == 0.0 or phat[0] == 1.0:
-            continue
-        acc += cpp_invert(phat, tau)[1]
-        used += 1
-    if used == 0:
+    phats = phats[(0.0 < phats[:, 0]) & (phats[:, 0] < 1.0)]
+    if not phats.size:
         raise DegenerateEstimateError("every grid threshold was degenerate")
-    return PiEstimate(values=acc / used)
+    acc = np.zeros(spec.m_max)
+    for row in _invert_rows(phats)[1][:, 1:]:
+        acc += row  # np.sum would add the rows pairwise, in another order
+    return PiEstimate(values=acc / len(phats))

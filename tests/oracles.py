@@ -1,4 +1,6 @@
 """Exact or slow reference computations that only the tests call."""
+import math
+
 import numpy as np
 from scipy.signal import convolve2d
 from scipy.special import gammaincc
@@ -33,6 +35,26 @@ def pbar_integral_oracle(model, m_max, nodes_1d=1024):
         acc += wi * cpp_pmf(model, ui, m_max).weights
     acc[0] = 0.0
     return Pmf(acc, trunc_mass=max(0.0, 0.5 - acc.sum()))
+
+
+def convolve_invert(p_values, tau):
+    """:func:`~exclust.competitors.cpp_invert` as first written, one
+    ``np.convolve`` per power: the oracle of the floats of the batched
+    inversion behind it and :func:`~exclust.competitors.robert_pi`."""
+    p = np.asarray(p_values, dtype=float)
+    lam = -math.log(p[0])
+    m_top = p.size - 1
+    pi = np.zeros(m_top + 1)
+    for m in range(1, m_top + 1):
+        tail = 0.0
+        cur = pi
+        fact = lam
+        for j in range(2, m + 1):
+            cur = np.convolve(cur, pi)[: m_top + 1]
+            fact *= lam / j
+            tail += fact * cur[m]
+        pi[m] = (p[m] / p[0] - tail) / lam
+    return lam / tau, pi[1:]
 
 
 def ferro_positions(x, num):

@@ -17,7 +17,7 @@ from exclust.cpmodel import CppModel, cpp_pmf, geometric_pi
 from exclust.errors import DegenerateEstimateError
 from exclust.simulate import ModelSpec, gen, substream_seed
 
-from oracles import ferro_positions
+from oracles import convolve_invert, ferro_positions
 
 
 def literal_pi(sizes, n_clusters, m_max):
@@ -54,7 +54,7 @@ def literal_robert(x, spec):
         phat = np.array([np.count_nonzero(counts == m) / k for m in range(spec.m_max + 1)])
         if phat[0] == 0.0 or phat[0] == 1.0:
             continue
-        acc += cpp_invert(phat, tau)[1]
+        acc += convolve_invert(phat, tau)[1]
         used += 1
     return acc / used if used else None
 
@@ -277,31 +277,13 @@ def test_cpp_invert_round_trip():
         np.testing.assert_allclose(pi_hat, pi.weights[1:6], atol=1e-12)
 
 
-def convolve_invert(p_values, tau):
-    """:func:`cpp_invert` as first written, one ``np.convolve`` per power:
-    the oracle of its floats."""
-    p = np.asarray(p_values, dtype=float)
-    lam = -math.log(p[0])
-    m_top = p.size - 1
-    pi = np.zeros(m_top + 1)
-    for m in range(1, m_top + 1):
-        tail = 0.0
-        cur = pi
-        fact = lam
-        for j in range(2, m + 1):
-            cur = np.convolve(cur, pi)[: m_top + 1]
-            fact *= lam / j
-            tail += fact * cur[m]
-        pi[m] = (p[m] / p[0] - tail) / lam
-    return lam / tau, pi[1:]
-
-
 def test_cpp_invert_matches_the_convolve_loop_bit_for_bit():
     # count fractions as robert_pi passes them (some with zero entries) and
-    # arbitrary rows, m from 1 to 8
+    # arbitrary rows, m from 1 to 15 (numpy sums the full overlap of 12 or
+    # more entries by BLAS, of fewer by its own loop)
     rng = np.random.default_rng(97)
     for _ in range(3000):
-        m = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 16))
         if rng.random() < 0.5:
             k = int(rng.integers(2, 400))
             counts = rng.multinomial(k, rng.dirichlet(np.ones(m + 2)))
@@ -314,6 +296,40 @@ def test_cpp_invert_matches_the_convolve_loop_bit_for_bit():
         theta, pi = cpp_invert(p, tau)
         want_theta, want_pi = convolve_invert(p, tau)
         assert theta == want_theta and pi.tobytes() == want_pi.tobytes()
+
+
+def test_batched_inversion_matches_the_convolve_loop_row_by_row():
+    # robert_pi inverts its grid's rows in one call; each row must come out
+    # as the one-row loop would give it, whatever rows share the call
+    rng = np.random.default_rng(101)
+    for m in range(1, 16):
+        rows = []
+        while len(rows) < 40:
+            if len(rows) % 2:
+                counts = rng.multinomial(int(rng.integers(2, 400)), rng.dirichlet(np.ones(m + 2)))
+                if 0 < counts[0] < counts.sum():
+                    rows.append(counts[: m + 1] / counts.sum())
+            else:
+                rows.append(rng.dirichlet(np.ones(m + 2))[: m + 1])
+        P = np.array(rows)
+        lam, pi = competitors._invert_rows(P)
+        for g, p in enumerate(P):
+            want_lam, want_pi = convolve_invert(p, 1.0)
+            assert lam[g] == want_lam and pi[g, 1:].tobytes() == want_pi.tobytes()
+
+
+@pytest.mark.parametrize("p, tau, match", [
+    ([0.5, math.nan], 1.0, r"p\(1..m\) must be finite and non-negative"),
+    ([0.5, math.inf], 1.0, r"p\(1..m\) must be finite and non-negative"),
+    ([0.5, 0.25, -0.125], 1.0, r"p\(1..m\) must be finite and non-negative"),
+    ([0.5, 0.25], math.inf, "tau must be a finite real number, got inf"),
+    ([0.5, 0.25], "1", "tau must be a finite real number, got '1'"),
+], ids=["p_nan", "p_inf", "p_negative", "tau_inf", "tau_str"])
+def test_cpp_invert_refuses_bad_inputs_by_name(p, tau, match):
+    # [0.5, nan] gave pi [nan], [0.5, inf] gave [inf], tau inf a theta of 0.0
+    # and tau "1" a bare TypeError
+    with pytest.raises(ValueError, match=match):
+        cpp_invert(np.array(p), tau)
 
 
 def test_cpp_invert_validates_p0():
