@@ -8,7 +8,9 @@ those wrapped by ``functools.lru_cache`` included.  A re-export is counted
 where it is defined.  A third column gives the traced memory peak of one
 sliding ``pbar_hat`` call on an armax array at n = 1e5 over the bytes of
 its tops table, on the z and y scales.  Counting and measuring import the
-package, so numpy must be installed.
+package, so numpy must be installed.  Under the table, when a base is given,
+come the public names (``module.name`` over the same ``__all__`` entries)
+that only one of the two trees has.
 
     python .github/source_size.py [BASE]
 
@@ -31,16 +33,18 @@ def _count(fn):
 
 
 def public_parameters():
-    """The public-parameter count of the ``exclust`` on ``sys.path``."""
+    """The public-parameter count and the sorted public names of the
+    ``exclust`` on ``sys.path``."""
     import exclust
 
-    total = 0
+    total, names = 0, []
     for info in pkgutil.iter_modules(exclust.__path__):
         module = importlib.import_module(f"exclust.{info.name}")
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
+            names.append(f"{info.name}.{name}")
             if inspect.isclass(obj):
                 if dataclasses.is_dataclass(obj):
                     total += len(dataclasses.fields(obj))
@@ -50,7 +54,7 @@ def public_parameters():
                              if inspect.isfunction(f) and not n.startswith("_"))
             elif callable(obj):
                 total += _count(obj)
-    return total
+    return total, sorted(names)
 
 
 def peak_ratios():
@@ -77,20 +81,23 @@ def peak_ratios():
 
 
 def _row(label, root):
+    """The table row of the tree at ``root`` and its set of public names."""
     src = Path(root, "src")
     lines = sum(p.read_bytes().count(b"\n") for p in sorted(src.glob("exclust/*.py")))
     # a fresh interpreter per tree, so the two trees' packages never mix
     env = dict(os.environ, PYTHONPATH=str(src))
-    params, z, y = subprocess.run([sys.executable, __file__, "--count"], env=env, check=True,
-                                  capture_output=True, text=True).stdout.split()
-    return f"| {label} | {lines:,} | {int(params):,} | {z} / {y} |"
+    params, z, y, *names = subprocess.run([sys.executable, __file__, "--count"], env=env, check=True,
+                                          capture_output=True, text=True).stdout.split()
+    return f"| {label} | {lines:,} | {int(params):,} | {z} / {y} |", set(names)
 
 
 def main(argv):
     if argv == ["--count"]:
-        print(public_parameters(), *(f"{r:.2f}" for r in peak_ratios()))
+        params, names = public_parameters()
+        print(params, *(f"{r:.2f}" for r in peak_ratios()), *names)
         return 0
     base = argv[0] if argv else ""
+    base_names = None
     print("| tree | lines of src/exclust/*.py | public parameters | sliding pbar_hat peak / tops table (z / y) |")
     print("| --- | ---: | ---: | ---: |")
     if base.strip("0"):
@@ -103,8 +110,14 @@ def main(argv):
                 archive = subprocess.run(["git", "archive", base, "src"], check=True,
                                          capture_output=True).stdout
                 subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-                print(_row(f"base {base[:12]}", tmp))
-    print(_row("head", "."))
+                row, base_names = _row(f"base {base[:12]}", tmp)
+                print(row)
+    row, head_names = _row("head", ".")
+    print(row)
+    if base_names is not None:
+        print()
+        for label, only in (("base", base_names - head_names), ("head", head_names - base_names)):
+            print(f"Public names only in {label}: {', '.join(f'`{n}`' for n in sorted(only)) or 'none'}")
     return 0
 
 

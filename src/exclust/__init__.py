@@ -14,7 +14,6 @@ from .asymptotics import (
     QuadratureSpec,
     disjoint_process_var,
     gamma,
-    mu2_robert,
     recursion_matrix,
     robert_crossover,
     sigma_db,
@@ -28,7 +27,6 @@ from .cpmodel import (
     BivariatePmfFamily,
     CppModel,
     Pmf,
-    cpp2_pmf,
     cpp_pmf,
     geometric_pi,
     iid_model,
@@ -65,7 +63,6 @@ __all__ = [
     "QuadratureSpec",
     "SummaryTable",
     "UnsupportedModelError",
-    "cpp2_pmf",
     "cpp_invert",
     "cpp_pmf",
     "disjoint_process_var",
@@ -76,7 +73,6 @@ __all__ = [
     "hsing_pi",
     "iid_model",
     "max_ar_family",
-    "mu2_robert",
     "pbar_hat",
     "pbar_theory",
     "pi_from_pbar",

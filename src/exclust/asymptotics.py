@@ -53,11 +53,9 @@ __all__ = [
     "recursion_matrix",
     "gamma",
     "theta_asymp_var",
-    "mu2_robert",
     "robert_crossover",
     "sliding_process_cov",
     "disjoint_process_var",
-    "cpp_pmf_dtau",
 ]
 
 _COV_KINDS = ("sigma_db", "sigma_sb", "gamma_db", "gamma_sb")
@@ -162,7 +160,7 @@ def _shift_add(Q, BT, m):
     return out
 
 
-def cpp_pmf_dtau(model, tau, m_max):
+def _cpp_pmf_dtau(model, tau, m_max):
     """Derivative in tau of the window-length-tau count pmf, for 0..m_max.
 
     d/dtau p^(tau)(j) = sum_{l>=1} theta [Pois_{l-1} - Pois_l](theta tau)
@@ -317,7 +315,7 @@ def _sigma_sb_entries(model, m, nodes):
     BT = bivar_powers(model.pi2, s, m)
 
     # derivative of the count pmf at window length tau, count first
-    gd1 = cpp_pmf_dtau(model, tau, m)[1:]
+    gd1 = _cpp_pmf_dtau(model, tau, m)[1:]
 
     # closed-form tail of the indicator-smooth mu-integral beyond mu = tau;
     # at integer l the regularized upper incomplete gamma Q(l, z) is the
@@ -455,7 +453,7 @@ def theta_asymp_var(gamma_cov, pi, m=None):
 _MU2_SERIES = [(n - 1) ** 2 / factorial(n) for n in range(21, 1, -1)]
 
 
-def mu2_robert(tau):
+def _mu2_robert(tau):
     """Variance e^tau (tau + (1-tau)^2 - e^{-tau}) of the multilevel-threshold
     estimator at block-scale tau; below tau = 0.5, where that form cancels
     (0.0 at 1e-8), the all-positive series sum_{n>=2} (n-1)^2 tau^n / n!."""
@@ -468,21 +466,21 @@ def mu2_robert(tau):
 
 
 def robert_crossover(variance):
-    """Block-scale tau at which mu2_robert first exceeds `variance`.
+    """Block-scale tau at which :func:`_mu2_robert` first exceeds `variance`.
 
-    mu2_robert is strictly increasing, so the crossing is unique.  It is
-    searched for between tau = 1e-8 and 50, where mu2_robert reads 5e-17
+    _mu2_robert is strictly increasing, so the crossing is unique.  It is
+    searched for between tau = 1e-8 and 50, where _mu2_robert reads 5e-17
     and about 1.3e25, and a bisection halves that bracket until it is at most
     1e-12 wide (46 steps) or no float lies between its ends.
     """
     lo, hi = 1e-8, 50.0
-    if not mu2_robert(lo) < variance < mu2_robert(hi):
+    if not _mu2_robert(lo) < variance < _mu2_robert(hi):
         raise ValueError(f"variance {variance:g} is not bracketed by ({lo}, {hi})")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if mu2_robert(mid) < variance:
+        if _mu2_robert(mid) < variance:
             lo = mid
         else:
             hi = mid

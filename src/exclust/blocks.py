@@ -1,7 +1,7 @@
 """Shared primitives of every estimator.  A :class:`Sample` holds what they
 read from one series: its values, sorted values, empirical c.d.f. F_n and
 its inverse (so a c.d.f. level maps to a value threshold), and the top order
-statistics of its disjoint or sliding blocks, which :func:`block_tops` builds
+statistics of its disjoint or sliding blocks, which :func:`_block_tops` builds
 from block rows given in column parts.  It keeps the last table of each
 layout, so the estimators at one block size share it, and a run over a
 growing block-size grid extends the sliding table by the columns gained.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import check_block_size, check_count
 
-__all__ = ["Sample", "sliding_maxima", "ranks", "block_tops", "exceedance_histogram", "exceedance_totals"]
+__all__ = ["Sample", "sliding_maxima", "ranks", "exceedance_histogram", "exceedance_totals"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
 _MODES = ("disjoint", "sliding")
@@ -80,7 +80,7 @@ class Sample:
             return np.nextafter(np.where(j < n, self.sorted[np.minimum(j, n - 1)], np.inf), -np.inf)
 
     def tops(self, b, mode, cap):
-        """:func:`block_tops` of the floor(n/b) disjoint blocks of length b or of
+        """:func:`_block_tops` of the floor(n/b) disjoint blocks of length b or of
         the sliding ones, read-only: the ``min(cap, b)`` largest entries of each block.
 
         The last table of each layout is kept and handed out again at the
@@ -105,7 +105,7 @@ class Sample:
                 parts = (last[: len(windows)], windows[:, last_b:])
             else:
                 parts = (windows,)
-        tops = block_tops(*parts, cap=cap)
+        tops = _block_tops(*parts, cap=cap)
         tops.flags.writeable = False
         self._tops[mode] = (b, cap, tops)
         return tops
@@ -133,7 +133,7 @@ def ranks(x):
     return Sample(x).ranks
 
 
-def block_tops(*parts, cap):
+def _block_tops(*parts, cap):
     """The ``min(cap, w)`` largest entries of each row of ``parts`` joined
     side by side (rows of w entries in all), descending: a block of w
     entries has no more exceedances.  So a table needs at most n*w entries,
@@ -168,7 +168,7 @@ def pad_counts(counts, width):
 def exceedance_histogram(tops, thresholds):
     """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
     c = 0..w, where ``tops`` holds the w largest entries of every block
-    (:func:`block_tops`, or :meth:`Sample.tops`); counts are capped at w.
+    (:func:`_block_tops`, or :meth:`Sample.tops`); counts are capped at w.
     """
     k, cap = tops.shape
     # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1

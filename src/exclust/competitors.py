@@ -25,7 +25,6 @@ __all__ = [
     "ferro_pi",
     "robert_pi",
     "cpp_invert",
-    "split_clusters",
     "check_block_rule",
 ]
 
@@ -103,7 +102,7 @@ def hsing_pi(x, b, m_max=5):
     return PiEstimate(values=hist[1 : m_max + 1] / occupied)
 
 
-def split_clusters(positions, n_clusters):
+def _split_clusters(positions, n_clusters):
     """Sizes after cutting a sorted position sequence at its largest gaps.
 
     Cuts at the n_clusters - 1 largest inter-position gaps, earliest gaps
@@ -150,7 +149,7 @@ def ferro_pi(x, b, m_max=5):
     n_clusters = int(theta * num)
     if n_clusters < 1:
         raise DegenerateEstimateError("cluster count fell below one", value=theta)
-    hist = np.bincount(split_clusters(pos, n_clusters), minlength=m_max + 1)
+    hist = np.bincount(_split_clusters(pos, n_clusters), minlength=m_max + 1)
     return PiEstimate(values=hist[1 : m_max + 1] / n_clusters)
 
 

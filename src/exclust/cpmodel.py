@@ -6,7 +6,7 @@ exceedance-count laws
     p_tau(0) = exp(-theta*tau),
     p_tau(m) = sum_{j=1..m} exp(-theta*tau) (theta*tau)^j / j! * pi^{*j}(m),
 
-their bivariate extension p2 for two nested time windows, and the mixture
+the bivariate cluster laws pi2 of two nested windows, and the mixture
 
     pbar(m) = int_0^inf p_tau(m) theta exp(-theta*tau) dtau
             = sum_{j=1..m} 2^{-(j+1)} pi^{*j}(m)
@@ -32,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .base import _finite, check_count
-from .errors import UnsupportedModelError
 
 __all__ = [
     "Pmf",
@@ -45,7 +44,6 @@ __all__ = [
     "gauss_legendre_01",
     "gauss_legendre_panels",
     "pbar_theory",
-    "cpp2_pmf",
     "iid_model",
     "max_ar_family",
     "geometric_pi",
@@ -57,11 +55,11 @@ SUPPORT_CAP = 40
 
 @dataclass(frozen=True)
 class Pmf:
-    """Weights on the integers 0..support_max with tracked truncated tail mass.
+    """Weights on the integers 0..weights.size-1 with tracked truncated tail mass.
 
     ``weights[v]`` is the mass at value ``v``; a distribution on {1, 2, ...}
     simply stores 0 at index 0.  ``trunc_mass`` is the mass known to lie past
-    ``support_max``; where it is positive, :meth:`head` reads no further.
+    the last weight; where it is positive, :meth:`head` reads no further.
     """
 
     weights: np.ndarray
@@ -79,18 +77,15 @@ class Pmf:
         if not _finite("trunc_mass", self.trunc_mass) >= 0:
             raise ValueError(f"trunc_mass must be >= 0, got {self.trunc_mass}")
 
-    @property
-    def support_max(self):
-        return self.weights.size - 1
-
     def head(self, m):
         """A copy of the weights on 0..m, zero past a support that truncates
         nothing; an m past the support of a pmf that truncates mass is refused."""
         m = check_count("m", m, 0)
-        if m > self.support_max and self.trunc_mass > 0:
-            raise ValueError(f"m={m} reads past the support 0..{self.support_max} of a pmf "
+        support_max = self.weights.size - 1
+        if m > support_max and self.trunc_mass > 0:
+            raise ValueError(f"m={m} reads past the support 0..{support_max} of a pmf "
                              f"that truncates {self.trunc_mass:g} mass")
-        return np.pad(self.weights[: m + 1], (0, max(0, m - self.support_max)))
+        return np.pad(self.weights[: m + 1], (0, max(0, m - support_max)))
 
 
 @dataclass(frozen=True)
@@ -131,8 +126,12 @@ class CppModel:
     pi2: Optional[BivariatePmfFamily] = None
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        theta = _finite("theta", self.theta)
+        if not 0.0 < theta <= 1.0:
+            raise ValueError(f"theta must lie in (0, 1], got {theta}")
+        object.__setattr__(self, "theta", theta)
+        if not isinstance(self.pi, Pmf):
+            raise ValueError(f"pi must be a Pmf, got {type(self.pi).__name__}")
         # the power tables stop at k <= m, which needs clusters of size >= 1
         if self.pi.weights[0] != 0.0:
             raise ValueError(f"cluster sizes start at 1, but pi(0) = {self.pi.weights[0]}")
@@ -282,25 +281,6 @@ def gauss_legendre_panels(n, knots):
     x = (edges[:-1, None] + widths[:, None] * x0[None, :]).ravel()
     w = (widths[:, None] * w0[None, :]).ravel()
     return x, w
-
-
-def cpp2_pmf(model, tau1, tau2, i_max):
-    """Joint law p2^{(tau1,tau2)}(i, j) of the counts over two nested windows.
-
-    Requires tau1 >= tau2 >= 0 and tau1 > 0; the first index belongs to the
-    longer window.  Returns an (i_max+1, i_max+1) array with the (0, 0) cell
-    equal to exp(-theta*tau1) and zeros outside J.
-    """
-    if model.pi2 is None:
-        raise UnsupportedModelError(
-            "model has no bivariate cluster family pi2; supply one to evaluate joint laws"
-        )
-    if not (_finite("tau1", tau1) >= _finite("tau2", tau2) >= 0.0) or tau1 <= 0.0:
-        raise ValueError(f"need tau1 >= tau2 >= 0 and tau1 > 0, got ({tau1}, {tau2})")
-    i_max = check_count("i_max", i_max, 0)
-    pois = poisson_table(model.theta * tau1, i_max)
-    B = bivar_powers(model.pi2, [tau2 / tau1], i_max)[0]
-    return (pois @ B.reshape(i_max + 1, -1)).reshape(i_max + 1, i_max + 1)
 
 
 def iid_model():

@@ -197,7 +197,7 @@ class ClusterSizeEstimator:
         self.pbar_ = pbar_hat(x, self.b, mode=self.mode, scale=self.scale, m_max=self.m_max)
         self.pi_ = pi_from_pbar(self.pbar_)
         try:
-            self.theta_ = 1.0 / _mean_cluster_size(self.pi_.values)
+            self.theta_ = theta_hat(self.pi_)
         except DegenerateEstimateError:
             self.theta_ = float("nan")
         return self

@@ -230,16 +230,16 @@ def run(config, workers=None):
     stack = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))
     truth_pi = config.truth()
     n_missing = np.count_nonzero(np.isnan(stack), axis=-1)
-    bias = np.mean(stack, axis=-1) - truth_pi
-    variance = np.var(stack, axis=-1)
-    mse = np.mean((stack - truth_pi[:, None]) ** 2, axis=-1)
-    for cell in zip(*np.nonzero(n_missing)):  # over the replications that did not fail
-        good = stack[cell][~np.isnan(stack[cell])]
-        if good.size:  # else the cell stays NaN
-            truth = truth_pi[cell[-1]]
-            bias[cell] = np.mean(good) - truth
-            variance[cell] = np.var(good)
-            mse[cell] = np.mean((good - truth) ** 2)
+    bias, variance, mse = np.full((3,) + n_missing.shape, np.nan)  # NaN where every replication failed
+    # a set, not np.unique, which imports numpy.ma (1 MB of peak RSS) on first use
+    for missing in set(n_missing.flat) - {config.reps}:
+        at = n_missing == missing  # the cells with this many failed replications
+        good = stack[at]
+        good = good[~np.isnan(good)].reshape(len(good), -1)  # (cells, reps - missing)
+        truth = truth_pi[np.nonzero(at)[-1]]
+        bias[at] = np.mean(good, axis=-1) - truth
+        variance[at] = np.var(good, axis=-1)
+        mse[at] = np.mean((good - truth[:, None]) ** 2, axis=-1)
 
     rows = []
     for ie, est in enumerate(config.estimators):

@@ -6,7 +6,8 @@ from scipy.signal import convolve2d
 from scipy.special import gammaincc
 from scipy.stats import poisson
 
-from exclust.asymptotics import _shift_add, cpp_pmf_dtau
+from exclust.asymptotics import _cpp_pmf_dtau, _shift_add
+from exclust.base import _finite, check_count
 from exclust.cpmodel import (
     Pmf,
     bivar_powers,
@@ -17,6 +18,7 @@ from exclust.cpmodel import (
     pbar_theory,
     poisson_table,
 )
+from exclust.errors import UnsupportedModelError
 
 
 def pbar_integral_oracle(model, m_max, nodes_1d=1024):
@@ -35,6 +37,25 @@ def pbar_integral_oracle(model, m_max, nodes_1d=1024):
         acc += wi * cpp_pmf(model, ui, m_max).weights
     acc[0] = 0.0
     return Pmf(acc, trunc_mass=max(0.0, 0.5 - acc.sum()))
+
+
+def cpp2_pmf(model, tau1, tau2, i_max):
+    """Joint law p2^{(tau1,tau2)}(i, j) of the counts over two nested windows.
+
+    Requires tau1 >= tau2 >= 0 and tau1 > 0; the first index belongs to the
+    longer window.  Returns an (i_max+1, i_max+1) array with the (0, 0) cell
+    equal to exp(-theta*tau1) and zeros outside J.
+    """
+    if model.pi2 is None:
+        raise UnsupportedModelError(
+            "model has no bivariate cluster family pi2; supply one to evaluate joint laws"
+        )
+    if not (_finite("tau1", tau1) >= _finite("tau2", tau2) >= 0.0) or tau1 <= 0.0:
+        raise ValueError(f"need tau1 >= tau2 >= 0 and tau1 > 0, got ({tau1}, {tau2})")
+    i_max = check_count("i_max", i_max, 0)
+    pois = poisson_table(model.theta * tau1, i_max)
+    B = bivar_powers(model.pi2, [tau2 / tau1], i_max)[0]
+    return (pois @ B.reshape(i_max + 1, -1)).reshape(i_max + 1, i_max + 1)
 
 
 def convolve_invert(p_values, tau):
@@ -187,8 +208,8 @@ def per_xi_sigma_sb_entries(model, m, nodes):
     BT = bivar_powers(model.pi2, s, m)
 
     lam_st = th * np.outer(s, tau)
-    gd = cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
-    gd1 = cpp_pmf_dtau(model, tau, m)[1:]
+    gd = _cpp_pmf_dtau(model, np.outer(s, tau), m)[1:]
+    gd1 = _cpp_pmf_dtau(model, tau, m)[1:]
 
     tail = np.zeros((nodes, m))
     z = 2.0 * th * tau

@@ -9,13 +9,13 @@ its earlier per-overlap-node form (``oracles.per_xi_sigma_sb_entries``),
 which built a Poisson table per xi and summed the threshold axis by matrix
 products.
 
-The literal quadrature calls cpp_pmf, cpp2_pmf and cpp_pmf_dtau, which rest
-on the same cpmodel primitives (power tables, Poisson table) as sigma_db,
-so it checks the integration, not those primitives.  The primitives get
-their own oracles: the term-by-term sliding rule builds its powers
-with np.convolve and scipy's convolve2d and its Poisson terms with scipy's
-pmf, and test_bivar_powers_match_convolve2d compares the bivariate power
-stack with the same convolve2d loop.
+The literal quadrature calls cpp_pmf, cpp2_pmf (``oracles``) and
+_cpp_pmf_dtau, which rest on the same cpmodel primitives (power tables,
+Poisson table) as sigma_db, so it checks the integration, not those
+primitives.  The primitives get their own oracles: the term-by-term
+sliding rule builds its powers with np.convolve and scipy's convolve2d and
+its Poisson terms with scipy's pmf, and test_bivar_powers_match_convolve2d
+compares the bivariate power stack with the same convolve2d loop.
 """
 import math
 import tracemalloc
@@ -31,13 +31,13 @@ from exclust import asymptotics
 from exclust.asymptotics import (
     CovMatrix,
     QuadratureSpec,
+    _cpp_pmf_dtau,
+    _mu2_robert,
     _sigma_db_entries,
     _sigma_sb_entries,
     _table_bytes,
-    cpp_pmf_dtau,
     disjoint_process_var,
     gamma,
-    mu2_robert,
     recursion_matrix,
     robert_crossover,
     sigma_db,
@@ -50,7 +50,6 @@ from exclust.cpmodel import (
     Pmf,
     bivar_powers,
     conv_powers,
-    cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
     gauss_legendre_panels,
@@ -61,7 +60,7 @@ from exclust.cpmodel import (
     poisson_table,
 )
 from exclust.errors import NumericFailureError, UnsupportedModelError
-from oracles import _bivar_powers, literal_sigma_sb, per_xi_sigma_sb_entries
+from oracles import _bivar_powers, cpp2_pmf, literal_sigma_sb, per_xi_sigma_sb_entries
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 GEOM3 = CppModel(0.7, geometric_pi(0.3), max_ar_family(0.3))
@@ -79,7 +78,7 @@ def literal_sigma_db(model, m, nodes=48):
     Integrates the pairwise joint laws against dH x dH' literally: the
     indicator-indicator term over nested levels, the mixed term against the
     analytic level-density of the second block, and the own-level term, all
-    using only cpp_pmf / cpp2_pmf / cpp_pmf_dtau.  The level-ratio axis is
+    using only cpp_pmf / cpp2_pmf / _cpp_pmf_dtau.  The level-ratio axis is
     split at the family's breakpoints.
     """
     th = model.theta
@@ -102,7 +101,7 @@ def literal_sigma_db(model, m, nodes=48):
             tab = cpp2_pmf(model, t, tp, m)
             blk = tab[1:, 1:]
             t_ind += wi * wsi * th * t * np.exp(-th * tp) * (blk + blk.T)
-            dp = cpp_pmf_dtau(model, tp, m)[1:]
+            dp = _cpp_pmf_dtau(model, tp, m)[1:]
             t_mix += wi * wsi * t * np.outer(tab[1:, 0], dp)
 
     return t_ind + t_mix + t_mix.T + t_zz - 4.0 * np.outer(pbar, pbar)
@@ -194,7 +193,7 @@ def test_truncated_pi_is_rejected():
 
 @pytest.mark.parametrize("read, cut", [
     (lambda m: conv_powers(SHORT.pi, m), "0.59"), (lambda m: cpp_pmf(SHORT, 1.0, m), "0.59"),
-    (lambda m: pbar_theory(SHORT, m), "0.59"), (lambda m: cpp_pmf_dtau(SHORT, 1.0, m), "0.59"),
+    (lambda m: pbar_theory(SHORT, m), "0.59"), (lambda m: _cpp_pmf_dtau(SHORT, 1.0, m), "0.59"),
     (lambda m: disjoint_process_var(SHORT, 1.0, m), "0.59"),
     (lambda m: sliding_process_cov(SHORT, 0.5, 1.0, 1, m), "0.59"),
     (lambda m: recursion_matrix(SHORT.pi, pbar_theory(FULL, m), m), "0.59"),
@@ -230,17 +229,17 @@ def test_cpp_pmf_dtau_matches_finite_differences(model, mu):
     h = 1e-5
     up = cpp_pmf(model, mu + h, 5).weights
     dn = cpp_pmf(model, mu - h, 5).weights
-    np.testing.assert_allclose(cpp_pmf_dtau(model, mu, 5), (up - dn) / (2 * h),
+    np.testing.assert_allclose(_cpp_pmf_dtau(model, mu, 5), (up - dn) / (2 * h),
                                atol=1e-6)
 
 
 def test_cpp_pmf_dtau_takes_an_array_of_tau():
     tau = np.array([[0.2, 1.0], [3.0, 0.0]])
-    got = cpp_pmf_dtau(GEOM, tau, 4)
+    got = _cpp_pmf_dtau(GEOM, tau, 4)
     assert got.shape == (5, 2, 2)
     for idx in np.ndindex(tau.shape):
         np.testing.assert_allclose(got[(slice(None),) + idx],
-                                   cpp_pmf_dtau(GEOM, tau[idx], 4), rtol=1e-14)
+                                   _cpp_pmf_dtau(GEOM, tau[idx], 4), rtol=1e-14)
 
 
 def test_sigma_db_iid_constant(iid_covs):
@@ -713,13 +712,13 @@ def test_theta_asymp_var_zero_denominator(iid_covs):
 # ---------------------------------------------------------------------------
 
 def test_mu2_robert_closed_form():
-    np.testing.assert_allclose(mu2_robert(1.0), np.e - 1.0, rtol=1e-14)
-    assert abs(mu2_robert(0.7573) - 20 / 27) < 1e-3
+    np.testing.assert_allclose(_mu2_robert(1.0), np.e - 1.0, rtol=1e-14)
+    assert abs(_mu2_robert(0.7573) - 20 / 27) < 1e-3
     with pytest.raises(ValueError):
-        mu2_robert(0.0)
+        _mu2_robert(0.0)
     # NaN passed `tau <= 0` and came back as nan
     with pytest.raises(ValueError, match="tau must be positive, got nan"):
-        mu2_robert(float("nan"))
+        _mu2_robert(float("nan"))
 
 
 def test_mu2_robert_below_the_cut_matches_a_decimal_oracle():
@@ -730,26 +729,26 @@ def test_mu2_robert_below_the_cut_matches_a_decimal_oracle():
         for tau in np.geomspace(1e-12, 0.5, 241)[:-1].tolist():
             t = Decimal(tau)
             want = float(t.exp() * (1 - t + t * t) - 1)
-            assert abs(mu2_robert(tau) - want) <= 2 * math.ulp(want), tau
+            assert abs(_mu2_robert(tau) - want) <= 2 * math.ulp(want), tau
 
 
 def test_mu2_robert_strictly_increasing():
     grid = np.linspace(0.1, 3.0, 60)
-    vals = [mu2_robert(t) for t in grid]
+    vals = [_mu2_robert(t) for t in grid]
     assert np.all(np.diff(vals) > 0)
 
 
 def test_robert_crossover():
     t = robert_crossover(20 / 27)
     assert abs(t - 0.7573) < 1e-3
-    np.testing.assert_allclose(mu2_robert(t), 20 / 27, atol=1e-10)
+    np.testing.assert_allclose(_mu2_robert(t), 20 / 27, atol=1e-10)
     with pytest.raises(ValueError):
         robert_crossover(-1.0)
 
 
 @pytest.mark.parametrize("variance", [1e-6, 0.01, 20 / 27, 1.0, 7.5, 1e4])
 def test_robert_crossover_matches_brentq(variance):
-    want = brentq(lambda t: mu2_robert(t) - variance, 1e-8, 50.0, xtol=1e-12)
+    want = brentq(lambda t: _mu2_robert(t) - variance, 1e-8, 50.0, xtol=1e-12)
     assert abs(robert_crossover(variance) - want) <= 2e-12
 
 
@@ -787,12 +786,12 @@ def test_process_variances_at_count_zero():
     (lambda: cpp2_pmf(iid_model(), np.inf, 1.0, 2), "tau1 must be a finite"),
     (lambda: disjoint_process_var(iid_model(), np.inf, 1), "tau must be a finite"),
     (lambda: sliding_process_cov(iid_model(), 1.0, np.inf, 1, 1), "tau_prime must be a finite"),
-    (lambda: mu2_robert(np.inf), "tau must be a finite"),
+    (lambda: _mu2_robert(np.inf), "tau must be a finite"),
 ], ids=["nan-weight", "inf-weight", "nan-tail", "negative-tail", "cpp_pmf", "cpp2_pmf",
         "disjoint_process_var", "sliding_process_cov", "mu2_robert"])
 def test_non_finite_inputs_are_refused_by_name(call, message):
     # each was accepted; the four laws and variances came back as NaN, and
-    # mu2_robert(inf) as inf
+    # _mu2_robert(inf) as inf
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -11,7 +11,7 @@ from scipy.stats import rankdata
 
 from exclust import blocks
 from exclust.base import check_block_size
-from exclust.blocks import Sample, block_tops, exceedance_histogram, exceedance_totals, ranks, sliding_maxima
+from exclust.blocks import Sample, _block_tops, exceedance_histogram, exceedance_totals, ranks, sliding_maxima
 from exclust.competitors import CompetitorSpec, hsing_pi, robert_pi
 from exclust.estimators import pbar_hat
 from exclust.experiments import ExperimentConfig, _run_rep
@@ -68,7 +68,7 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
     width = min(cap, b)
     picks = data.draw(st.lists(st.sampled_from(list(x) + [-np.inf, np.inf]), max_size=6))
     thresholds = np.array(picks, dtype=float)
-    got = exceedance_histogram(block_tops(rows, cap=cap), thresholds)
+    got = exceedance_histogram(_block_tops(rows, cap=cap), thresholds)
     assert got.shape == (thresholds.size, width + 1)
     for t, row in zip(thresholds, got):
         capped = np.minimum((rows > t).sum(axis=1), width)
@@ -76,7 +76,7 @@ def test_exceedance_histogram_matches_literal_counts(case, cap, data):
 
 
 def test_exceedance_totals_need_one_threshold_per_block_with_a_radius():
-    tops = block_tops(np.arange(12.0).reshape(4, 3), cap=2)
+    tops = _block_tops(np.arange(12.0).reshape(4, 3), cap=2)
     for radius in (1, 2):
         with pytest.raises(ValueError, match="one threshold per block: expected 4, got 3"):
             exceedance_totals(tops, np.zeros(3), radius)
@@ -85,7 +85,7 @@ def test_exceedance_totals_need_one_threshold_per_block_with_a_radius():
 def test_exceedance_totals_refuse_a_radius_below_one_by_name():
     # radius 0 paired every row with every block; a negative radius failed
     # on an array shape, and 1.5 with a TypeError
-    tops = block_tops(np.arange(12.0).reshape(4, 3), cap=2)
+    tops = _block_tops(np.arange(12.0).reshape(4, 3), cap=2)
     for radius in (0, -1):
         with pytest.raises(ValueError, match=f"radius must be >= 1, got {radius}"):
             exceedance_totals(tops, np.zeros(4), radius)
@@ -126,7 +126,7 @@ def test_exceedance_totals_match_literal_pair_counts(case, chunk):
     rows, cap, thresholds, radius = case
     k, width = len(rows), min(cap, rows.shape[1])
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        got = exceedance_totals(block_tops(rows, cap=cap), thresholds, radius)
+        got = exceedance_totals(_block_tops(rows, cap=cap), thresholds, radius)
     want = np.zeros(width + 1, dtype=np.int64)
     for q, t in enumerate(thresholds):
         far = rows[np.abs(np.arange(k) - q) >= radius]
@@ -158,8 +158,8 @@ def test_block_tops_of_parts_equal_the_tops_of_the_joined_rows(case, cap, chunk)
     # parts; the floats must be those of the rows joined, bit for bit
     rows, parts = case
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        got = block_tops(*parts, cap=cap)
-        want = block_tops(np.hstack(parts), cap=cap)
+        got = _block_tops(*parts, cap=cap)
+        want = _block_tops(np.hstack(parts), cap=cap)
     assert got.shape == want.shape == (len(rows), min(cap, rows.shape[1]))
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(want, -np.sort(-rows, axis=1)[:, :cap])
@@ -246,7 +246,7 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
             got = s.tops(b, mode, cap)
             want = -np.sort(-rows, axis=1)[:, :cap]  # min(cap, b) columns
             assert got.shape == want.shape and np.array_equal(got, want)
-            assert np.array_equal(got, block_tops(rows, cap=cap))
+            assert np.array_equal(got, _block_tops(rows, cap=cap))
 
 
 def test_tops_are_read_only():
@@ -362,14 +362,14 @@ def test_tops_check_the_block_size_and_cap_by_name():
                 s.tops(5, mode, cap)
         assert s.tops(5.0, mode, 3.0) is s.tops(5, mode, 3)
     windows = np.lib.stride_tricks.sliding_window_view(s.x, 25)  # b = n/2 is the largest
-    assert np.array_equal(s.tops(25, "sliding", 3), block_tops(windows, cap=3))
+    assert np.array_equal(s.tops(25, "sliding", 3), _block_tops(windows, cap=3))
 
 
 def test_one_table_build_per_layout_and_block_size():
     # the disjoint table db-z builds serves db-y, hsing and robert at the same
     # b, and the sliding one sb-z extends serves sb-y: 2 builds per b
     config = ExperimentConfig("armax", 0.5, reps=2)
-    with mock.patch.object(blocks, "block_tops", wraps=blocks.block_tops) as build:
+    with mock.patch.object(blocks, "_block_tops", wraps=blocks._block_tops) as build:
         _run_rep((config, 0))
     assert build.call_count == 2 * len(config.block_grid) == 34
 

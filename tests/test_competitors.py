@@ -7,11 +7,11 @@ import pytest
 from exclust import competitors
 from exclust.competitors import (
     CompetitorSpec,
+    _split_clusters,
     cpp_invert,
     ferro_pi,
     hsing_pi,
     robert_pi,
-    split_clusters,
 )
 from exclust.cpmodel import CppModel, cpp_pmf, geometric_pi
 from exclust.errors import DegenerateEstimateError
@@ -91,11 +91,11 @@ def test_ferro_matches_literal_size_counts(monkeypatch):
     clusterings = []
 
     def recording_split(positions, n_clusters):
-        sizes = split_clusters(positions, n_clusters)
+        sizes = _split_clusters(positions, n_clusters)
         clusterings.append((sizes, n_clusters))
         return sizes
 
-    monkeypatch.setattr(competitors, "split_clusters", recording_split)
+    monkeypatch.setattr(competitors, "_split_clusters", recording_split)
     rng = np.random.default_rng(43)
     for _ in range(60):
         x = _tied_sample(rng)
@@ -114,9 +114,9 @@ def test_ferro_selects_the_stable_argsort_exceedances(monkeypatch):
 
     def recording_split(positions, n_clusters):
         chosen.append(positions)
-        return split_clusters(positions, n_clusters)
+        return _split_clusters(positions, n_clusters)
 
-    monkeypatch.setattr(competitors, "split_clusters", recording_split)
+    monkeypatch.setattr(competitors, "_split_clusters", recording_split)
     rng = np.random.default_rng(53)
     split_ties = 0
     for _ in range(80):
@@ -210,17 +210,17 @@ def test_hsing_armax_monte_carlo():
 
 def test_split_clusters_well_separated():
     pos = np.array([10, 11, 500, 501, 990, 991])
-    np.testing.assert_array_equal(split_clusters(pos, 3), [2, 2, 2])
+    np.testing.assert_array_equal(_split_clusters(pos, 3), [2, 2, 2])
 
 
 def test_split_clusters_tie_breaks_earliest():
     pos = np.array([0, 10, 20, 30])
-    np.testing.assert_array_equal(split_clusters(pos, 2), [1, 3])
-    np.testing.assert_array_equal(split_clusters(pos, 3), [1, 1, 2])
+    np.testing.assert_array_equal(_split_clusters(pos, 2), [1, 3])
+    np.testing.assert_array_equal(_split_clusters(pos, 3), [1, 1, 2])
 
 
 def test_split_clusters_single_cluster():
-    np.testing.assert_array_equal(split_clusters(np.array([5, 9, 14]), 1), [3])
+    np.testing.assert_array_equal(_split_clusters(np.array([5, 9, 14]), 1), [3])
 
 
 def test_split_clusters_partitions_all_positions():
@@ -229,7 +229,7 @@ def test_split_clusters_partitions_all_positions():
         n_pos = int(rng.integers(2, 60))
         pos = np.sort(rng.choice(5000, size=n_pos, replace=False))
         c = int(rng.integers(1, n_pos + 1))
-        sizes = split_clusters(pos, c)
+        sizes = _split_clusters(pos, c)
         assert sizes.sum() == n_pos
         assert len(sizes) == c
         assert np.all(sizes >= 1)

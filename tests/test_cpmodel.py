@@ -12,7 +12,6 @@ from exclust.cpmodel import (
     Pmf,
     bivar_powers,
     conv_powers,
-    cpp2_pmf,
     cpp_pmf,
     gauss_legendre_01,
     gauss_legendre_panels,
@@ -25,7 +24,7 @@ from exclust.cpmodel import (
 from exclust.errors import UnsupportedModelError
 from exclust.estimators import theta_hat
 
-from oracles import pbar_integral_oracle, sigma_outer_bivar_powers
+from oracles import cpp2_pmf, pbar_integral_oracle, sigma_outer_bivar_powers
 
 GEOM = CppModel(0.5, geometric_pi(0.5), max_ar_family(0.5))
 
@@ -67,7 +66,7 @@ def test_pmf_validation():
 
 def test_pmf_head():
     p = Pmf(np.array([0.0, 0.25, 0.75]))
-    assert p.support_max == 2
+    assert p.weights.size - 1 == 2
     assert p.head(1).tolist() == [0.0, 0.25]
     assert p.head(2).tolist() == [0.0, 0.25, 0.75]
     assert p.head(4).tolist() == [0.0, 0.25, 0.75, 0.0, 0.0]  # nothing is truncated
@@ -506,6 +505,22 @@ def test_cpp_model_validates_theta():
         CppModel(0.0, geometric_pi(0.5))
     with pytest.raises(ValueError):
         CppModel(1.2, geometric_pi(0.5))
+
+
+@pytest.mark.parametrize("theta, pi, message", [
+    (True, geometric_pi(0.5), r"^theta must be a finite real number, got True$"),
+    ("0.5", geometric_pi(0.5), r"^theta must be a finite real number, got '0\.5'$"),
+    (0.5, np.array([0.0, 0.5, 0.5]), r"^pi must be a Pmf, got ndarray$"),
+], ids=["bool-theta", "str-theta", "array-pi"])
+def test_cpp_model_refuses_a_bad_theta_or_pi_by_name(theta, pi, message):
+    # a bool theta was stored as is, a str one failed with a bare TypeError
+    # and an array pi with an AttributeError on its weights
+    with pytest.raises(ValueError, match=message):
+        CppModel(theta, pi)
+
+
+def test_cpp_model_stores_theta_as_a_float():
+    assert type(CppModel(1, geometric_pi(0.5)).theta) is float
 
 
 def test_cpp_model_rejects_mass_at_size_zero():

@@ -315,6 +315,34 @@ def test_missing_reps_are_disclosed(tiny_table, monkeypatch):
         table.min_mse("hsing", 1)
 
 
+def test_partly_missing_reps_are_summarized_over_the_survivors(monkeypatch):
+    # hsing fails in replications 1 and 3 at b=6 and in replication 2 at
+    # b=10; each cell is summarized over the replications that did not fail
+    real, seen, kept = ex.hsing_pi, {6: 0, 10: 0}, {6: [], 10: []}
+    fail = {(6, 1), (6, 3), (10, 2)}
+
+    def flaky(x, b, m_max):
+        rep, seen[b] = seen[b], seen[b] + 1
+        if (b, rep) in fail:
+            raise DegenerateEstimateError("forced")
+        estimate = real(x, b, m_max)
+        kept[b].append(estimate.values)
+        return estimate
+
+    monkeypatch.setattr(ex, "hsing_pi", flaky)
+    cfg = ExperimentConfig("iid_frechet", n=100, reps=5, block_grid=(6, 10),
+                           estimators=("hsing",), master_seed=5)
+    truth = cfg.truth()
+    table = run(cfg, workers=1)
+    assert [row.n_missing for row in table.rows] == [2] * 5 + [1] * 5
+    for row in table.rows:
+        good, t = np.array(kept[row.b])[:, row.m - 1], truth[row.m - 1]
+        assert row.n_missing == cfg.reps - good.size
+        assert row.bias == np.mean(good) - t
+        assert row.variance == np.var(good)
+        assert row.mse == np.mean((good - t) ** 2)
+
+
 def _per_call_estimate(x, estimator, b, m_max):
     """pi(1..m_max) of one experiment estimator from the public functions."""
     if estimator == "hsing":

@@ -1,6 +1,9 @@
-"""What a bare ``import exclust`` loads, that every public name resolves,
-that the package runs without scipy, and that the README's examples run."""
+"""What a bare ``import exclust`` loads, that every public name resolves and
+every public function has a caller outside its module, that the package runs
+without scipy, and that the README's examples run."""
+import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -13,7 +16,8 @@ import pytest
 
 import exclust
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -67,6 +71,36 @@ def test_every_public_name_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert [name for name in importlib.import_module(module).__all__ if name not in namespace] == []
+
+
+def _names_read(path):
+    """The names ``path`` imports with ``from ... import`` or reads as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller_outside_its_module():
+    # a function stays public only if another module of the package (not the
+    # re-exports of __init__), perfbench or an acceptance criterion calls it;
+    # one that only its own tests call is private, or an oracle in tests/
+    callers = {path: _names_read(path) for path in [
+        *(SRC / "exclust").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+        ROOT / "tests" / "test_acceptance.py"] if path.name != "__init__.py"}
+    uncalled = []
+    for module in _PUBLIC[1:]:
+        mod = importlib.import_module(module)
+        own = Path(mod.__file__).resolve()
+        read = set().union(*(names for path, names in callers.items() if path.resolve() != own))
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not inspect.isclass(obj) and name not in read:
+                uncalled.append(f"{module}.{name}")
+    assert uncalled == []
 
 
 def test_readme_python_examples_run(capsys):
