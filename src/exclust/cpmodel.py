@@ -132,6 +132,8 @@ class CppModel:
         object.__setattr__(self, "theta", theta)
         if not isinstance(self.pi, Pmf):
             raise ValueError(f"pi must be a Pmf, got {type(self.pi).__name__}")
+        if self.pi2 is not None and not isinstance(self.pi2, BivariatePmfFamily):
+            raise ValueError(f"pi2 must be a BivariatePmfFamily or None, got {type(self.pi2).__name__}")
         # the power tables stop at k <= m, which needs clusters of size >= 1
         if self.pi.weights[0] != 0.0:
             raise ValueError(f"cluster sizes start at 1, but pi(0) = {self.pi.weights[0]}")

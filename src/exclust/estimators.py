@@ -24,9 +24,9 @@ the bytes of its tops table, which holds n - b + 1 rows of min(m_max + 1,
 b) values (tracemalloc, armax, b = 20, m_max = 5, n from 5e4 to 1e6; the
 y scale adds the sorted series and one threshold per block).  Time grows
 about like n*log(n): sliding ``pbar_hat`` on an array (tops table
-included) takes 6-15x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5
+included) takes 5-14x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5
 (fastest of 15 calls, 3 at 2e5, in two runs on a 2-vCPU host), and
-105-150 ms at n = 2e5.
+71-88 ms at n = 2e5, where tables built by partitions took 76-131 ms.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """

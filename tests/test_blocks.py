@@ -140,29 +140,44 @@ def test_disjoint_blocks_drop_the_remainder():
 
 
 @st.composite
-def cut_rows(draw):
-    """Rows of disjoint or sliding blocks with ties, cut by columns into 1-3 parts."""
-    x, b = draw(series_and_block(max_n=60))
-    if draw(st.booleans()):
-        rows = x[: x.size // b * b].reshape(-1, b)
-    else:
-        rows = np.lib.stride_tricks.sliding_window_view(x, b)
-    cuts = draw(st.lists(st.integers(1, b - 1), max_size=2, unique=True))
-    return rows, np.split(rows, sorted(cuts), axis=1)
+def tied_series(draw, max_n):
+    """A series of floats, small integers (ties) and +-0."""
+    n = draw(st.integers(min_value=4, max_value=max_n))
+    return draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]))))
 
 
-@given(cut_rows(), st.integers(1, 8), st.sampled_from([1, 3, 4096]))
-@settings(max_examples=150, deadline=None)
-def test_block_tops_of_parts_equal_the_tops_of_the_joined_rows(case, cap, chunk):
-    # the kept sliding table plus the columns the windows gained are such
-    # parts; the floats must be those of the rows joined, bit for bit
-    rows, parts = case
+def sorted_windows(x, b, cap):
+    return -np.sort(-np.lib.stride_tricks.sliding_window_view(x, b), axis=1)[:, :cap]
+
+
+# n = 70 reaches b = 35, so every b = 2^j - 1, 2^j, 2^j + 1 up to 33 is drawn
+@given(tied_series(max_n=70), st.integers(1, 8), st.sampled_from([1, 3, 4096]))
+@example(np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 1.0, -1.0] * 8 + [2.0] * 6), 8, 3)
+@settings(max_examples=60, deadline=None)
+def test_sliding_tops_equal_the_sorted_windows(x, cap, chunk):
+    # the doubling merges select entries, so at every b from 2 to n/2 the
+    # table is == the windows sorted; a merge may place +0 and -0 in
+    # another order than a sort, and == reads them as equal
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        got = _block_tops(*parts, cap=cap)
-        want = _block_tops(np.hstack(parts), cap=cap)
-    assert got.shape == want.shape == (len(rows), min(cap, rows.shape[1]))
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(want, -np.sort(-rows, axis=1)[:, :cap])
+        for b in range(2, x.size // 2 + 1):
+            got = blocks._sliding_tops(x, b, cap)
+            want = sorted_windows(x, b, cap)
+            assert got.shape == want.shape == (x.size - b + 1, min(cap, b))
+            assert np.array_equal(got, want), b
+
+
+@given(tied_series(max_n=40), st.integers(1, 8), st.sampled_from([1, 3, 4096]))
+@settings(max_examples=25, deadline=None)
+def test_every_extension_equals_the_fresh_table(x, cap, chunk):
+    # a kept table of windows of length last_b merged with the table of the
+    # entries its windows gain, from every last_b < b, is the fresh table
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        fresh = {b: blocks._sliding_tops(x, b, cap) for b in range(1, x.size // 2 + 1)}
+        for b in range(2, x.size // 2 + 1):
+            for last_b in range(1, b):
+                got = blocks._sliding_tops(x, b, cap, last_b, fresh[last_b])
+                assert got.shape == fresh[b].shape and np.array_equal(got, fresh[b]), (last_b, b)
 
 
 def test_chunked_block_tops_change_no_estimate(monkeypatch):
@@ -215,6 +230,22 @@ def test_sliding_pbar_holds_little_beside_its_tops_table():
         finally:
             tracemalloc.stop()
         assert peak <= bound * table, (scale, peak / table)
+
+
+def test_a_fresh_sliding_table_holds_little_beside_itself():
+    # a step holds a few tables of _CHUNK + b rows; keeping every level of
+    # the doubling would hold about log2(b) tables of the table's size
+    x = gen(ModelSpec("armax", 100_000, 0.5, seed=4))
+    Sample(x[:100]).tops(10, "sliding", 6)  # warm-up
+    for b in (20, 2000):
+        s = Sample(x)
+        tracemalloc.start()
+        try:
+            table = s.tops(b, "sliding", 6).nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table <= 0.5 * table, (b, peak / table)
 
 
 @st.composite
@@ -369,9 +400,10 @@ def test_one_table_build_per_layout_and_block_size():
     # the disjoint table db-z builds serves db-y, hsing and robert at the same
     # b, and the sliding one sb-z extends serves sb-y: 2 builds per b
     config = ExperimentConfig("armax", 0.5, reps=2)
-    with mock.patch.object(blocks, "_block_tops", wraps=blocks._block_tops) as build:
+    with mock.patch.object(blocks, "_block_tops", wraps=blocks._block_tops) as disjoint, \
+            mock.patch.object(blocks, "_sliding_tops", wraps=blocks._sliding_tops) as sliding:
         _run_rep((config, 0))
-    assert build.call_count == 2 * len(config.block_grid) == 34
+    assert disjoint.call_count + sliding.call_count == 2 * len(config.block_grid) == 34
 
 
 def test_check_block_size_bounds():

@@ -507,16 +507,19 @@ def test_cpp_model_validates_theta():
         CppModel(1.2, geometric_pi(0.5))
 
 
-@pytest.mark.parametrize("theta, pi, message", [
-    (True, geometric_pi(0.5), r"^theta must be a finite real number, got True$"),
-    ("0.5", geometric_pi(0.5), r"^theta must be a finite real number, got '0\.5'$"),
-    (0.5, np.array([0.0, 0.5, 0.5]), r"^pi must be a Pmf, got ndarray$"),
-], ids=["bool-theta", "str-theta", "array-pi"])
-def test_cpp_model_refuses_a_bad_theta_or_pi_by_name(theta, pi, message):
+@pytest.mark.parametrize("theta, pi, pi2, message", [
+    (True, geometric_pi(0.5), None, r"^theta must be a finite real number, got True$"),
+    ("0.5", geometric_pi(0.5), None, r"^theta must be a finite real number, got '0\.5'$"),
+    (0.5, np.array([0.0, 0.5, 0.5]), None, r"^pi must be a Pmf, got ndarray$"),
+    (0.5, geometric_pi(0.5), lambda s, i, j: 0.0, r"^pi2 must be a BivariatePmfFamily or None, got function$"),
+    (0.5, geometric_pi(0.5), "x", r"^pi2 must be a BivariatePmfFamily or None, got str$"),
+], ids=["bool-theta", "str-theta", "array-pi", "function-pi2", "str-pi2"])
+def test_cpp_model_refuses_a_bad_theta_or_pi_by_name(theta, pi, pi2, message):
     # a bool theta was stored as is, a str one failed with a bare TypeError
-    # and an array pi with an AttributeError on its weights
+    # and an array pi with an AttributeError on its weights; a bare evaluator
+    # as pi2 built a model whose sigma_db failed on its missing breakpoints
     with pytest.raises(ValueError, match=message):
-        CppModel(theta, pi)
+        CppModel(theta, pi, pi2)
 
 
 def test_cpp_model_stores_theta_as_a_float():
