@@ -11,8 +11,10 @@ its tops table, on the z and y scales, and a fourth the traced peak of a
 fresh sliding ``Sample.tops`` build on that array at b = 20 and b = 2,000
 (cap 6) over the bytes of the table it returns.  Counting and measuring
 import the package, so numpy must be installed.  Under the table, when a
-base is given, come the public names (``module.name`` over the same
-``__all__`` entries) that only one of the two trees has.
+base is given, come the public names that only one of the two trees has:
+``module.name`` over the same ``__all__`` entries, ``module.Class.method``
+over their public methods, and ``exclust.name`` over the top-level
+``__all__``.
 
     python .github/source_size.py [BASE]
 
@@ -39,7 +41,7 @@ def public_parameters():
     ``exclust`` on ``sys.path``."""
     import exclust
 
-    total, names = 0, []
+    total, names = 0, [f"exclust.{name}" for name in exclust.__all__]
     for info in pkgutil.iter_modules(exclust.__path__):
         module = importlib.import_module(f"exclust.{info.name}")
         for name in getattr(module, "__all__", ()):
@@ -52,8 +54,10 @@ def public_parameters():
                     total += len(dataclasses.fields(obj))
                 elif "__init__" in vars(obj):
                     total += _count(obj.__init__)
-                total += sum(_count(f) for n, f in vars(obj).items()
-                             if inspect.isfunction(f) and not n.startswith("_"))
+                methods = {n: f for n, f in vars(obj).items()
+                           if inspect.isfunction(f) and not n.startswith("_")}
+                total += sum(map(_count, methods.values()))
+                names += [f"{info.name}.{name}.{n}" for n in methods]
             elif callable(obj):
                 total += _count(obj)
     return total, sorted(names)

@@ -21,7 +21,6 @@ from .asymptotics import (
     sliding_process_cov,
     theta_asymp_var,
 )
-from .blocks import ranks, sliding_maxima
 from .competitors import CompetitorSpec, cpp_invert, ferro_pi, hsing_pi, robert_pi
 from .cpmodel import (
     BivariatePmfFamily,
@@ -76,7 +75,6 @@ __all__ = [
     "pbar_hat",
     "pbar_theory",
     "pi_from_pbar",
-    "ranks",
     "read_config",
     "recursion_matrix",
     "robert_crossover",
@@ -84,7 +82,6 @@ __all__ = [
     "run",
     "sigma_db",
     "sigma_sb",
-    "sliding_maxima",
     "sliding_process_cov",
     "substream_seed",
     "theta_asymp_var",

@@ -91,7 +91,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric limit covariance matrix for counts 1..m.
+    """Symmetric limit covariance matrix for counts 1..m, m x m ``entries``.
 
     ``quadrature`` is what the quadrature of `sigma_db`/`sigma_sb` reached:
     ``nodes``, the node counts run, and under refinement ``delta``, the
@@ -100,7 +100,6 @@ class CovMatrix:
     matrices built otherwise, and equality ignores it.
     """
 
-    m: int
     entries: np.ndarray
     kind: str
     quadrature: Optional[dict] = field(default=None, compare=False)
@@ -110,12 +109,16 @@ class CovMatrix:
         object.__setattr__(self, "entries", ent)
         if self.kind not in _COV_KINDS:
             raise ValueError(f"kind must be one of {_COV_KINDS}, got {self.kind!r}")
-        if ent.shape != (self.m, self.m):
-            raise ValueError(f"entries must be {self.m}x{self.m}, got {ent.shape}")
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+            raise ValueError(f"entries must be a square matrix, got shape {ent.shape}")
         if ent.size and np.max(np.abs(ent - ent.T)) > 1e-10:
             raise ValueError("covariance entries are not symmetric")
         if ent.size and np.min(np.diag(ent)) < -1e-8:
             raise ValueError("covariance diagonal is negative beyond noise floor")
+
+    @property
+    def m(self):
+        return len(self.entries)
 
 
 def _require_family(model):
@@ -256,7 +259,7 @@ def _sigma(model, m, quad, entries, kind):
             f"of tables, above the {_TABLE_BYTES >> 20} MB limit; lower m or nodes_1d"
         )
     ent, reached = _refined(quad, lambda n: entries(model, m, n))
-    return CovMatrix(m=m, entries=ent, kind=kind, quadrature=reached)
+    return CovMatrix(entries=ent, kind=kind, quadrature=reached)
 
 
 def sigma_db(model, m, quad=None):
@@ -427,7 +430,7 @@ def gamma(sigma, A):
         raise ValueError(f"gamma needs a sigma_db or sigma_sb input, got {sigma.kind}")
     ent = A @ sigma.entries @ A.T
     ent = 0.5 * (ent + ent.T)
-    return CovMatrix(m=sigma.m, entries=ent, kind=kind)
+    return CovMatrix(entries=ent, kind=kind)
 
 
 def theta_asymp_var(gamma_cov, pi, m=None):

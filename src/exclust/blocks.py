@@ -43,8 +43,8 @@ _MODES = ("disjoint", "sliding")
 
 class Sample:
     """A series validated as a 1-d float array ``x`` of n >= 2 finite real
-    values; ``sorted`` and ``ranks`` are computed on first use and kept, and
-    so is the last tops table built in each block layout."""
+    values; ``sorted`` is computed on first use and kept, and so is the last
+    tops table built in each block layout."""
 
     def __init__(self, x):
         x = np.asarray(x)
@@ -63,11 +63,6 @@ class Sample:
     @cached_property
     def sorted(self):
         return np.sort(self.x)
-
-    @cached_property
-    def ranks(self):
-        """Empirical c.d.f. values F_n(X_s): :meth:`cdf` of the sample itself."""
-        return self.cdf(self.x)
 
     def cdf(self, values):
         """F_n(v) = #{t : X_t <= v} / n; ties share a value, and the maximum maps to 1."""
@@ -138,8 +133,9 @@ def sliding_maxima(x, b):
 
 
 def ranks(x):
-    """Empirical c.d.f. values of ``x``: :attr:`Sample.ranks`."""
-    return Sample(x).ranks
+    """Empirical c.d.f. values F_n(X_s) of ``x``, by :meth:`Sample.cdf`."""
+    s = Sample(x)
+    return s.cdf(s.x)
 
 
 def _block_tops(rows, cap):
@@ -147,9 +143,9 @@ def _block_tops(rows, cap):
     a block of w entries has no more exceedances.  So a table needs at most
     n*w entries, whatever the cap.  Each step partitions and sorts a copy of
     at most ``_CHUNK`` times the table's width in entries (one row at
-    least), so a strided view of long sliding windows is never copied whole.
-    It builds the disjoint tables, whose rows share no entries, and is the
-    oracle of :func:`_sliding_tops`.
+    least).  It builds the disjoint tables, whose rows share no entries,
+    and is the oracle of :func:`_sliding_tops`, which the tests hand a
+    strided view of long sliding windows: that view is never copied whole.
     """
     k, w = rows.shape
     width = min(w, cap)

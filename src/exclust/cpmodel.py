@@ -93,9 +93,9 @@ class BivariatePmfFamily:
     """Family sigma -> pi2_sigma of joint laws on J = {(i, j): i >= max(j, 1), j >= 0}.
 
     ``evaluator(sigma, i, j)`` returns pi2_sigma(i, j) and broadcasts over
-    numpy arrays, so a scalar call gives one cell and :meth:`table` gets every
-    cell of every table from one call.  Its values outside J are ignored:
-    :meth:`table` sets those cells to zero.  The first coordinate is the
+    numpy arrays, so a scalar call gives one cell and :func:`bivar_powers`
+    gets every cell of every table from one call.  Its values outside J are
+    ignored: those cells are zero.  The first coordinate is the
     cluster contribution to the longer window, the second to the shorter
     one, with sigma the window-length ratio in [0, 1].  Marginals over j must
     recover pi.  ``breakpoints`` lists the interior sigma values where the
@@ -106,7 +106,7 @@ class BivariatePmfFamily:
     evaluator: Callable
     breakpoints: tuple = ()
 
-    def table(self, sigma, i_max):
+    def _table(self, sigma, i_max):
         """Dense (i_max+1, i_max+1) arrays of pi2_sigma(i, j), zero outside J,
         with a leading axis for each axis of ``sigma``."""
         sigma = np.asarray(sigma, dtype=float)[..., None, None]
@@ -155,7 +155,8 @@ def conv_powers(pi, m):
 
 
 def bivar_powers(family, sigma, m):
-    """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x) for k, r, x in 0..m.
+    """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x) for k, r, x in 0..m, over a
+    1-d array ``sigma`` of window-length ratios.
 
     As in :func:`conv_powers`, power k adds power k-1 shifted by each cell
     (r, x) of J and scaled by its mass, cut at m.  The adds run on two
@@ -168,7 +169,10 @@ def bivar_powers(family, sigma, m):
     calls, 2-vCPU host; ``BENCH_26.json``).
     """
     m = check_count("m", m, 0)
-    T = np.moveaxis(family.table(sigma, m), 0, -1).copy()
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 1:
+        raise ValueError(f"sigma must be a 1-d array of window-length ratios, got shape {sigma.shape}")
+    T = np.moveaxis(family._table(sigma, m), 0, -1).copy()
     B = np.zeros((T.shape[-1], m + 1, m + 1, m + 1))
     B[:, 0, 0, 0] = 1.0
     cur, prev = np.zeros((2, m + 1, m + 1, T.shape[-1]))
@@ -184,9 +188,13 @@ def bivar_powers(family, sigma, m):
 
 
 def poisson_table(lam, k_max):
-    """out[k, ...] = exp(-lam) lam^k / k! for k in 0..k_max, broadcast over lam."""
+    """out[k, ...] = exp(-lam) lam^k / k! for k in 0..k_max, broadcast over
+    lam, whose rates must be finite and >= 0."""
     k_max = check_count("k_max", k_max, 0)
     lam = np.asarray(lam, dtype=float)
+    bad = ~(np.isfinite(lam) & (lam >= 0.0))
+    if bad.any():
+        raise ValueError(f"lam must be finite and >= 0, got {lam[bad].flat[0]}")
     out = np.empty((k_max + 1,) + lam.shape)
     out[0] = np.exp(-lam)
     for k in range(1, k_max + 1):

@@ -56,8 +56,7 @@ class PbarEstimate:
 
     ``values[m-1]`` estimates pbar(m); ``counts[m-1]`` is the number of
     ordered block pairs whose exceedance count equalled m, and ``pair_count``
-    the divisor (k(k-1) for disjoint mode, |D_n| for sliding mode).  The
-    inputs b, mode and scale are not echoed: the caller passed them.
+    the divisor (k(k-1) for disjoint mode, |D_n| for sliding mode).
     """
 
     values: np.ndarray
@@ -101,7 +100,7 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
         raise ValueError(f"need one threshold per window start: expected {P}, got {thresholds.shape}")
     m_max = check_m_max(m_max, x.x.size)
     _check_scale(scale)
-    windows = np.lib.stride_tricks.sliding_window_view(x.x if scale == "z" else x.ranks, b)
+    windows = np.lib.stride_tricks.sliding_window_view(x.x if scale == "z" else x.cdf(x.x), b)
     cap = m_max + 1
     out = np.zeros((P, cap + 1), dtype=np.int64)
     for i in range(P):

@@ -39,19 +39,19 @@ __all__ = [
 
 
 def _blocks_estimator(mode, scale):
-    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max)).values
+    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max))
 
 
-# name: (pi(1..m_max) from a Sample at block size b, plot colour); the
+# name: (the PiEstimate of pi(1..m_max) from a Sample at b, plot colour); the
 # estimators are looked up in this module at call time, so patches reach them
 _TABLE = {
     "db-z": (_blocks_estimator("disjoint", "z"), "#1f77b4"),
     "db-y": (_blocks_estimator("disjoint", "y"), "#aec7e8"),
     "sb-z": (_blocks_estimator("sliding", "z"), "#d62728"),
     "sb-y": (_blocks_estimator("sliding", "y"), "#ff9896"),
-    "hsing": (lambda x, b, m_max: hsing_pi(x, b, m_max).values, "#2ca02c"),
-    "ferro": (lambda x, b, m_max: ferro_pi(x, b, m_max).values, "#9467bd"),
-    "robert": (lambda x, b, m_max: robert_pi(x, CompetitorSpec("robert", b, m_max)).values, "#8c564b"),
+    "hsing": (lambda x, b, m_max: hsing_pi(x, b, m_max), "#2ca02c"),
+    "ferro": (lambda x, b, m_max: ferro_pi(x, b, m_max), "#9467bd"),
+    "robert": (lambda x, b, m_max: robert_pi(x, CompetitorSpec("robert", b, m_max)), "#8c564b"),
 }
 ESTIMATORS = tuple(_TABLE)
 
@@ -152,9 +152,9 @@ class ExperimentConfig:
             if self.truth_pi is not None:
                 pi = _sequence("truth_pi", self.truth_pi)
                 object.__setattr__(self, "truth_pi", tuple(_finite("truth_pi", v) for v in pi))
-            self.truth()  # so a model without limit values fails before the first replication
+            self._truth()  # so a model without limit values fails before the first replication
 
-    def truth(self):
+    def _truth(self):
         """pi(1..m_max), which the summaries are centered on."""
         if self.truth_pi is not None:
             pi = self.truth_pi
@@ -210,7 +210,7 @@ def _run_rep(args):
     for ib, b in enumerate(config.block_grid):
         for ie, est in enumerate(config.estimators):
             try:
-                out[ie, ib] = _TABLE[est][0](x, b, config.m_max)
+                out[ie, ib] = _TABLE[est][0](x, b, config.m_max).values
             except DegenerateEstimateError:
                 pass  # stays NaN; disclosed via n_missing
     return out
@@ -228,7 +228,7 @@ def run(config, workers=None):
             results = pool.map(_run_rep, tasks)
     # (est, b, m, reps): each cell's replications contiguous, reduced over the last axis
     stack = np.ascontiguousarray(np.moveaxis(np.stack(results), 0, -1))
-    truth_pi = config.truth()
+    truth_pi = config._truth()
     n_missing = np.count_nonzero(np.isnan(stack), axis=-1)
     bias, variance, mse = np.full((3,) + n_missing.shape, np.nan)  # NaN where every replication failed
     # a set, not np.unique, which imports numpy.ma (1 MB of peak RSS) on first use

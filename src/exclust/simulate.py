@@ -20,7 +20,7 @@ import numbers
 
 import numpy as np
 
-from .base import check_count
+from .base import _integral, check_count
 from .errors import FieldError
 
 __all__ = ["ModelSpec", "gen", "substream_seed"]
@@ -137,13 +137,16 @@ def substream_seed(master, rep_index):
 
     An avalanche mix (splitmix-style multiply-xorshift rounds) of the pair,
     so distinct indices give unrelated streams and results do not depend on
-    call order.
+    call order.  Both must be integers: ``master`` in 0..2**64 - 1 and
+    ``rep_index`` >= 0.
     """
+    master = _integral("master", master)
+    rep_index = _integral("rep_index", rep_index)
     if rep_index < 0:
         raise ValueError(f"rep_index must be >= 0, got {rep_index}")
-    if not 0 <= int(master) <= _MASK64:
+    if not 0 <= master <= _MASK64:
         raise ValueError("master seed must fit in 64 unsigned bits")
-    z = (int(master) + 0x9E3779B97F4A7C15 * (rep_index + 1)) & _MASK64
+    z = (master + 0x9E3779B97F4A7C15 * (rep_index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)

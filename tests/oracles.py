@@ -112,7 +112,7 @@ def sigma_outer_bivar_powers(family, sigma, m):
     """B[i, k, r, x] = pi2_{sigma[i]}^{*k}(r, x), by the shifted adds of
     ``bivar_powers`` with the sigma axis outermost: the loop that the
     node-innermost slabs replaced, in the same order of adds."""
-    T = family.table(sigma, m)[..., None, None]
+    T = family._table(sigma, m)[..., None, None]
     B = np.zeros((len(T), m + 1, m + 1, m + 1))
     B[:, 0, 0, 0] = 1.0
     cells = [(r, x) for r in range(1, m + 1) for x in range(r + 1)]
@@ -145,7 +145,7 @@ def literal_sigma_sb(model, m, nodes=32):
     M = _conv_powers(model.pi.weights, m)
     pbar = pbar_theory(model, m).weights[1:]
     pp = np.outer(pbar, pbar)
-    BT = np.stack([_bivar_powers(model.pi2.table(si, m), m) for si in s])
+    BT = np.stack([_bivar_powers(model.pi2._table(si, m), m) for si in s])
 
     lam_st = th * np.outer(s, tau)
     pois_st = poisson.pmf(k, lam_st[..., None])

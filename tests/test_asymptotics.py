@@ -113,7 +113,7 @@ def test_bivar_powers_match_convolve2d(model, m):
     sigma = [0.0, 0.1, 0.3, 0.5, 0.77, 1.0]
     got = bivar_powers(model.pi2, sigma, m)
     for si, B in zip(sigma, got):
-        ref = _bivar_powers(model.pi2.table(si, m), m)
+        ref = _bivar_powers(model.pi2._table(si, m), m)
         np.testing.assert_allclose(B, ref, rtol=0, atol=1e-15)
 
 
@@ -162,15 +162,23 @@ def test_quadrature_spec_validation():
 
 def test_cov_matrix_validation():
     good = np.array([[1.0, 0.2], [0.2, 0.5]])
-    CovMatrix(2, good, "sigma_db")
+    CovMatrix(good, "sigma_db")
     with pytest.raises(ValueError):
-        CovMatrix(2, good, "covariance")
+        CovMatrix(good, "covariance")
     with pytest.raises(ValueError):
-        CovMatrix(3, good, "sigma_db")
+        CovMatrix(np.array([[1.0, 0.3], [0.2, 0.5]]), "sigma_db")
     with pytest.raises(ValueError):
-        CovMatrix(2, np.array([[1.0, 0.3], [0.2, 0.5]]), "sigma_db")
-    with pytest.raises(ValueError):
-        CovMatrix(2, np.array([[-1.0, 0.0], [0.0, 0.5]]), "sigma_db")
+        CovMatrix(np.array([[-1.0, 0.0], [0.0, 0.5]]), "sigma_db")
+
+
+@pytest.mark.parametrize("entries, shape", [
+    (np.eye(3)[:2], r"\(2, 3\)"), (np.ones(3), r"\(3,\)"), (np.ones((2, 2, 2)), r"\(2, 2, 2\)"),
+], ids=["2x3", "1-d", "3-d"])
+def test_cov_matrix_refuses_a_non_square_matrix_by_name(entries, shape):
+    # the order m is read off the entries, so they must be square
+    with pytest.raises(ValueError, match=rf"^entries must be a square matrix, got shape {shape}$"):
+        CovMatrix(entries, "sigma_db")
+    assert CovMatrix(np.eye(3), "gamma_db").m == 3
 
 
 def test_models_without_family_are_rejected():
@@ -199,7 +207,7 @@ def test_truncated_pi_is_rejected():
     (lambda m: recursion_matrix(SHORT.pi, pbar_theory(FULL, m), m), "0.59"),
     # pbar(1..5) of the full law leaves 0.387 of pbar's mass 1/2 past 5
     (lambda m: recursion_matrix(FULL.pi, pbar_theory(FULL, 5), m), "0.38689"),
-    (lambda m: theta_asymp_var(CovMatrix(m, np.eye(m), "gamma_db"), SHORT.pi), "0.59"),
+    (lambda m: theta_asymp_var(CovMatrix(np.eye(m), "gamma_db"), SHORT.pi), "0.59"),
 ], ids=["conv_powers", "cpp_pmf", "pbar_theory", "cpp_pmf_dtau", "disjoint_process_var",
         "sliding_process_cov", "recursion_matrix-pi", "recursion_matrix-pbar", "theta_asymp_var"])
 def test_reads_past_a_truncated_support_are_refused_by_m(read, cut):
@@ -298,7 +306,7 @@ def test_sigma_db_closed_forms_match_the_factorial_loops(model):
     (lambda: disjoint_process_var(GEOM, 1.0, 1.5), r"^j=1\.5 is not an integer$"),
     (lambda: sliding_process_cov(GEOM, 1.0, 1.0, 1.5, 1), r"^j=1\.5 is not an integer$"),
     (lambda: sliding_process_cov(GEOM, 1.0, 1.0, 1, -1), r"^j_prime must be >= 0, got -1$"),
-    (lambda: theta_asymp_var(CovMatrix(2, np.eye(2), "gamma_db"), GEOM.pi, 1.5),
+    (lambda: theta_asymp_var(CovMatrix(np.eye(2), "gamma_db"), GEOM.pi, 1.5),
      r"^m=1\.5 is not an integer$"),
 ], ids=["sigma_db-float", "sigma_db-bool", "sigma_sb-zero", "recursion_matrix", "disjoint_process_var",
         "sliding_process_cov", "sliding_process_cov-negative", "theta_asymp_var"])
@@ -550,7 +558,7 @@ def test_covariances_carry_what_the_refinement_reached(evaluate, entries):
     once = evaluate(GEOM, 3, QuadratureSpec(nodes_1d=8, refinement=False))
     assert once.quadrature == {"nodes": (8,), "delta": None, "entry": None}
     # the field stays out of equality, and gamma's matrices have none
-    assert once == CovMatrix(3, once.entries, once.kind)
+    assert once == CovMatrix(once.entries, once.kind)
     assert gamma(once, np.eye(3)).quadrature is None
 
 
@@ -691,7 +699,7 @@ def test_theta_asymp_var_scaling(iid_covs):
     pi = geometric_pi(0.5)
     A = recursion_matrix(pi, pbar_theory(GEOM, 3), 3)
     g = gamma(db3, A)
-    scaled = CovMatrix(3, 7.0 * g.entries, "gamma_db")
+    scaled = CovMatrix(7.0 * g.entries, "gamma_db")
     np.testing.assert_allclose(
         theta_asymp_var(scaled, pi), 7.0 * theta_asymp_var(g, pi), rtol=1e-12
     )

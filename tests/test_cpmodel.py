@@ -169,6 +169,25 @@ def test_non_integer_counts_are_refused_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bivar_powers(max_ar_family(0.5), 0.5, 2),
+     r"^sigma must be a 1-d array of window-length ratios, got shape \(\)$"),
+    (lambda: bivar_powers(max_ar_family(0.5), np.full((2, 3), 0.5), 2),
+     r"^sigma must be a 1-d array of window-length ratios, got shape \(2, 3\)$"),
+    (lambda: poisson_table(np.nan, 3), r"^lam must be finite and >= 0, got nan$"),
+    (lambda: poisson_table(np.inf, 3), r"^lam must be finite and >= 0, got inf$"),
+    (lambda: poisson_table(-1.0, 3), r"^lam must be finite and >= 0, got -1\.0$"),
+    (lambda: poisson_table([0.5, -1.0], 3), r"^lam must be finite and >= 0, got -1\.0$"),
+], ids=["bivar_powers-scalar", "bivar_powers-2d", "poisson_table-nan", "poisson_table-inf",
+        "poisson_table-negative", "poisson_table-negative-entry"])
+def test_bad_values_are_refused_by_name(call, message):
+    # a scalar sigma returned a (3, 3, 3, 3) array read off the table's i
+    # axis, and a 2-d one failed in numpy's broadcast; poisson_table returned
+    # NaNs at NaN, warned at inf and gave signed "probabilities" below 0
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cpp_pmf_rejects_negative_tau():
     with pytest.raises(ValueError):
         cpp_pmf(GEOM, -0.1, 5)
@@ -375,7 +394,7 @@ def test_max_ar_family_reduces_to_iid_family():
                     fam.evaluator(sigma, i, j), ref.evaluator(sigma, i, j), atol=1e-14
                 )
     sigma = np.array([0.0, 0.3, 1.0])
-    assert np.array_equal(fam.table(sigma, 4), ref.table(sigma, 4))
+    assert np.array_equal(fam._table(sigma, 4), ref._table(sigma, 4))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
@@ -387,7 +406,7 @@ def test_family_tables_match_literal_cells(alpha):
     ]
     for fam, literal in families:
         for i_max in range(9):
-            tab = fam.table(sigma, i_max)
+            tab = fam._table(sigma, i_max)
             assert tab.shape == (sigma.size, i_max + 1, i_max + 1)
             ref = np.array([[[literal(s, i, j) for j in range(i_max + 1)]
                              for i in range(i_max + 1)] for s in sigma])
@@ -395,7 +414,7 @@ def test_family_tables_match_literal_cells(alpha):
             i, j = np.indices((i_max + 1, i_max + 1))
             assert np.all(tab[:, i < np.maximum(j, 1)] == 0.0)
             # one call on the sigma array gives the stack of the scalar-sigma tables
-            assert np.array_equal(tab, np.stack([fam.table(s, i_max) for s in sigma]))
+            assert np.array_equal(tab, np.stack([fam._table(s, i_max) for s in sigma]))
 
 
 def test_max_ar_family_validates_alpha():
@@ -406,7 +425,7 @@ def test_max_ar_family_validates_alpha():
 
 
 def test_bivariate_table_shape():
-    tab = iid_model().pi2.table(0.5, 4)
+    tab = iid_model().pi2._table(0.5, 4)
     assert tab.shape == (5, 5)
     np.testing.assert_allclose(tab.sum(), 1.0, atol=1e-12)
 
@@ -415,7 +434,7 @@ def test_bivariate_table_rejects_sigma_outside_unit_interval():
     for fam in (iid_model().pi2, GEOM.pi2):
         for sigma in (-0.1, 1.5, np.nan, [0.5, 1.0 + 1e-12]):
             with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\]"):
-                fam.table(sigma, 3)
+                fam._table(sigma, 3)
 
 
 def test_geometric_pi_values():

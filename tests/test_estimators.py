@@ -504,7 +504,7 @@ def test_a_sample_gives_the_estimates_of_its_array():
     assert np.array_equal(hsing_pi(s, b, 4).values, hsing_pi(x, b, 4).values)
     assert np.array_equal(ferro_pi(s, b, 4).values, ferro_pi(x, b, 4).values)
     assert np.array_equal(robert_pi(s, spec).values, robert_pi(x, spec).values)
-    assert s.ranks is s.ranks and np.array_equal(s.ranks, ranks(x))
+    assert np.array_equal(s.cdf(s.x), ranks(x))
 
 
 def test_sweep_checks_threshold_length():

@@ -179,7 +179,7 @@ def test_config_without_limit_values_fails_before_the_first_replication(monkeypa
 
 
 def test_truth_armax_is_geometric():
-    pi = ExperimentConfig("armax", 0.5).truth()
+    pi = ExperimentConfig("armax", 0.5)._truth()
     np.testing.assert_allclose(pi, [0.5, 0.25, 0.125, 0.0625, 0.03125])
 
 
@@ -187,7 +187,7 @@ def test_armax_truth_reaches_any_m_max():
     # the truth stopped at geometric_pi's 40-count support: m_max=45 ran every
     # replication, then failed to broadcast (1,1,45) against (40,) in the fold
     cfg = ExperimentConfig("armax", 0.5, n=200, reps=2, m_max=45, block_grid=(6,), estimators=("sb-z",))
-    pi = cfg.truth()
+    pi = cfg._truth()
     assert pi.shape == (45,) and pi[44] == 0.5**45
     rows = run(cfg, workers=1).rows
     assert [r.m for r in rows] == list(range(1, 46))
@@ -230,25 +230,25 @@ def test_run_refuses_a_worker_count_below_one_or_not_integral(monkeypatch, worke
 
 
 def test_truth_fixed_lists():
-    pi = ExperimentConfig("sqarch", 0.5).truth()
+    pi = ExperimentConfig("sqarch", 0.5)._truth()
     np.testing.assert_allclose(pi, [0.751, 0.168, 0.055, 0.014, 0.008])
-    pi = ExperimentConfig("ar_uniform", 4).truth()
+    pi = ExperimentConfig("ar_uniform", 4)._truth()
     np.testing.assert_allclose(pi, [0.75, 0.1875, 0.0469, 0.0117, 0.0029])
 
 
 def test_truth_iid():
-    pi = ExperimentConfig("iid_frechet").truth()
+    pi = ExperimentConfig("iid_frechet")._truth()
     np.testing.assert_allclose(pi, [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_truth_override():
-    pi = ExperimentConfig("sqarch", 0.3, truth_pi=(0.8, 0.1, 0.05, 0.03, 0.02)).truth()
+    pi = ExperimentConfig("sqarch", 0.3, truth_pi=(0.8, 0.1, 0.05, 0.03, 0.02))._truth()
     np.testing.assert_allclose(pi, [0.8, 0.1, 0.05, 0.03, 0.02])
 
 
 def test_truth_unknown_parameter_requires_override():
     with pytest.raises(ValueError):
-        ExperimentConfig("sqarch", 0.3).truth()
+        ExperimentConfig("sqarch", 0.3)._truth()
 
 
 def test_table_shape(tiny_table):
@@ -332,7 +332,7 @@ def test_partly_missing_reps_are_summarized_over_the_survivors(monkeypatch):
     monkeypatch.setattr(ex, "hsing_pi", flaky)
     cfg = ExperimentConfig("iid_frechet", n=100, reps=5, block_grid=(6, 10),
                            estimators=("hsing",), master_seed=5)
-    truth = cfg.truth()
+    truth = cfg._truth()
     table = run(cfg, workers=1)
     assert [row.n_missing for row in table.rows] == [2] * 5 + [1] * 5
     for row in table.rows:
@@ -431,7 +431,7 @@ def test_read_config_truth_override(tmp_path):
         "model_kind = sqarch\nmodel_param = 0.3\n"
         "truth_pi = 0.8, 0.1, 0.05, 0.03, 0.02\n"
     )
-    pi = read_config(cfg_file).truth()
+    pi = read_config(cfg_file)._truth()
     np.testing.assert_allclose(pi, [0.8, 0.1, 0.05, 0.03, 0.02])
     # theta is not a config key: the summaries center on pi alone
     cfg_file.write_text("model_kind = sqarch\nmodel_param = 0.3\ntruth_theta = 0.8\n")

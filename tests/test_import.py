@@ -1,7 +1,8 @@
 """What a bare ``import exclust`` loads, that every public name resolves and
-every public function has a caller outside its module, that the package runs
-without scipy, and that the README's examples run."""
+every public function and method has a caller outside its module, that the
+package runs without scipy, and that the README's examples run."""
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -84,22 +85,46 @@ def _names_read(path):
     return names
 
 
+def _read_outside():
+    """(module name, module, the names read outside it) for each submodule with
+    an ``__all__``: read by another module of the package (not the re-exports
+    of __init__), by perfbench or by an acceptance criterion."""
+    callers = {path: _names_read(path) for path in [
+        *(SRC / "exclust").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+        ROOT / "tests" / "test_acceptance.py"] if path.name != "__init__.py"}
+    for module in _PUBLIC[1:]:
+        mod = importlib.import_module(module)
+        own = Path(mod.__file__).resolve()
+        yield module, mod, set().union(*(names for path, names in callers.items() if path.resolve() != own))
+
+
 def test_every_public_function_has_a_caller_outside_its_module():
     # a function stays public only if another module of the package (not the
     # re-exports of __init__), perfbench or an acceptance criterion calls it;
     # one that only its own tests call is private, or an oracle in tests/
-    callers = {path: _names_read(path) for path in [
-        *(SRC / "exclust").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-        ROOT / "tests" / "test_acceptance.py"] if path.name != "__init__.py"}
     uncalled = []
-    for module in _PUBLIC[1:]:
-        mod = importlib.import_module(module)
-        own = Path(mod.__file__).resolve()
-        read = set().union(*(names for path, names in callers.items() if path.resolve() != own))
+    for module, mod, read in _read_outside():
         for name in mod.__all__:
             obj = getattr(mod, name)
             if callable(obj) and not inspect.isclass(obj) and name not in read:
                 uncalled.append(f"{module}.{name}")
+    assert uncalled == []
+
+
+def test_every_public_method_has_a_caller_outside_its_module():
+    # the same rule for the methods, properties and cached properties defined
+    # in the body of each public class: one that only its own module or its
+    # tests read is private
+    uncalled = []
+    for module, mod, read in _read_outside():
+        for name in mod.__all__:
+            cls = getattr(mod, name)
+            if not inspect.isclass(cls) or cls.__module__ != module:
+                continue
+            for attr, member in vars(cls).items():
+                if (not attr.startswith("_") and attr not in read and (
+                        inspect.isfunction(member) or isinstance(member, (property, functools.cached_property)))):
+                    uncalled.append(f"{module}.{name}.{attr}")
     assert uncalled == []
 
 

@@ -175,6 +175,25 @@ def test_substream_validation():
         substream_seed(2**64, 0)
 
 
+@pytest.mark.parametrize("master, rep_index, message", [
+    (1.5, 1, r"^master=1\.5 is not an integer$"),
+    (True, 1, r"^master=True is not an integer$"),
+    ("3", 1, r"^master=3 is not an integer$"),
+    (float("nan"), 1, r"^master=nan is not an integer$"),
+    (float("inf"), 1, r"^master=inf is not an integer$"),
+    (-float("inf"), 1, r"^master=-inf is not an integer$"),
+    (0, 1.5, r"^rep_index=1\.5 is not an integer$"),
+    (0, True, r"^rep_index=True is not an integer$"),
+], ids=["float-master", "bool-master", "str-master", "nan-master", "inf-master", "-inf-master",
+        "float-rep_index", "bool-rep_index"])
+def test_substream_seed_refuses_bad_values_by_name(master, rep_index, message):
+    # 1.5 gave master 1's stream, True and "3" passed as 1 and 3, NaN and inf
+    # raised messages that named nothing (inf an OverflowError), and a float
+    # rep_index a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        substream_seed(master, rep_index)
+
+
 def test_burnin_shift_within_noise():
     # doubling the burn-in must not move the Monte Carlo mean of pi-hat(1)
     # beyond its sampling noise
