@@ -9,7 +9,9 @@ where it is defined.  A third column gives the traced memory peak of one
 sliding ``pbar_hat`` call on an armax array at n = 1e5 over the bytes of
 its tops table, on the z and y scales, and a fourth the traced peak of a
 fresh sliding ``Sample.tops`` build on that array at b = 20 and b = 2,000
-(cap 6) over the bytes of the table it returns.  Counting and measuring
+(cap 6) over the bytes of the table it returns, and a fifth the traced
+peak of one replication's four estimators on disjoint tops tables at n =
+2e5 over the bytes of its largest table.  Counting and measuring
 import the package, so numpy must be installed.  Under the table, when a
 base is given, come the public names that only one of the two trees has:
 ``module.name`` over the same ``__all__`` entries, ``module.Class.method``
@@ -109,32 +111,59 @@ def build_ratios():
     return ratios
 
 
+def pass_ratio():
+    """The tracemalloc peak of one replication's four estimators on disjoint
+    tops tables (db-z, db-y, hsing and robert over the default block grid,
+    ``experiments._run_rep`` handed an armax array of n = 2e5) over the
+    bytes of its largest table (b = 6, cap 6), with the ``exclust`` on
+    ``sys.path``."""
+    import tracemalloc
+
+    from exclust import experiments
+    from exclust.simulate import ModelSpec, gen
+
+    x = gen(ModelSpec("armax", 200_000, 0.5, seed=4))
+    estimators = ("db-z", "db-y", "hsing", "robert")
+    small = experiments.ExperimentConfig("armax", 0.5, n=200, reps=2, block_grid=(6, 8), estimators=estimators)
+    experiments._run_rep((small, 0))  # warm-up
+    config = experiments.ExperimentConfig("armax", 0.5, n=x.size, reps=2, estimators=estimators)
+    experiments.gen = lambda spec: x  # this interpreter's own copy of the package
+    tracemalloc.start()
+    try:
+        experiments._run_rep((config, 0))
+        return tracemalloc.get_traced_memory()[1] / (x.size // 6 * 6 * 8)
+    finally:
+        tracemalloc.stop()
+
+
 def _row(label, root):
     """The table row of the tree at ``root`` and its set of public names."""
     src = Path(root, "src")
     lines = sum(p.read_bytes().count(b"\n") for p in sorted(src.glob("exclust/*.py")))
     # a fresh interpreter per tree, so the two trees' packages never mix
     env = dict(os.environ, PYTHONPATH=str(src))
-    params, z, y, b20, b2000, *names = subprocess.run([sys.executable, __file__, "--count"], env=env,
-                                                      check=True, capture_output=True, text=True).stdout.split()
-    return f"| {label} | {lines:,} | {int(params):,} | {z} / {y} | {b20} / {b2000} |", set(names)
+    params, z, y, b20, b2000, grid, *names = subprocess.run([sys.executable, __file__, "--count"], env=env,
+                                                            check=True, capture_output=True,
+                                                            text=True).stdout.split()
+    return f"| {label} | {lines:,} | {int(params):,} | {z} / {y} | {b20} / {b2000} | {grid} |", set(names)
 
 
 def main(argv):
     if argv == ["--count"]:
         params, names = public_parameters()
-        print(params, *(f"{r:.2f}" for r in peak_ratios() + build_ratios()), *names)
+        print(params, *(f"{r:.2f}" for r in peak_ratios() + build_ratios() + [pass_ratio()]), *names)
         return 0
     base = argv[0] if argv else ""
     base_names = None
     print("| tree | lines of src/exclust/*.py | public parameters | sliding pbar_hat peak / tops table (z / y) "
-          "| fresh sliding tops build peak / table (b = 20 / 2,000) |")
-    print("| --- | ---: | ---: | ---: | ---: |")
+          "| fresh sliding tops build peak / table (b = 20 / 2,000) "
+          "| disjoint estimators of one replication peak / b = 6 table |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: |")
     if base.strip("0"):
         present = subprocess.run(["git", "cat-file", "-e", f"{base}^{{commit}}"],
                                  capture_output=True).returncode == 0
         if not present:
-            print(f"| base {base[:12]} | not in this checkout | | | |")
+            print(f"| base {base[:12]} | not in this checkout | | | | |")
         else:
             with tempfile.TemporaryDirectory() as tmp:
                 archive = subprocess.run(["git", "archive", base, "src"], check=True,

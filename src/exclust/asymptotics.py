@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import _finite, _integral, check_count
+from .base import _TABLE_BYTES, _finite, _integral, check_count
 from .cpmodel import (
     bivar_powers,
     conv_powers,
@@ -69,9 +69,6 @@ _CHUNK_BYTES = 1 << 20
 
 # window-ratio rows of one kernel tile in `_sigma_sb_entries`
 _TILE_ROWS = 256
-
-# most table memory a covariance pass may hold (see `_table_bytes`)
-_TABLE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,11 @@ class CovMatrix:
     @property
     def m(self):
         return len(self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, CovMatrix):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.entries, other.entries)
 
 
 def _require_family(model):

@@ -4,6 +4,10 @@ import math
 import numbers
 from contextlib import suppress
 
+# most table memory one call may hold: a covariance pass (`asymptotics._table_bytes`)
+# or a power table of `cpmodel`
+_TABLE_BYTES = 256 << 20
+
 
 def _integral(name, value):
     """Return ``value`` as an int; it must be a finite integral number and

@@ -18,10 +18,12 @@ windows gained.
 
 Cluster sizes are counts of strict exceedances within blocks.
 :func:`exceedance_histogram` counts the blocks by capped exceedance count
-at many thresholds at once.  :func:`exceedance_totals` sums those counts
-over thresholds, one per block, leaving out the blocks less than a radius
->= 1 from each (the block itself, or the windows that overlap it).  Both
-search one sorted column of the table at a time.  The totals are counted
+at many thresholds at once, and, for rows of one threshold per block, the
+ordered pairs of a block and another block: the count of a disjoint table,
+whose every reader it searches at once.  :func:`exceedance_totals` sums
+those counts over thresholds, one per block, leaving out the blocks less
+than a radius >= 1 from each (the windows that overlap it, on a sliding
+table).  Both search one sorted column of the table at a time.  The totals are counted
 on the tops table itself: besides it, a call holds that column, O(runs)
 integers for the runs of equal thresholds and O(``_CHUNK`` * w) entries
 per step, and builds no padded copy, per-row or per-run table.  A tops
@@ -35,7 +37,7 @@ import numpy as np
 
 from .base import check_block_size, check_count
 
-__all__ = ["Sample", "sliding_maxima", "ranks", "exceedance_histogram", "exceedance_totals"]
+__all__ = ["Sample", "sliding_maxima", "ranks", "exceedance_totals"]
 
 _CHUNK = 4096  # blocks reduced to their top order statistics per step
 _MODES = ("disjoint", "sliding")
@@ -230,18 +232,37 @@ def pad_counts(counts, width):
     return np.concatenate((counts, np.zeros(counts.shape[:-1] + (short,), counts.dtype)), axis=-1)
 
 
-def exceedance_histogram(tops, thresholds):
+def exceedance_histogram(tops, thresholds, own=()):
     """Row t counts the blocks with exactly c entries above ``thresholds[t]``,
     c = 0..w, where ``tops`` holds the w largest entries of every block
     (:func:`_block_tops`, or :meth:`Sample.tops`); counts are capped at w.
+    Each row of ``own``, one threshold per block, adds a row before those:
+    the ordered pairs of a block q and another block i where block i has c
+    entries above ``own[r, q]``, which is the sum of the rows at the
+    thresholds of all blocks minus each block's own count.
+
+    Each column is sorted once and searched once, by all the thresholds in
+    ascending order (sorted keys are searched in cache order), and summed
+    as it goes: besides the result and one sorted column, a call holds
+    three integers and two floats per threshold.
     """
     k, cap = tops.shape
-    # below[t, c] = #blocks whose capped count is < c, c = 0..cap+1
-    below = np.zeros((len(thresholds), cap + 2), dtype=np.int64)
+    own = np.asarray(own, dtype=float).reshape(-1, k)
+    keys = np.concatenate((own.ravel(), np.asarray(thresholds, dtype=float)))
+    order = np.argsort(keys)
+    found = np.empty(keys.size, dtype=np.int64)
+    # below[r, c] = #(threshold, block) pairs of row r whose block's capped count is < c, c = 0..cap+1
+    below = np.zeros((len(own) + keys.size - own.size, cap + 2), dtype=np.int64)
     below[:, -1] = k
-    for j, column in enumerate(_below(tops, thresholds)):
-        below[:, j + 1] = column
-    return np.diff(below, axis=1)
+    below[: len(own), -1] *= k
+    for j, column in enumerate(_below(tops, keys[order])):
+        found[order] = column
+        below[: len(own), j + 1] = found[: own.size].reshape(own.shape).sum(axis=1)
+        below[len(own) :, j + 1] = found[own.size :]
+    hist = np.diff(below, axis=1)
+    for r, thr in enumerate(own):
+        hist[r] -= np.bincount((tops > thr[:, None]).sum(axis=1), minlength=cap + 1)
+    return hist
 
 
 def _below(tops, thresholds):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _finite, _integral, check_block_size, check_m_max
-from .blocks import exceedance_histogram, pad_counts, sample
+from .blocks import sample
 from .errors import DegenerateEstimateError
-from .estimators import PiEstimate
+from .estimators import PiEstimate, _disjoint_pass, pi_from_pbar
 
 __all__ = [
     "CompetitorSpec",
@@ -86,20 +86,17 @@ def hsing_pi(x, b, m_max=5):
 
     The threshold is the (n - floor(n/s))-th ascending order statistic with
     s = 2(b - 3), so about n/s observations exceed it.  The estimate is the
-    fraction of occupied blocks containing exactly m exceedances.
+    fraction of occupied blocks containing exactly m exceedances.  This is
+    :func:`_disjoint_grid` on the one block size b.
     """
     x = sample(x)
     n = x.x.size
     b = check_block_rule("hsing", n, b)
     m_max = check_m_max(m_max, n)
-    s = 2 * (b - 3)
-    v = x.sorted[n - n // s - 1]
-    hist = exceedance_histogram(x.tops(b, "disjoint", m_max + 1), [v])[0]
-    hist = pad_counts(hist, m_max + 2)
-    occupied = n // b - hist[0]
-    if occupied == 0:
+    values = _disjoint_grid(x, (b,), m_max, ("hsing",))["hsing"][0]
+    if np.isnan(values[0]):
         raise DegenerateEstimateError("no block contains an exceedance")
-    return PiEstimate(values=hist[1 : m_max + 1] / occupied)
+    return PiEstimate(values=values)
 
 
 def _split_clusters(positions, n_clusters):
@@ -217,23 +214,61 @@ def robert_pi(x, spec):
     expected exceedances per block); the empirical count fractions are
     inverted through the compound-Poisson law and the results averaged over
     the grid.  Grid points with a degenerate zero-count fraction are
-    skipped.  The kept rows are inverted in one power table (see
-    :func:`cpp_invert` for its dot rule) and summed in grid order.
+    skipped.  This is :func:`_disjoint_grid` on the one block size b.
     """
     x = sample(x)
     n = x.x.size
     b = check_block_rule("robert", n, spec.b)
     check_m_max(spec.m_max, n)
-    k = n // b
     taus = np.linspace(spec.robert_sigma, spec.robert_phi, spec.robert_grid)
-    rank = np.ceil(k * taus).astype(np.int64)
-    thresholds = x.sorted[n - rank[rank <= n]]  # the rank-th largest values
-    tops = x.tops(b, "disjoint", spec.m_max + 1)
-    phats = pad_counts(exceedance_histogram(tops, thresholds), spec.m_max + 1)[:, : spec.m_max + 1] / k
-    phats = phats[(0.0 < phats[:, 0]) & (phats[:, 0] < 1.0)]
-    if not phats.size:
+    values = _disjoint_grid(x, (b,), spec.m_max, ("robert",), taus)["robert"][0]
+    if np.isnan(values[0]):
         raise DegenerateEstimateError("every grid threshold was degenerate")
-    acc = np.zeros(spec.m_max)
-    for row in _invert_rows(phats)[1][:, 1:]:
-        acc += row  # np.sum would add the rows pairwise, in another order
-    return PiEstimate(values=acc / len(phats))
+    return PiEstimate(values=values)
+
+
+def _disjoint_grid(x, grid, m_max, readers, taus=None):
+    """reader: pi(1..m_max) at every b of ``grid``, NaN where the per-b call
+    raises, for each reader of the disjoint tables in ``readers``: "z" and
+    "y" (disjoint :func:`pbar_hat`, then :func:`pi_from_pbar`), "hsing" and
+    "robert" (on the threshold scales ``taus``), in one
+    :func:`~exclust.estimators._disjoint_pass`.  What follows the counts
+    runs once over the grid, row by row, in the floats of the per-b calls;
+    Robert's kept rows share one power table (:func:`cpp_invert`'s dot rule
+    does not depend on the rows batched).  A scale past the sample, ceil(k
+    tau) > n, gets the threshold -inf, whose count fraction p(0) = 0 skips it.
+    """
+    n = x.x.size
+    k = np.array([n // b for b in grid])
+    scales = [r for r in readers if r in ("z", "y")]
+    shared = np.empty((len(grid), 0))
+    if "hsing" in readers:
+        hsing = [x.sorted[n - n // (2 * (b - 3)) - 1] for b in grid]
+        shared = np.column_stack((shared, hsing))
+    if "robert" in readers:
+        rank = np.ceil(k[:, None] * taus).astype(np.int64)  # the rank-th largest values
+        shared = np.column_stack((shared, np.where(rank <= n, x.sorted[n - np.minimum(rank, n)], -np.inf)))
+    pairs, hists = _disjoint_pass(x, grid, m_max, scales, shared)
+    out = {scale: pi_from_pbar(p[:, 1:-1] / p.sum(axis=1, keepdims=True)).values for scale, p in zip(scales, pairs)}
+    if "hsing" in readers:
+        h = hists[:, 0]
+        occupied = (k - h[:, 0])[:, None]
+        out["hsing"] = np.divide(h[:, 1:-1], occupied, out=np.full((len(grid), m_max), np.nan), where=occupied > 0)
+    if "robert" in readers:
+        out["robert"] = _robert_means(hists[:, "hsing" in readers :, : m_max + 1] / k[:, None, None])
+    return out
+
+
+def _robert_means(phats):
+    """The mean of the inverted kept rows, 0 < p(0) < 1, of each block size's
+    count fractions p(0..m) ``phats[i]``, NaN where none is kept.  Adding a
+    skipped row as +0.0 leaves a sum begun at +0.0 as it is, so each b's sum
+    takes its kept rows one at a time, in grid order, as a loop over them does."""
+    kept = (0.0 < phats[..., 0]) & (phats[..., 0] < 1.0)
+    rows = np.zeros(phats[..., 1:].shape)
+    rows[kept] = _invert_rows(phats[kept])[1][:, 1:]
+    acc = np.zeros((len(phats), rows.shape[-1]))
+    for j in range(rows.shape[1]):
+        acc += rows[:, j]  # np.sum would add the rows pairwise, in another order
+    used = kept.sum(axis=1)[:, None]
+    return np.divide(acc, used, out=np.full(acc.shape, np.nan), where=used > 0)

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .base import _finite, check_count
+from .base import _TABLE_BYTES, _finite, check_count
 
 __all__ = [
     "Pmf",
@@ -144,8 +144,10 @@ def conv_powers(pi, m):
 
     Mass only moves upward (pi(0) = 0), so truncating every power at m stays
     exact; :meth:`Pmf.head` refuses an m past a support that truncates mass.
+    A table above ``_TABLE_BYTES`` is refused before it is allocated.
     """
     m = check_count("m", m, 0)
+    _check_table(m, 8 * (m + 1) ** 2)
     w = pi.head(m)
     P = np.zeros((m + 1, m + 1))
     P[0, 0] = 1.0
@@ -166,12 +168,14 @@ def bivar_powers(family, sigma, m):
     slabs, with no operator over pairs of cells.  At m=5 on 128 nodes in
     each of the 34 panels of the geometric alpha=0.5 family a call took
     23 ms, against 89 ms with sigma outermost (in-process minima of 9
-    calls, 2-vCPU host; ``BENCH_26.json``).
+    calls, 2-vCPU host; ``BENCH_26.json``).  A result above
+    ``_TABLE_BYTES`` is refused before anything is allocated.
     """
     m = check_count("m", m, 0)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
         raise ValueError(f"sigma must be a 1-d array of window-length ratios, got shape {sigma.shape}")
+    _check_table(m, 8 * sigma.size * (m + 1) ** 3, f" on {sigma.size} window-length ratios")
     T = np.moveaxis(family._table(sigma, m), 0, -1).copy()
     B = np.zeros((T.shape[-1], m + 1, m + 1, m + 1))
     B[:, 0, 0, 0] = 1.0
@@ -185,6 +189,14 @@ def bivar_powers(family, sigma, m):
         B[:, k] = np.moveaxis(cur, -1, 0)
         cur, prev = prev, cur
     return B
+
+
+def _check_table(m, need, on=""):
+    """Refuse a table of ``need`` bytes above ``_TABLE_BYTES``, naming the
+    count m it grows with."""
+    if need > _TABLE_BYTES:
+        raise ValueError(f"m={m}{on} needs a {need / 2**20:,.0f} MB table, "
+                         f"above the {_TABLE_BYTES >> 20} MB limit")
 
 
 def poisson_table(lam, k_max):
@@ -207,7 +219,8 @@ def cpp_pmf(model, tau, m_max):
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     m_max = check_count("m_max", m_max, 0)
-    w = poisson_table(model.theta * _finite("tau", tau), m_max) @ conv_powers(model.pi, m_max)
+    powers = conv_powers(model.pi, m_max)  # first, so a table above the budget is refused before any other
+    w = poisson_table(model.theta * _finite("tau", tau), m_max) @ powers
     return Pmf(w, trunc_mass=max(0.0, 1.0 - w.sum()))
 
 

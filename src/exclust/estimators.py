@@ -15,11 +15,16 @@ Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
 its block tops from the sample.  F_n is monotone, so a y-scale level maps
 to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), once
 per run of equal block maxima, and both scales read the same tops table
-of the values.  Both modes take their pair counts from
+of the values.  Sliding calls take their pair counts from
 :func:`~exclust.blocks.exceedance_totals`: capped count totals over
 ordered pairs of a block's maximum and another block, leaving out the
-near blocks of each block: itself (disjoint) or the windows that overlap
-it (sliding).  A sliding call on an array peaks at 1.33x (z) and 1.71x (y)
+windows that overlap it.  Disjoint calls are :func:`_disjoint_pass` on one
+block size, the pass that also serves Hsing's and Robert's estimators over
+a whole block grid: each column of a disjoint table is sorted once and
+searched once by every reader's thresholds
+(:func:`~exclust.blocks.exceedance_histogram`), and the pair totals are
+the rows at all blocks' thresholds minus each block's own count.  A
+sliding call on an array peaks at 1.33x (z) and 1.71x (y)
 the bytes of its tops table, which holds n - b + 1 rows of min(m_max + 1,
 b) values (tracemalloc, armax, b = 20, m_max = 5, n from 5e4 to 1e6; the
 y scale adds the sorted series and one threshold per block).  Time grows
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import _run_bounds, exceedance_totals, pad_counts, sample
+from .blocks import _run_bounds, exceedance_histogram, exceedance_totals, pad_counts, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -111,22 +116,22 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
 
 
 def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
-    """Pair-averaged estimate of pbar(1..m_max) from one sample; on the y scale
-    each run of equal block maxima is mapped to a value threshold once."""
+    """Pair-averaged estimate of pbar(1..m_max) from one sample.  A disjoint
+    call is :func:`_disjoint_pass` on the one block size b; on the sliding
+    y scale each run of equal block maxima is mapped to a value threshold once."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
     m_max = check_m_max(m_max, x.x.size)
     _check_scale(scale)
-    tops = x.tops(b, mode, m_max + 1)
-    thr = tops[:, 0]
-    if scale == "y":
-        # Y_i = -b*log(F_n(M_i)) turns the condition F_n(X_s) > 1 - Y_i/b into
-        # F_n(X_s) > 1 + log(F_n(M_i)); F_n(M_i) >= 1/n keeps the log finite.
-        bounds = _run_bounds(thr)
-        level = x.cdf_threshold(1.0 + np.log(x.cdf(thr[bounds[:-1]])))
-        thr = np.repeat(level, np.diff(bounds))
-    hist = exceedance_totals(tops, thr, 1 if mode == "disjoint" else b)
-    hist = pad_counts(hist, m_max + 2)
+    if mode == "disjoint":
+        hist = _disjoint_pass(x, (b,), m_max, (scale,))[0][0, 0]
+    else:
+        tops = x.tops(b, mode, m_max + 1)
+        thr = tops[:, 0]
+        if scale == "y":
+            bounds = _run_bounds(thr)
+            thr = np.repeat(_y_levels(x, x.cdf(thr[bounds[:-1]])), np.diff(bounds))
+        hist = pad_counts(exceedance_totals(tops, thr, b), m_max + 2)
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 
     counts = hist[1 : m_max + 1].astype(np.int64)
@@ -134,18 +139,59 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     return PbarEstimate(values=values, counts=counts, pair_count=pair_count)
 
 
+def _y_levels(x, cdf):
+    """The value thresholds of the y scale from the c.d.f. values F_n(M_i) of
+    block maxima, computed in ``cdf``'s place: Y_i = -b*log(F_n(M_i)) turns
+    the condition F_n(X_s) > 1 - Y_i/b into F_n(X_s) > 1 + log(F_n(M_i));
+    F_n(M_i) >= 1/n keeps the log finite."""
+    np.log(cdf, out=cdf)
+    cdf += 1.0
+    return x.cdf_threshold(cdf)
+
+
+def _disjoint_pass(x, grid, m_max, scales, shared=None):
+    """The disjoint-blocks counts at every b of ``grid``, one tops table
+    (cap m_max + 1) at a time, searched once by the thresholds of every
+    reader (:func:`~exclust.blocks.exceedance_histogram`).  ``pairs[r, i,
+    c]`` counts the ordered pairs of a block and another block with c
+    exceedances at the block maxima on scale ``scales[r]`` ("z" or "y"; the
+    y levels of the whole grid are mapped at once), and ``hists[i, t, c]``
+    the blocks with c exceedances at ``shared[i, t]``, c = 0..m_max + 1.
+    """
+    n = x.x.size
+    if "y" in scales:
+        ends = np.cumsum([n // b for b in grid])
+        levels = np.empty(ends[-1])  # the block maxima of the whole grid, then their y levels
+        for b, lo, hi in zip(grid, np.concatenate(([0], ends[:-1])), ends):
+            x.x[: (hi - lo) * b].reshape(-1, b).max(axis=1, out=levels[lo:hi])
+        levels = x.cdf(levels)  # each step frees the one before
+        levels = np.split(_y_levels(x, levels), ends[:-1])
+    shared = np.empty((len(grid), 0)) if shared is None else np.asarray(shared, dtype=float)
+    pairs = np.zeros((len(scales), len(grid), m_max + 2), dtype=np.int64)
+    hists = np.zeros(shared.shape + (m_max + 2,), dtype=np.int64)
+    for i, b in enumerate(grid):
+        tops = x.tops(b, "disjoint", m_max + 1)
+        w = tops.shape[1]
+        own = [tops[:, 0] if scale == "z" else levels[i] for scale in scales]
+        hist = exceedance_histogram(tops, shared[i], own)
+        pairs[:, i, : w + 1] = hist[: len(own)]
+        hists[i, :, : w + 1] = hist[len(own) :]
+    return pairs, hists
+
+
 def pi_from_pbar(pbar, clip=False):
     """Invert the pbar recursion: pi(m) = 4*pbar(m) - 2*sum_{k<m} pi(m-k)*pbar(k).
 
+    ``pbar`` is a :class:`PbarEstimate` or its values; on an array of rows
+    the recursion runs on the last axis, in the floats of each row alone.
     Raw outputs may be negative; ``clip`` applies a post-hoc floor at zero
     (no renormalization).
     """
-    p = np.asarray(pbar.values, dtype=float)
-    m_max = p.size
-    pi = np.zeros(m_max)
-    for m in range(1, m_max + 1):
-        s = sum(pi[m - k - 1] * p[k - 1] for k in range(1, m))
-        pi[m - 1] = 4.0 * p[m - 1] - 2.0 * s
+    p = np.asarray(getattr(pbar, "values", pbar), dtype=float)
+    pi = np.zeros(p.shape)
+    for m in range(1, p.shape[-1] + 1):
+        s = sum(pi[..., m - k - 1] * p[..., k - 1] for k in range(1, m))
+        pi[..., m - 1] = 4.0 * p[..., m - 1] - 2.0 * s
     if clip:
         pi = np.maximum(pi, 0.0)
     return PiEstimate(values=pi)

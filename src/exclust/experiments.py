@@ -4,9 +4,12 @@ Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
 pi-hat(m) against the model's known limit values.  A replication validates
 and sorts its series once, as one :class:`~exclust.blocks.Sample` read by
-every (estimator, b) cell; it keeps one tops table per block layout,
-which serves both threshold scales, and the sliding one grows along the
-block grid.  Replications are pure functions of a mixed per-rep seed and
+every (estimator, b) cell.  The four estimators on disjoint blocks (db-z,
+db-y, hsing and robert) run first, in one pass over the whole block grid
+(:func:`~exclust.competitors._disjoint_grid`) that searches each disjoint
+table once for all of them; then sb-z, sb-y and ferro run per b, and the
+sliding table, which serves both threshold scales, grows along the block
+grid.  Replications are pure functions of a mixed per-rep seed and
 are folded in rep order, so results are byte-identical for any worker
 count.
 """
@@ -20,7 +23,8 @@ import numpy as np
 
 from .base import _finite, _integral, check_block_size, check_count, check_m_max
 from .blocks import Sample
-from .competitors import CompetitorSpec, check_block_rule, ferro_pi, hsing_pi, robert_pi
+from .competitors import CompetitorSpec, _disjoint_grid, check_block_rule, ferro_pi
+from .competitors import hsing_pi, robert_pi  # noqa: F401  (perfbench patches its spans in here)
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError, FieldError
 from .estimators import pbar_hat, pi_from_pbar
@@ -38,24 +42,29 @@ __all__ = [
 ]
 
 
-def _blocks_estimator(mode, scale):
-    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode=mode, scale=scale, m_max=m_max))
+def _sliding_estimator(scale):
+    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode="sliding", scale=scale, m_max=m_max))
 
 
-# name: (the PiEstimate of pi(1..m_max) from a Sample at b, plot colour); the
-# estimators are looked up in this module at call time, so patches reach them
+# name: (its reader of the disjoint tops tables, or the PiEstimate of
+# pi(1..m_max) from a Sample at b; plot colour).  The readers run in one
+# pass over the whole block grid (`_disjoint_grid`), the others once per b.
+# Both are looked up in this module at call time, so patches reach them
 _TABLE = {
-    "db-z": (_blocks_estimator("disjoint", "z"), "#1f77b4"),
-    "db-y": (_blocks_estimator("disjoint", "y"), "#aec7e8"),
-    "sb-z": (_blocks_estimator("sliding", "z"), "#d62728"),
-    "sb-y": (_blocks_estimator("sliding", "y"), "#ff9896"),
-    "hsing": (lambda x, b, m_max: hsing_pi(x, b, m_max), "#2ca02c"),
+    "db-z": ("z", "#1f77b4"),
+    "db-y": ("y", "#aec7e8"),
+    "sb-z": (_sliding_estimator("z"), "#d62728"),
+    "sb-y": (_sliding_estimator("y"), "#ff9896"),
+    "hsing": ("hsing", "#2ca02c"),
     "ferro": (lambda x, b, m_max: ferro_pi(x, b, m_max), "#9467bd"),
-    "robert": (lambda x, b, m_max: robert_pi(x, CompetitorSpec("robert", b, m_max)), "#8c564b"),
+    "robert": ("robert", "#8c564b"),
 }
 ESTIMATORS = tuple(_TABLE)
 
 DEFAULT_GRID = tuple(range(6, 40, 2))
+
+# robert's threshold scales at the default tuning of CompetitorSpec
+_ROBERT_TAUS = np.linspace(CompetitorSpec.robert_sigma, CompetitorSpec.robert_phi, CompetitorSpec.robert_grid)
 
 # limit values of pi(1..5) for the fixed reference parameters; armax
 # truths come from geometric_pi for any alpha
@@ -207,8 +216,15 @@ def _run_rep(args):
     seed = substream_seed(config.master_seed, rep)
     x = Sample(gen(ModelSpec(config.model_kind, config.n, config.model_param, config.burnin, seed)))
     out = np.full((len(config.estimators), len(config.block_grid), config.m_max), np.nan)
+    readers = {ie: _TABLE[est][0] for ie, est in enumerate(config.estimators) if isinstance(_TABLE[est][0], str)}
+    if readers:
+        grid = _disjoint_grid(x, config.block_grid, config.m_max, tuple(readers.values()), _ROBERT_TAUS)
+        for ie, reader in readers.items():
+            out[ie] = grid[reader]  # NaN where degenerate; disclosed via n_missing
     for ib, b in enumerate(config.block_grid):
         for ie, est in enumerate(config.estimators):
+            if ie in readers:
+                continue
             try:
                 out[ie, ib] = _TABLE[est][0](x, b, config.m_max).values
             except DegenerateEstimateError:

@@ -181,6 +181,20 @@ def test_cov_matrix_refuses_a_non_square_matrix_by_name(entries, shape):
     assert CovMatrix(np.eye(3), "gamma_db").m == 3
 
 
+@pytest.mark.parametrize("other, equal", [
+    (CovMatrix(np.eye(2), "gamma_db"), True),
+    (CovMatrix(np.eye(2), "gamma_db", quadrature={"nodes": (8,), "delta": None, "entry": None}), True),
+    (CovMatrix(np.diag([1.0, 2.0]), "gamma_db"), False),
+    (CovMatrix(np.eye(3), "gamma_db"), False),
+    (CovMatrix(np.eye(2), "gamma_sb"), False),
+], ids=["equal-distinct-arrays", "equal-other-quadrature", "unequal-entries", "unequal-order", "unequal-kind"])
+def test_cov_matrix_equality_compares_kind_and_entries(other, equal):
+    # two distinct but equal entries arrays raised "truth value of an array
+    # is ambiguous": the dataclass compared (entries, kind) tuples
+    mine = CovMatrix(np.eye(2), "gamma_db")
+    assert (mine == other) is equal and (mine != other) is not equal
+
+
 def test_models_without_family_are_rejected():
     bare = CppModel(0.5, geometric_pi(0.5))
     with pytest.raises(UnsupportedModelError):
@@ -574,6 +588,32 @@ def test_covariances_above_the_table_budget_are_refused_before_any_table(evaluat
     try:
         with pytest.raises(ValueError, match=f"m={m} with nodes_1d={nodes} needs"):
             evaluate(model, m, QuadratureSpec(nodes_1d=nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: conv_powers(iid_model().pi, 10**5), r"^m=100000 needs a 76,295 MB table"),
+    (lambda: cpp_pmf(iid_model(), 0.5, 10**5), r"^m=100000 needs a 76,295 MB table"),
+    (lambda: disjoint_process_var(iid_model(), 0.5, 10**5), r"^m=100000 needs a 76,295 MB table"),
+    (lambda: sliding_process_cov(iid_model(), 0.5, 0.7, 10**5, 1), r"^m=100000 needs a 76,295 MB table"),
+    (lambda: bivar_powers(max_ar_family(0.5), [0.5], 10**4),
+     r"^m=10000 on 1 window-length ratios needs a 7,631,684 MB table"),
+    (lambda: bivar_powers(max_ar_family(0.5), np.full(2_000, 0.5), 40),
+     r"^m=40 on 2000 window-length ratios needs a 1,052 MB table"),
+], ids=["conv_powers", "cpp_pmf", "disjoint_process_var", "sliding_process_cov", "bivar_powers-m",
+        "bivar_powers-nodes"])
+def test_power_tables_above_the_budget_are_refused_before_any_table(call, message):
+    # the process variances asked numpy for a 74.5 GiB table of conv_powers,
+    # and bivar_powers worked for seconds before failing to allocate its pi2
+    # table; the refusal names the count and the bytes, above the same limit
+    # as the covariances
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message + r", above the 256 MB limit$"):
+            call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

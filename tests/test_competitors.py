@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclust import competitors
+from exclust.blocks import Sample
 from exclust.competitors import (
     CompetitorSpec,
+    _disjoint_grid,
     _split_clusters,
     cpp_invert,
     ferro_pi,
@@ -14,6 +18,7 @@ from exclust.competitors import (
     robert_pi,
 )
 from exclust.cpmodel import CppModel, cpp_pmf, geometric_pi
+from exclust.estimators import pbar_hat, pi_from_pbar
 from exclust.errors import DegenerateEstimateError
 from exclust.simulate import ModelSpec, gen, substream_seed
 
@@ -85,6 +90,55 @@ def test_hsing_and_robert_match_literal_block_counts():
         spec = CompetitorSpec("robert", b, m_max=m_max, robert_phi=float(rng.uniform(0.8, 4.0)))
         got, want = _values_or_none(robert_pi, x, spec), literal_robert(x, spec)
         assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@st.composite
+def grid_case(draw):
+    """A series with ties (rounded, integer or signed-zero values), a grid of
+    block sizes, some below m_max + 1, a count cap from 1 to 8, a non-empty
+    subset of the disjoint readers in any order, and Robert's threshold
+    scales, whose largest may pass the sample (ceil(k tau) > n)."""
+    n = draw(st.integers(8, 120))
+    values = draw(st.sampled_from([
+        st.floats(-3, 3).map(lambda v: round(v, 1)),
+        st.integers(-2, 3).map(float),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e3, 1e3),
+    ]))
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    readers = draw(st.lists(st.sampled_from(["z", "y", "hsing", "robert"]), min_size=1, max_size=4, unique=True))
+    low = 4 if "hsing" in readers else 2
+    grid = tuple(draw(st.lists(st.integers(low, n // 2), min_size=1, max_size=4, unique=True)))
+    m_max = draw(st.integers(1, 8))
+    sigma = draw(st.floats(0.1, 1.0))
+    spec = (sigma, draw(st.floats(sigma + 0.1, 3.0)), draw(st.integers(2, 25)))
+    return x, grid, m_max, readers, spec
+
+
+@given(grid_case())
+@settings(max_examples=150, deadline=None)
+def test_the_grid_pass_equals_the_per_b_calls(case):
+    # one pass over the grid, with every reader's thresholds searched in one
+    # table, gives the floats of the per-b calls, and NaN exactly where a
+    # call raises DegenerateEstimateError
+    x, grid, m_max, readers, (sigma, phi, points) = case
+    taus = np.linspace(sigma, phi, points)
+    got = _disjoint_grid(Sample(x), grid, m_max, tuple(readers), taus)
+    assert sorted(got) == sorted(readers)
+    for ib, b in enumerate(grid):
+        spec = CompetitorSpec("robert", b, m_max, sigma, phi, points)
+        calls = {
+            "z": lambda: pi_from_pbar(pbar_hat(x, b, "disjoint", "z", m_max)),
+            "y": lambda: pi_from_pbar(pbar_hat(x, b, "disjoint", "y", m_max)),
+            "hsing": lambda: hsing_pi(x, b, m_max),
+            "robert": lambda: robert_pi(x, spec),
+        }
+        for reader in readers:
+            want = _values_or_none(calls[reader])
+            if want is None:
+                assert np.isnan(got[reader][ib]).all()
+            else:
+                assert got[reader][ib].tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_ferro_matches_literal_size_counts(monkeypatch):

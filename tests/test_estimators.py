@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from exclust import blocks
 from exclust.blocks import Sample, exceedance_totals, pad_counts, ranks, sliding_maxima
-from exclust.competitors import CompetitorSpec, ferro_pi, hsing_pi, robert_pi
+from exclust.competitors import CompetitorSpec, _disjoint_grid, ferro_pi, hsing_pi, robert_pi
 from exclust.cpmodel import (
     CppModel,
     Pmf,
@@ -429,10 +429,16 @@ def test_pbar_hat_searches_its_run_start_thresholds_in_sorted_order():
 
     x = gen(ModelSpec("armax", 3_000, 0.5, seed=6))
     with mock.patch.object(blocks, "_below", recording_below):
-        for mode in ("disjoint", "sliding"):
-            for scale in ("z", "y"):
-                pbar_hat(x, 12, mode=mode, scale=scale)
-                assert len(keys) == 1 and np.all(np.diff(keys.pop()) >= 0)
+        for scale in ("z", "y"):
+            pbar_hat(x, 12, mode="sliding", scale=scale)
+            assert len(keys) == 1 and np.all(np.diff(keys.pop()) >= 0)
+        # the disjoint pass searches each table once with the keys of all four readers, in ascending order
+        grid = (6, 12, 20)
+        got = _disjoint_grid(Sample(x), grid, 5, ("z", "y", "hsing", "robert"), np.linspace(0.7, 1.3, 25))
+        assert len(keys) == len(grid)
+        for b, searched in zip(grid, keys):
+            assert searched.size == 2 * (x.size // b) + 1 + 25 and np.all(np.diff(searched) >= 0)
+        assert not np.isnan(np.concatenate(list(got.values()))).any()
 
 
 @pytest.mark.parametrize("mode", ["disjoint", "sliding"])
