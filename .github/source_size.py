@@ -9,7 +9,9 @@ where it is defined.  A third column gives the traced memory peak of one
 sliding ``pbar_hat`` call on an armax array at n = 1e5 over the bytes of
 its tops table, on the z and y scales, and a fourth the traced peak of a
 fresh sliding ``Sample.tops`` build on that array at b = 20 and b = 2,000
-(cap 6) over the bytes of the table it returns, and a fifth the traced
+(cap 6) over the bytes of a float table of its shape (the table itself
+holds ranks in the smallest unsigned dtype that holds n, so base and head
+are divided by the same bytes), and a fifth the traced
 peak of one replication's four estimators on disjoint tops tables at n =
 2e5 over the bytes of its largest table.  Counting and measuring
 import the package, so numpy must be installed.  Under the table, when a
@@ -90,7 +92,8 @@ def peak_ratios():
 
 def build_ratios():
     """The tracemalloc peak of a fresh ``Sample(x).tops(b, "sliding", 6)`` on
-    the armax array of :func:`peak_ratios`, over the bytes of the table, at
+    the armax array of :func:`peak_ratios`, over the (n - b + 1) * 6 * 8
+    bytes of a float table of its shape, as :func:`peak_ratios` divides, at
     b = 20 and b = 2,000, with the ``exclust`` on ``sys.path``."""
     import tracemalloc
 
@@ -104,8 +107,8 @@ def build_ratios():
         s = Sample(x)
         tracemalloc.start()
         try:
-            table = s.tops(b, "sliding", 6).nbytes
-            ratios.append(tracemalloc.get_traced_memory()[1] / table)
+            s.tops(b, "sliding", 6)
+            ratios.append(tracemalloc.get_traced_memory()[1] / ((x.size - b + 1) * 6 * 8))
         finally:
             tracemalloc.stop()
     return ratios
@@ -156,7 +159,7 @@ def main(argv):
     base = argv[0] if argv else ""
     base_names = None
     print("| tree | lines of src/exclust/*.py | public parameters | sliding pbar_hat peak / tops table (z / y) "
-          "| fresh sliding tops build peak / table (b = 20 / 2,000) "
+          "| fresh sliding tops build peak / float table (b = 20 / 2,000) "
           "| disjoint estimators of one replication peak / b = 6 table |")
     print("| --- | ---: | ---: | ---: | ---: | ---: |")
     if base.strip("0"):

@@ -191,19 +191,21 @@ def bivar_powers(family, sigma, m):
     return B
 
 
-def _check_table(m, need, on=""):
+def _check_table(m, need, on="", name="m"):
     """Refuse a table of ``need`` bytes above ``_TABLE_BYTES``, naming the
-    count m it grows with."""
+    count m it grows with (``name``)."""
     if need > _TABLE_BYTES:
-        raise ValueError(f"m={m}{on} needs a {need / 2**20:,.0f} MB table, "
+        raise ValueError(f"{name}={m}{on} needs a {need / 2**20:,.0f} MB table, "
                          f"above the {_TABLE_BYTES >> 20} MB limit")
 
 
 def poisson_table(lam, k_max):
     """out[k, ...] = exp(-lam) lam^k / k! for k in 0..k_max, broadcast over
-    lam, whose rates must be finite and >= 0."""
+    lam, whose rates must be finite and >= 0.  A table above
+    ``_TABLE_BYTES`` is refused before it is allocated."""
     k_max = check_count("k_max", k_max, 0)
     lam = np.asarray(lam, dtype=float)
+    _check_table(k_max, 8 * (k_max + 1) * lam.size, f" on {lam.size} rates" if lam.ndim else "", "k_max")
     bad = ~(np.isfinite(lam) & (lam >= 0.0))
     if bad.any():
         raise ValueError(f"lam must be finite and >= 0, got {lam[bad].flat[0]}")

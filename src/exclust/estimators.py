@@ -14,24 +14,25 @@ estimated by the reciprocal partial mean 1 / sum_{j<=m} j*pi(j).
 Each function takes an array or a :class:`~exclust.blocks.Sample` and reads
 its block tops from the sample.  F_n is monotone, so a y-scale level maps
 to a value threshold (:meth:`~exclust.blocks.Sample.cdf_threshold`), once
-per run of equal block maxima, and both scales read the same tops table
-of the values.  Sliding calls take their pair counts from
-:func:`~exclust.blocks.exceedance_totals`: capped count totals over
-ordered pairs of a block's maximum and another block, leaving out the
-windows that overlap it.  Disjoint calls are :func:`_disjoint_pass` on one
-block size, the pass that also serves Hsing's and Robert's estimators over
-a whole block grid: each column of a disjoint table is sorted once and
-searched once by every reader's thresholds
+per run of equal block maxima.  Sliding calls are :func:`_sliding_pass` on
+one block size, the pass that serves sb-z and sb-y over a whole block
+grid: one kept table of ranks grows along it, and both scales are counted
+on it at once by :func:`~exclust.blocks.exceedance_totals`, capped count
+totals over ordered pairs of a block's maximum and another block, leaving
+out the windows that overlap it.  Disjoint calls are :func:`_disjoint_pass`
+on one block size, the pass that also serves Hsing's and Robert's
+estimators over a whole block grid: each column of a disjoint table of
+values is sorted once and searched once by every reader's thresholds
 (:func:`~exclust.blocks.exceedance_histogram`), and the pair totals are
 the rows at all blocks' thresholds minus each block's own count.  A
-sliding call on an array peaks at 1.33x (z) and 1.71x (y)
-the bytes of its tops table, which holds n - b + 1 rows of min(m_max + 1,
-b) values (tracemalloc, armax, b = 20, m_max = 5, n from 5e4 to 1e6; the
-y scale adds the sorted series and one threshold per block).  Time grows
-about like n*log(n): sliding ``pbar_hat`` on an array (tops table
-included) takes 5-14x per 10x of n at b = 6, 20 and 38, n from 2e3 to 2e5
-(fastest of 15 calls, 3 at 2e5, in two runs on a 2-vCPU host), and
-71-88 ms at n = 2e5, where tables built by partitions took 76-131 ms.
+sliding call on an array peaks at 1.00x / 1.02x (z / y) the bytes of a
+float table of n - b + 1 rows of min(m_max + 1, b) entries at n = 5e4
+(uint16 ranks), and 1.33x / 1.36x from 1e5 to 1e6 (uint32), where tables
+of values peaked at 1.33x / 1.68x (tracemalloc, armax, b = 20, m_max = 5).
+Time grows about like n*log(n): sliding ``pbar_hat`` on an array (ranks
+and table included) takes 5-7x per 10x of n from 2e3 to 2e4 and 12-18x to
+2e5 at b = 6, 20 and 38 (fastest of 15 calls, 3 at 2e5, in two runs on a
+2-vCPU host), and 28-58 ms at n = 2e5, against 55-74 ms on tables of values.
 The naive O(n^2 * b) enumeration is kept as :func:`sliding_pair_naive`; all
 pair statistics are integer counts, divided once at the end.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _integral, check_block_size, check_m_max
-from .blocks import _run_bounds, exceedance_histogram, exceedance_totals, pad_counts, sample
+from .blocks import _run_bounds, exceedance_histogram, exceedance_totals, sample
 from .blocks import ranks, sliding_maxima  # noqa: F401  (re-exported)
 from .errors import DegenerateEstimateError
 
@@ -116,9 +117,9 @@ def sliding_pair_naive(x, b, thresholds, m_max, scale="z"):
 
 
 def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
-    """Pair-averaged estimate of pbar(1..m_max) from one sample.  A disjoint
-    call is :func:`_disjoint_pass` on the one block size b; on the sliding
-    y scale each run of equal block maxima is mapped to a value threshold once."""
+    """Pair-averaged estimate of pbar(1..m_max) from one sample: the pass of
+    its mode, :func:`_disjoint_pass` or :func:`_sliding_pass`, on the one
+    block size b."""
     x = sample(x)
     b = check_block_size(x.x.size, b)
     m_max = check_m_max(m_max, x.x.size)
@@ -126,12 +127,8 @@ def pbar_hat(x, b, mode="sliding", scale="z", m_max=5):
     if mode == "disjoint":
         hist = _disjoint_pass(x, (b,), m_max, (scale,))[0][0, 0]
     else:
-        tops = x.tops(b, mode, m_max + 1)
-        thr = tops[:, 0]
-        if scale == "y":
-            bounds = _run_bounds(thr)
-            thr = np.repeat(_y_levels(x, x.cdf(thr[bounds[:-1]])), np.diff(bounds))
-        hist = pad_counts(exceedance_totals(tops, thr, b), m_max + 2)
+        x.tops(b, mode, m_max + 1)  # an unknown mode is refused here
+        hist = _sliding_pass(x, (b,), m_max, (scale,))[0, 0]
     pair_count = int(hist.sum())  # k(k-1) disjoint; |D_n|, windows at distance >= b, sliding
 
     counts = hist[1 : m_max + 1].astype(np.int64)
@@ -147,6 +144,27 @@ def _y_levels(x, cdf):
     np.log(cdf, out=cdf)
     cdf += 1.0
     return x.cdf_threshold(cdf)
+
+
+def _sliding_pass(x, grid, m_max, scales):
+    """The sliding-blocks counts at every b of ``grid``: ``pairs[r, i, c]``
+    counts the ordered pairs of a window and another window at least b =
+    ``grid[i]`` apart with c exceedances of the first one's maximum on
+    scale ``scales[r]`` ("z" or "y"), c = 0..m_max + 1.  In ascending b the
+    one kept table of ranks grows by merges, and every scale is counted on
+    it at once (:func:`~exclust.blocks.exceedance_totals`): z at its first
+    column, y at the rank of each run of equal maxima's y level, mapped once
+    (rank r / n is F_n of the maximum)."""
+    pairs = np.zeros((len(scales), len(grid), m_max + 2), dtype=np.int64)
+    for i in np.argsort(grid, kind="stable"):
+        tops = x.tops(grid[i], "sliding", m_max + 1)
+        thr = np.tile(tops[:, 0], (len(scales), 1))  # in the table's dtype, so no gather is widened
+        if "y" in scales:
+            bounds = _run_bounds(thr[:1])
+            thr[scales.index("y")] = np.repeat(x._count(_y_levels(x, thr[0, bounds[:-1]] / x.x.size)), np.diff(bounds))
+        totals = exceedance_totals(tops, thr, grid[i])
+        pairs[:, i, : totals.shape[1]] = totals
+    return pairs
 
 
 def _disjoint_pass(x, grid, m_max, scales, shared=None):

@@ -3,15 +3,15 @@
 Runs N replications of (simulate, estimate over a block-size grid) for a
 configurable set of estimators and summarizes bias, variance and MSE of
 pi-hat(m) against the model's known limit values.  A replication validates
-and sorts its series once, as one :class:`~exclust.blocks.Sample` read by
-every (estimator, b) cell.  The four estimators on disjoint blocks (db-z,
-db-y, hsing and robert) run first, in one pass over the whole block grid
-(:func:`~exclust.competitors._disjoint_grid`) that searches each disjoint
-table once for all of them; then sb-z, sb-y and ferro run per b, and the
-sliding table, which serves both threshold scales, grows along the block
-grid.  Replications are pure functions of a mixed per-rep seed and
-are folded in rep order, so results are byte-identical for any worker
-count.
+its series once, as one :class:`~exclust.blocks.Sample` read by every
+(estimator, b) cell, which keeps its sorted values and ranks.  The four
+estimators on disjoint blocks (db-z, db-y, hsing and robert) run in one
+pass over the whole block grid (:func:`~exclust.competitors._disjoint_grid`)
+that searches each disjoint table once for all of them, and sb-z and sb-y
+in another (:func:`_sliding_grid`), which counts both threshold scales at
+once on one sliding table that grows along the grid; then ferro runs per
+b.  Replications are pure functions of a mixed per-rep seed and are folded
+in rep order, so results are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from .competitors import CompetitorSpec, _disjoint_grid, check_block_rule, ferro
 from .competitors import hsing_pi, robert_pi  # noqa: F401  (perfbench patches its spans in here)
 from .cpmodel import geometric_pi
 from .errors import DegenerateEstimateError, FieldError
-from .estimators import pbar_hat, pi_from_pbar
+from .estimators import _sliding_pass, pi_from_pbar
+from .estimators import pbar_hat  # noqa: F401  (perfbench patches its span in here)
 from .simulate import MAX_LENGTH, ModelSpec, gen, substream_seed
 
 __all__ = [
@@ -42,22 +43,24 @@ __all__ = [
 ]
 
 
-def _sliding_estimator(scale):
-    return lambda x, b, m_max: pi_from_pbar(pbar_hat(x, b, mode="sliding", scale=scale, m_max=m_max))
+def _sliding_grid(x, grid, m_max, scales):
+    """scale: sliding pi(1..m_max) at every b of ``grid``, in one :func:`~exclust.estimators._sliding_pass`."""
+    pairs = _sliding_pass(x, grid, m_max, scales)
+    return {scale: pi_from_pbar(p[:, 1:-1] / p.sum(axis=1, keepdims=True)).values for scale, p in zip(scales, pairs)}
 
 
-# name: (its reader of the disjoint tops tables, or the PiEstimate of
-# pi(1..m_max) from a Sample at b; plot colour).  The readers run in one
-# pass over the whole block grid (`_disjoint_grid`), the others once per b.
-# Both are looked up in this module at call time, so patches reach them
+# name: (the pass over the whole block grid that serves it, `_sliding_grid`
+# or `_disjoint_grid`, and its reader there, or the PiEstimate of
+# pi(1..m_max) from a Sample at b; plot colour).  Both are looked up in this
+# module at call time, so patches reach them
 _TABLE = {
-    "db-z": ("z", "#1f77b4"),
-    "db-y": ("y", "#aec7e8"),
-    "sb-z": (_sliding_estimator("z"), "#d62728"),
-    "sb-y": (_sliding_estimator("y"), "#ff9896"),
-    "hsing": ("hsing", "#2ca02c"),
+    "db-z": (("disjoint", "z"), "#1f77b4"),
+    "db-y": (("disjoint", "y"), "#aec7e8"),
+    "sb-z": (("sliding", "z"), "#d62728"),
+    "sb-y": (("sliding", "y"), "#ff9896"),
+    "hsing": (("disjoint", "hsing"), "#2ca02c"),
     "ferro": (lambda x, b, m_max: ferro_pi(x, b, m_max), "#9467bd"),
-    "robert": ("robert", "#8c564b"),
+    "robert": (("disjoint", "robert"), "#8c564b"),
 }
 ESTIMATORS = tuple(_TABLE)
 
@@ -216,17 +219,21 @@ def _run_rep(args):
     seed = substream_seed(config.master_seed, rep)
     x = Sample(gen(ModelSpec(config.model_kind, config.n, config.model_param, config.burnin, seed)))
     out = np.full((len(config.estimators), len(config.block_grid), config.m_max), np.nan)
-    readers = {ie: _TABLE[est][0] for ie, est in enumerate(config.estimators) if isinstance(_TABLE[est][0], str)}
-    if readers:
-        grid = _disjoint_grid(x, config.block_grid, config.m_max, tuple(readers.values()), _ROBERT_TAUS)
+    passes, per_b = {}, {}  # pass: {estimator index: its reader there}; estimator index: its call
+    for ie, est in enumerate(config.estimators):
+        if isinstance(_TABLE[est][0], tuple):
+            passes.setdefault(_TABLE[est][0][0], {})[ie] = _TABLE[est][0][1]
+        else:
+            per_b[ie] = _TABLE[est][0]
+    for kind, readers in passes.items():
+        args = x, config.block_grid, config.m_max, tuple(readers.values())
+        grid = _sliding_grid(*args) if kind == "sliding" else _disjoint_grid(*args, _ROBERT_TAUS)
         for ie, reader in readers.items():
             out[ie] = grid[reader]  # NaN where degenerate; disclosed via n_missing
     for ib, b in enumerate(config.block_grid):
-        for ie, est in enumerate(config.estimators):
-            if ie in readers:
-                continue
+        for ie, estimate in per_b.items():
             try:
-                out[ie, ib] = _TABLE[est][0](x, b, config.m_max).values
+                out[ie, ib] = estimate(x, b, config.m_max).values
             except DegenerateEstimateError:
                 pass  # stays NaN; disclosed via n_missing
     return out

@@ -603,13 +603,16 @@ def test_covariances_above_the_table_budget_are_refused_before_any_table(evaluat
      r"^m=10000 on 1 window-length ratios needs a 7,631,684 MB table"),
     (lambda: bivar_powers(max_ar_family(0.5), np.full(2_000, 0.5), 40),
      r"^m=40 on 2000 window-length ratios needs a 1,052 MB table"),
+    (lambda: poisson_table(0.5, 10**9), r"^k_max=1000000000 needs a 7,629 MB table"),
+    (lambda: poisson_table(np.full(10**5, 0.5), 10**4), r"^k_max=10000 on 100000 rates needs a 7,630 MB table"),
 ], ids=["conv_powers", "cpp_pmf", "disjoint_process_var", "sliding_process_cov", "bivar_powers-m",
-        "bivar_powers-nodes"])
+        "bivar_powers-nodes", "poisson_table-k_max", "poisson_table-rates"])
 def test_power_tables_above_the_budget_are_refused_before_any_table(call, message):
     # the process variances asked numpy for a 74.5 GiB table of conv_powers,
     # and bivar_powers worked for seconds before failing to allocate its pi2
-    # table; the refusal names the count and the bytes, above the same limit
-    # as the covariances
+    # table; poisson_table raised numpy's MemoryError for 7.45 GiB.  The
+    # refusal names the count and the bytes, above the same limit as the
+    # covariances
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message + r", above the 256 MB limit$"):

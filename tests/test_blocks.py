@@ -93,6 +93,17 @@ def test_exceedance_totals_refuse_a_radius_below_one_by_name():
         exceedance_totals(tops, np.zeros(4), 1.5)
 
 
+def test_exceedance_totals_refuse_values_in_place_of_ranks():
+    # the totals are counted on ranks; a table or thresholds of floats
+    # failed inside np.bincount with a casting TypeError
+    tops = _block_tops(np.arange(12.0).reshape(4, 3), cap=2)
+    ranks_of = np.searchsorted(np.arange(12.0), tops, "right")
+    for table, thresholds in ((tops, np.zeros(4, dtype=int)), (ranks_of, np.zeros(4))):
+        with pytest.raises(ValueError, match="must hold integer ranks, got"):
+            exceedance_totals(table, thresholds, 1)
+    assert exceedance_totals(ranks_of, np.zeros(4, dtype=int), 1).sum() == 4 * 3
+
+
 @st.composite
 def totals_case(draw):
     """Rows of k >= 1 blocks with ties, a cap, a radius from 1 to k and one
@@ -122,11 +133,14 @@ def test_exceedance_totals_match_literal_pair_counts(case, chunk):
     # counted per run of equal thresholds, with the near-count steps summed
     # _CHUNK rows at a time and the near indices past an end clipped and
     # taken back; the literal count pairs row q with every block at least
-    # radius away and caps at min(cap, b)
+    # radius away and caps at min(cap, b).  The kernel counts on ranks
+    # R(v) = #{entries <= v}, under which v > t exactly when R(v) > R(t)
     rows, cap, thresholds, radius = case
     k, width = len(rows), min(cap, rows.shape[1])
+    entries = np.sort(rows.ravel())
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        got = exceedance_totals(_block_tops(rows, cap=cap), thresholds, radius)
+        got = exceedance_totals(np.searchsorted(entries, _block_tops(rows, cap=cap), "right"),
+                                np.searchsorted(entries, thresholds, "right"), radius)
     want = np.zeros(width + 1, dtype=np.int64)
     for q, t in enumerate(thresholds):
         far = rows[np.abs(np.arange(k) - q) >= radius]
@@ -245,7 +259,26 @@ def test_a_fresh_sliding_table_holds_little_beside_itself():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - table <= 0.5 * table, (b, peak / table)
+        assert peak - table <= 0.5 * (x.size - b + 1) * 6 * 8, (b, peak / table)  # the bytes of a float table
+
+
+def test_a_fresh_rank_table_holds_little_beside_itself():
+    # at n = 5e4 a sliding table holds uint16 ranks; beside it a fresh build
+    # holds the rank series and the sorted series, and while it ranks, the
+    # argsort that gives both: 1.21x / 1.44x the table's own bytes at b =
+    # 20 / 2,000
+    x = gen(ModelSpec("armax", 50_000, 0.5, seed=4))
+    Sample(x[:100]).tops(10, "sliding", 6)  # warm-up
+    for b in (20, 2000):
+        s = Sample(x)
+        tracemalloc.start()
+        try:
+            tops = s.tops(b, "sliding", 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tops.dtype == np.uint16
+        assert peak - tops.nbytes <= 1.75 * tops.nbytes, (b, peak / tops.nbytes - 1)
 
 
 @st.composite
@@ -264,8 +297,8 @@ def tops_requests(draw):
 @settings(max_examples=150, deadline=None)
 def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
     # a Sample keeps its last table of each layout and extends the sliding
-    # one; every table it hands out must equal one built from scratch (+-0
-    # compare equal)
+    # one, which holds the ranks of the values; every table it hands out
+    # must equal one built from scratch (+-0 compare equal)
     x, requests = case
     s = Sample(x)
     with mock.patch.object(blocks, "_CHUNK", chunk):
@@ -273,7 +306,7 @@ def test_kept_sliding_tops_equal_fresh_tops(case, chunk):
             if mode == "disjoint":
                 rows = x[: x.size // b * b].reshape(-1, b)
             else:
-                rows = np.lib.stride_tricks.sliding_window_view(x, b)
+                rows = np.lib.stride_tricks.sliding_window_view(s._ranks.astype(float), b)
             got = s.tops(b, mode, cap)
             want = -np.sort(-rows, axis=1)[:, :cap]  # min(cap, b) columns
             assert got.shape == want.shape and np.array_equal(got, want)
@@ -336,6 +369,23 @@ def test_cdf_threshold_is_the_exact_inverse_of_the_ranks(case):
     assert t.tobytes() == searchsorted_threshold(s, levels).tobytes()
 
 
+@given(tied_series(max_n=120))
+@settings(max_examples=100, deadline=None)
+def test_the_rank_series_counts_the_values_at_or_below_each(x):
+    # the one argsort that ranks the series also sorts it; tied values and
+    # +-0 share the rank of their group's last sorted position
+    s = Sample(x)
+    assert np.array_equal(s._ranks, np.searchsorted(np.sort(x), x, "right"))
+    assert np.array_equal(s.sorted, np.sort(x))
+
+
+def test_the_rank_series_takes_the_smallest_unsigned_dtype_that_holds_n():
+    for n, dtype in ((255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)):
+        s = Sample(np.arange(float(n)))
+        assert s._ranks.dtype == dtype and s._ranks[-1] == n
+        assert s.tops(2, "sliding", 1).dtype == dtype
+
+
 def test_ranks_ties_use_max_rank():
     np.testing.assert_allclose(ranks([1.0, 2.0, 2.0, 3.0]), [0.25, 0.75, 0.75, 1.0])
 
@@ -392,7 +442,7 @@ def test_tops_check_the_block_size_and_cap_by_name():
             with pytest.raises(ValueError, match=f"cap={cap}|cap must be >= 1"):
                 s.tops(5, mode, cap)
         assert s.tops(5.0, mode, 3.0) is s.tops(5, mode, 3)
-    windows = np.lib.stride_tricks.sliding_window_view(s.x, 25)  # b = n/2 is the largest
+    windows = np.lib.stride_tricks.sliding_window_view(s._ranks.astype(float), 25)  # b = n/2 is the largest
     assert np.array_equal(s.tops(25, "sliding", 3), _block_tops(windows, cap=3))
 
 

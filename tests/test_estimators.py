@@ -23,6 +23,7 @@ from exclust.errors import DegenerateEstimateError
 from exclust.estimators import (
     ClusterSizeEstimator,
     PbarEstimate,
+    _sliding_pass,
     pbar_hat,
     pi_from_pbar,
     sliding_pair_naive,
@@ -202,8 +203,9 @@ def test_count_tables_capped_at_the_block_length_change_no_output(b):
         assert np.array_equal(robert_pi(x, spec).values, literal_robert(x, spec))
 
     def sliding_totals(m_max):
-        # the kernel of sliding pbar_hat at one fixed threshold, padded as it pads
-        got = pad_counts(exceedance_totals(Sample(x).tops(b, "sliding", m_max + 1), thr, b), m_max + 2)
+        # the kernel of sliding pbar_hat at one fixed threshold, padded as it pads, on ranks
+        s = Sample(x)
+        got = pad_counts(exceedance_totals(s.tops(b, "sliding", m_max + 1), s._count(thr), b), m_max + 2)
         assert np.array_equal(got, sliding_pair_naive(x, b, thr, m_max).sum(axis=0))
         return got
 
@@ -377,14 +379,15 @@ def sweep_case(draw):
 @given(sweep_case(), st.sampled_from([1, 5, 4096]))
 @settings(max_examples=200, deadline=None)
 def test_sweep_equals_naive(case, chunk):
-    # the kernel of sliding pbar_hat on its table of the values, a y-scale
-    # level mapped to a value threshold: near blocks are compared in full
-    # only where the threshold changes, _CHUNK near rows per step
+    # the kernel of sliding pbar_hat on its table of ranks, a y-scale
+    # level mapped to a value threshold and that to its rank: near blocks
+    # are compared in full only where the threshold changes, _CHUNK near
+    # rows per step
     x, b, scale, thr = case
     s = Sample(x)
     values = thr if scale == "z" else s.cdf_threshold(thr)
     with mock.patch.object(blocks, "_CHUNK", chunk):
-        fast = exceedance_totals(s.tops(b, "sliding", 4), values, b)
+        fast = exceedance_totals(s.tops(b, "sliding", 4), s._count(values), b)
     slow = sliding_pair_naive(x, b, thr, 3, scale=scale).sum(axis=0)
     np.testing.assert_array_equal(pad_counts(fast, 5), slow)
 
@@ -414,12 +417,64 @@ def test_sliding_pbar_builds_no_per_row_table():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * s.tops(20, "sliding", 6).nbytes
+        assert peak < 2 * (s.x.size - 19) * 6 * 8  # the bytes of a float table
+
+
+def test_a_two_scale_pass_on_a_kept_table_holds_little_beside_it():
+    # both scales counted at once on the kept uint16 table of ranks at n =
+    # 5e4 peaked at 2.43x the table's own bytes: the table, one cumulative
+    # threshold histogram and the y scale's thresholds
+    s = Sample(gen(ModelSpec("armax", 50_000, 0.5, seed=4)))
+    _sliding_pass(s, (20,), 5, ("z", "y"))  # builds the kept table, the ranks and the sorted values
+    table = s.tops(20, "sliding", 6).nbytes
+    tracemalloc.start()
+    try:
+        _sliding_pass(s, (20,), 5, ("z", "y"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table, peak / table
+
+
+@st.composite
+def sliding_grids(draw):
+    """A series of floats, rounded values, small integers (ties) and +-0, a
+    grid of block sizes up to n/2 (ascending, or in any order), a count cap
+    and the scales to count: each alone or both."""
+    n = draw(st.integers(min_value=4, max_value=48))
+    x = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.floats(-100, 100, allow_nan=False), st.floats(-3, 3).map(lambda v: round(v, 1)),
+        st.integers(-2, 2).map(float), st.sampled_from([0.0, -0.0]))))
+    grid = sorted(draw(st.sets(st.integers(2, n // 2), min_size=1)))
+    if draw(st.booleans()):
+        grid = draw(st.permutations(grid))
+    scales = draw(st.sampled_from([("z",), ("y",), ("z", "y"), ("y", "z")]))
+    return x, tuple(grid), draw(st.integers(1, min(8, n))), scales
+
+
+@given(sliding_grids(), st.sampled_from([1, 3, 4096]))
+@settings(max_examples=100, deadline=None)
+def test_the_sliding_pass_equals_the_naive_pairs_at_every_block_size(case, chunk):
+    # one kept table grows along the grid and both scales are counted on it
+    # at once; every b and scale must give the naive enumeration's counts
+    # and those of a one-b call
+    x, grid, m_max, scales = case
+    with mock.patch.object(blocks, "_CHUNK", chunk):
+        pairs = _sliding_pass(Sample(x), grid, m_max, scales)
+    assert pairs.shape == (len(scales), len(grid), m_max + 2) and pairs.dtype == np.int64
+    for r, scale in enumerate(scales):
+        for i, b in enumerate(grid):
+            maxima = sliding_maxima(x if scale == "z" else ranks(x), b)
+            thr = maxima if scale == "z" else 1.0 + np.log(maxima)
+            assert np.array_equal(pairs[r, i], sliding_pair_naive(x, b, thr, m_max, scale=scale).sum(axis=0))
+            one = pbar_hat(x, b, "sliding", scale, m_max)
+            assert np.array_equal(pairs[r, i, 1:-1], one.counts) and pairs[r, i].sum() == one.pair_count
 
 
 def test_pbar_hat_searches_its_run_start_thresholds_in_sorted_order():
-    # the run-start keys are counted in any order (summed against the run
-    # lengths), and sorted keys keep searchsorted in cache; time order missed it
+    # the keys are counted in any order, and sorted keys keep searchsorted
+    # in cache; time order missed it.  Sliding calls search no column: they
+    # look their counts up on ranks
     keys = []
     below = blocks._below
 
@@ -429,9 +484,6 @@ def test_pbar_hat_searches_its_run_start_thresholds_in_sorted_order():
 
     x = gen(ModelSpec("armax", 3_000, 0.5, seed=6))
     with mock.patch.object(blocks, "_below", recording_below):
-        for scale in ("z", "y"):
-            pbar_hat(x, 12, mode="sliding", scale=scale)
-            assert len(keys) == 1 and np.all(np.diff(keys.pop()) >= 0)
         # the disjoint pass searches each table once with the keys of all four readers, in ascending order
         grid = (6, 12, 20)
         got = _disjoint_grid(Sample(x), grid, 5, ("z", "y", "hsing", "robert"), np.linspace(0.7, 1.3, 25))
@@ -453,7 +505,10 @@ def test_y_scale_counts_equal_the_per_row_threshold_map(mode):
         m_max = int(rng.integers(1, 8))
         s = Sample(x)
         tops = s.tops(b, mode, m_max + 1)
-        hist = exceedance_totals(tops, y_thresholds(s, tops[:, 0]), 1 if mode == "disjoint" else b)
+        if mode == "disjoint":
+            tops = s._count(tops)  # the kernel counts on ranks; a sliding table holds them
+        maxima = s.sorted[tops[:, 0] - 1]  # the value of each block maximum's rank
+        hist = exceedance_totals(tops, s._count(y_thresholds(s, maxima)), 1 if mode == "disjoint" else b)
         hist = pad_counts(hist, m_max + 2)
         est = pbar_hat(x, b, mode=mode, scale="y", m_max=m_max)
         assert np.array_equal(est.counts, hist[1 : m_max + 1]) and est.pair_count == hist.sum()
@@ -462,7 +517,8 @@ def test_y_scale_counts_equal_the_per_row_threshold_map(mode):
 def test_sweep_all_above_max():
     x = np.arange(12.0)
     thr = np.full(12 - 3 + 1, 100.0)
-    out = exceedance_totals(Sample(x).tops(3, "sliding", 5), thr, 3)
+    s = Sample(x)
+    out = exceedance_totals(s.tops(3, "sliding", 5), s._count(thr), 3)
     # every far window sits in the zero-exceedances bucket: 10 windows, at
     # least 3 apart in 56 ordered pairs
     np.testing.assert_array_equal(out, [56, 0, 0, 0])
@@ -472,7 +528,8 @@ def test_sweep_all_above_max():
 def test_sweep_single_distinct_value():
     x = np.full(15, 2.0)
     thr = np.full(15 - 4 + 1, 2.0)
-    out = exceedance_totals(Sample(x).tops(4, "sliding", 4), thr, 4)
+    s = Sample(x)
+    out = exceedance_totals(s.tops(4, "sliding", 4), s._count(thr), 4)
     assert out[0] == out.sum() > 0 and not out[1:].any()
     np.testing.assert_array_equal(pad_counts(out, 5), sliding_pair_naive(x, 4, thr, 3).sum(axis=0))
 
